@@ -12,7 +12,6 @@ from .curves import (
     ArrivalCurve,
     DelayBoundResult,
     LeftoverServiceCurve,
-    combined_violation_bound,
     crossing_time,
     effective_bandwidth,
     horizontal_distance,
@@ -22,7 +21,7 @@ from .curves import (
     long_run_rate,
     max_stable_theta,
 )
-from .errors import ConfigError, DivergenceError, InfeasibleError
+from .errors import ConfigError, InfeasibleError
 from .experiments import ExperimentSpec, LoadedConfig, linear_grid, load_config, run_experiment
 from .radio import (
     RadioConfig,

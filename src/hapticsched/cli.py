@@ -62,7 +62,10 @@ def main(argv=None) -> int:
             )
         seeds = loaded.seeds
         if args.seed is not None:
-            seeds = tuple(int(s) for s in args.seed.split(",") if s.strip())
+            try:
+                seeds = tuple(int(s) for s in args.seed.split(",") if s.strip())
+            except ValueError:
+                raise ConfigError(f"--seed: must be a comma-separated integer list, got {args.seed!r}") from None
         epsilon = args.epsilon if args.epsilon is not None else loaded.epsilon
         horizon = loaded.horizon
         if getattr(args, "horizon", None) is not None:

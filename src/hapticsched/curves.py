@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, InfeasibleError
+from .errors import ConfigError, InfeasibleError
 from .radio import (
     RadioConfig,
     SchedulingScheme,
@@ -108,6 +108,13 @@ class LeftoverServiceCurve:
         out = self.radio.total_rate * u_arr - self.period_bits * n_p - self.offset_bits
         return float(out) if np.isscalar(u) or out.ndim == 0 else out
 
+    def dip(self, k: int) -> float:
+        """Envelope at the k-th period boundary, just after its drop: the
+        lowest value on [k * t_p, inf).  value(k * t_p) can miss the drop
+        when k * t_p rounds to just below the boundary (15 * 0.018 does),
+        so the k periods are counted here instead of floored from u."""
+        return self.radio.total_rate * (k * self.t_p) - self.period_bits * k - self.offset_bits
+
     def long_run_rate(self) -> float:
         """Asymptotic slope of the envelope, bits/s.  This is the correct
         stability rate: the per-period charge grows linearly with the
@@ -158,6 +165,18 @@ def max_stable_theta(leftover: LeftoverTrafficModel, service_rate: float) -> flo
     return 0.5 * (lo + hi) * (1.0 - 1e-9)
 
 
+def _first_dip_at_or_above(curve: LeftoverServiceCurve, bits: float) -> int:
+    """Smallest k with curve.dip(k) >= bits.  Dips rise by
+    long_run_rate * t_p per period, so every later dip clears bits too."""
+    gain = curve.long_run_rate() * curve.t_p
+    k = max(0, math.ceil((bits + curve.offset_bits) / gain))
+    while curve.dip(k) < bits:
+        k += 1
+    while k > 0 and curve.dip(k - 1) >= bits:
+        k -= 1
+    return k
+
+
 def crossing_time(curve: LeftoverServiceCurve, bits: float) -> float:
     """Conservative inversion: the earliest time after which the envelope
     stays at or above the requested level.
@@ -173,18 +192,10 @@ def crossing_time(curve: LeftoverServiceCurve, bits: float) -> float:
     if curve.period_bits == 0:
         # no per-period loss: straight line through -offset
         return (bits + curve.offset_bits) / c
-    rate = curve.long_run_rate()
-    t_p = curve.t_p
-    gain = rate * t_p
-    k = max(0, math.ceil((bits + curve.offset_bits) / gain))
-    while curve.value(k * t_p) < bits:
-        k += 1
-    while k > 0 and curve.value((k - 1) * t_p) >= bits:
-        k -= 1
+    k = _first_dip_at_or_above(curve, bits)
     if k == 0:
         return 0.0
-    floor_val = curve.value((k - 1) * t_p)
-    return (k - 1) * t_p + (bits - floor_val) / c
+    return (k - 1) * curve.t_p + (bits - curve.dip(k - 1)) / c
 
 
 @dataclass
@@ -249,12 +260,19 @@ def leftover_delay_bound(
 
 def horizontal_distance(arrival: ArrivalCurve, x: float, curve: LeftoverServiceCurve, horizon: float) -> float:
     """Rigorous-mode bound: the largest horizontal gap between the arrival
-    envelope lifted by x and the service envelope.
+    envelope lifted by x and the service envelope, computed exactly in O(1).
 
-    The supremum is taken over a grid of window starts at quarter-slot
-    resolution plus every period breakpoint; each inner infimum uses the
-    conservative inversion shifted by the window start.  Always at least
-    crossing_time(curve, x), which is the window-start-zero term.
+    The gap for a window starting at tau is
+    h(tau) = crossing_time(curve, rate * tau + x) - tau.  While the
+    conservative inversion stays on one rising segment, h falls with slope
+    rate / C - 1 < 0.  It jumps up only where the level passes the dip at
+    the end of that segment, curve.dip(k), at
+    tau_k = (curve.dip(k) - x) / rate, with right limit k * t_p - tau_k,
+    and these right limits shrink as k grows because the dips rise by
+    long_run_rate * t_p > rate * t_p per period.  So the supremum is the
+    larger of h(0) = crossing_time(curve, x) and the right limit at the
+    first jump with tau_k >= 0.  It is attained within one traffic period,
+    so horizon is only validated, not scanned.
     """
     if horizon < 2 * curve.t_p:
         raise ConfigError(f"horizon must span several traffic periods, got {horizon!r}")
@@ -264,46 +282,11 @@ def horizontal_distance(arrival: ArrivalCurve, x: float, curve: LeftoverServiceC
         raise InfeasibleError(
             f"arrival envelope rate {rate!r} b/s is not below the leftover long-run rate {lrr!r} b/s"
         )
-    step = curve.radio.tti / 4.0
-    taus = np.unique(
-        np.concatenate(
-            [
-                np.arange(0.0, horizon, step),
-                np.arange(0.0, horizon, curve.t_p),
-                [horizon],
-            ]
-        )
-    )
-    best = -math.inf
-    best_tau = 0.0
-    for tau in taus:
-        level = rate * tau + x
-        s = crossing_time(curve, level) - tau
-        if s < 0.0:
-            s = 0.0
-        if s > best:
-            best = s
-            best_tau = tau
-    if best_tau > 0.8 * horizon:
-        raise DivergenceError(
-            f"horizontal distance still growing at the end of the horizon "
-            f"(attained at {best_tau!r} of {horizon!r} s); extend the horizon"
-        )
+    best = crossing_time(curve, x)
+    if rate > 0 and curve.period_bits > 0:
+        # the dip crossing_time(curve, x) climbs to; found by the same
+        # comparisons, so rounding cannot skip a jump at tau = 0
+        k = _first_dip_at_or_above(curve, x)
+        tau = (curve.dip(k) - x) / rate
+        best = max(best, k * curve.t_p - tau)
     return best
-
-
-def combined_violation_bound(f, g=None, grid: int = 256):
-    """Combine the arrival-side and service-side violation bounds.
-
-    With an error-free server there is no service-side bound and the
-    combination collapses to the arrival-side bound itself; that identity
-    is relied on by the delay-bound path, which uses f directly.
-    """
-    if g is None:
-        return f
-
-    def combined(x: float) -> float:
-        ys = np.linspace(0.0, x, grid)
-        return float(min(f(y) + g(x - y) for y in ys))
-
-    return combined

@@ -13,7 +13,3 @@ class ConfigError(ValueError):
 
 class InfeasibleError(RuntimeError):
     """The offered load cannot be carried by the configured service."""
-
-
-class DivergenceError(RuntimeError):
-    """A numeric search failed to stabilise within its horizon."""

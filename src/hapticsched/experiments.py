@@ -14,6 +14,7 @@ import concurrent.futures
 import configparser
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -59,9 +60,12 @@ def parse_time(text: str, field: str) -> float:
     elif raw.endswith("s"):
         raw = raw[:-1]
     try:
-        return float(raw) * scale
+        value = float(raw) * scale
     except ValueError:
         raise ConfigError(f"{field}: cannot parse time value {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{field}: time value must be finite, got {text!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -2,18 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
 from hapticsched import (
     ArrivalCurve,
     ConfigError,
-    DivergenceError,
     HapticTrafficModel,
     InfeasibleError,
     LeftoverServiceCurve,
     LeftoverTrafficModel,
     RadioConfig,
     SchedulingScheme,
-    combined_violation_bound,
     crossing_time,
     effective_bandwidth,
     horizontal_distance,
@@ -138,6 +138,18 @@ class TestCrossingTime:
         assert curve.value(3.0) > x  # the next dip is already above the level
         assert crossing_time(curve, x) == pytest.approx(u0, abs=1e-12)
 
+    def test_level_between_a_dip_and_a_rounded_down_period_multiple(self):
+        # 15 * 0.018 rounds to just below the 15th period boundary, where
+        # value() still reads the envelope before that period's drop
+        curve = LeftoverServiceCurve(S.SEMI_PERSISTENT, radio(), HapticTrafficModel(0.018, 0.006, 2e-3, 4e-3))
+        boundary = 15 * curve.t_p
+        after = np.nextafter(boundary, 1.0)
+        x = curve.value(after) + 1.0
+        assert curve.value(boundary) > x
+        d0 = crossing_time(curve, x)
+        assert d0 == pytest.approx(boundary + 1e-6, abs=1e-9)
+        assert d0 > after
+
     @pytest.mark.parametrize("scheme", list(S))
     def test_defining_property_on_sampled_levels(self, scheme):
         curve = LeftoverServiceCurve(scheme, radio(), haptic())
@@ -235,39 +247,79 @@ class TestHorizontalDistance:
         with pytest.raises(InfeasibleError):
             horizontal_distance(hot, 0.0, curve, 3.5)
 
-    def test_divergence_guard_trips_on_pathological_curve(self):
-        class _FlatCurve:
-            """Envelope rising far slower than its advertised long-run rate:
-            the inner inversion then grows faster than the window start and
-            the supremum never settles."""
+    def test_level_on_a_period_dip_jumps_at_window_start(self):
+        # x sits exactly on the first dip, so every later window start moves
+        # the inversion one period out: the supremum is the right limit t_p
+        # at tau = 0+, above h(0)
+        curve = LeftoverServiceCurve(S.SEMI_PERSISTENT, radio(), haptic())
+        x = curve.value(1.0)
+        assert x == 975800.0
+        theta = max_stable_theta(LEFTOVER, curve.long_run_rate())
+        loaded = ArrivalCurve(theta=theta, lambda_rate=4.0, sigma=12000.0)
+        assert crossing_time(curve, x) == pytest.approx(0.98, abs=1e-12)
+        assert horizontal_distance(loaded, x, curve, 3.5) == 1.0
 
-            class radio:
-                tti = 0.25
-                total_rate = 10.0
+    def test_stable_input_with_a_late_grid_maximum(self):
+        # stable load whose supremum sits in the first period, while a
+        # quarter-slot scan of window starts samples a jump past
+        # 0.8 * horizon closer to its right limit than the first one
+        cfg = RadioConfig(10, 1e6, 1e-3, 1e-3, 10e-3, 1e-4)
+        h = HapticTrafficModel(t_p=0.05, t_b=0.0162, t_ib=2e-3, t_nb=0.01)
+        curve = LeftoverServiceCurve(S.SEMI_PERSISTENT, cfg, h)
+        background = LeftoverTrafficModel(24.11, 1200.0)
+        theta = max_stable_theta(background, curve.long_run_rate())
+        arrival = ArrivalCurve(theta, background.lambda_rate, background.sigma)
+        got = horizontal_distance(arrival, 11292.2, curve, 0.2384)
+        assert got == pytest.approx(0.0117093, abs=1e-7)
+        d0 = crossing_time(curve, 11292.2)
+        assert d0 == pytest.approx(0.0115922, abs=1e-7)
+        assert got > d0
 
-            t_p = 1.0
-            period_bits = 0.1
-            offset_bits = 0.0
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exact_supremum_brackets_a_quarter_slot_grid(self, data):
+        draw = data.draw
+        tti = draw(st.sampled_from([0.125e-3, 0.25e-3, 0.5e-3, 1e-3]))
+        n_channels = draw(st.integers(1, 20))
+        cfg = RadioConfig(
+            n_channels,
+            draw(st.floats(1e4, 1e7)),
+            tti,
+            tti * draw(st.integers(1, 4)),
+            tti * draw(st.integers(1, 20)),
+            draw(st.floats(0.0, tti)),
+        )
+        t_p = tti * draw(st.integers(4, 100))
+        t_b = t_p * draw(st.floats(0.05, 0.9))
+        h = HapticTrafficModel(
+            t_p, t_b, t_b * draw(st.floats(0.01, 1.0)), (t_p - t_b) * draw(st.floats(0.01, 1.0))
+        )
+        curve = LeftoverServiceCurve(draw(st.sampled_from(list(S))), cfg, h)
+        try:
+            lrr = curve.long_run_rate()
+        except InfeasibleError:
+            reject()
+        sigma = draw(st.floats(100.0, 20000.0))
+        theta = 1e-4 / sigma
+        load = draw(st.floats(0.0, 1.0 - 1e-9))
+        arrival = ArrivalCurve(theta, load * lrr * theta / math.expm1(theta * sigma), sigma)
+        assume(arrival.rate() < lrr)
+        x = draw(st.floats(0.0, 5.0 * lrr * t_p))
+        horizon = t_p * draw(st.integers(2, 3))
 
-            def value(self, u):
-                return 0.1 * np.asarray(u, dtype=float)
+        # oracle: the inner inversion at every window start on a quarter-slot
+        # grid plus every period breakpoint, clamped at zero
+        step = tti / 4.0
+        taus = np.unique(
+            np.concatenate([np.arange(0.0, horizon, step), np.arange(0.0, horizon, t_p), [horizon]])
+        )
+        rate = arrival.rate()
+        grid = max(max(0.0, crossing_time(curve, rate * tau + x) - tau) for tau in taus)
 
-            def long_run_rate(self):
-                return 10.0
-
-        slowpoke = ArrivalCurve(theta=1.0, lambda_rate=2.0, sigma=1.0)
-        assert slowpoke.rate() < 10.0
-        with pytest.raises(DivergenceError):
-            horizontal_distance(slowpoke, 1.0, _FlatCurve(), 5.0)
-
-
-class TestViolationBoundComposition:
-    def test_error_free_server_collapses_to_arrival_bound(self):
-        f = lambda x: math.exp(-x)
-        assert combined_violation_bound(f, None) is f
-
-    def test_numeric_composition_with_nonzero_service_bound(self):
-        f = lambda x: math.exp(-x)
-        g = lambda x: math.exp(-2 * x)
-        h = combined_violation_bound(f, g)
-        assert h(3.0) <= f(3.0) + g(0.0)
+        exact = horizontal_distance(arrival, x, curve, horizon)
+        # float rounding in crossing_time, which grows with the result's
+        # magnitude (near-saturated draws give bounds of 1e13 s)
+        tol = 1e-12 + 1e-14 * grid
+        # the next grid point after the maximiser lies at most one step later,
+        # where the gap has fallen by at most step * (1 - rate / C)
+        assert -tol <= exact - grid <= step * (1.0 - rate / cfg.total_rate) + tol

@@ -186,6 +186,15 @@ class TestCli:
     def test_sweep_requires_grid(self):
         assert main(["sweep", "--param", "t_ib"]) == 1
 
+    def test_non_integer_seed_exit_code(self, capsys):
+        assert main(["bound", "--seed", "x"]) == 1
+        assert "configuration error: --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", ["inf", "nan"])
+    def test_non_finite_horizon_exit_code(self, capsys, horizon):
+        assert main(["simulate", "--horizon", horizon]) == 1
+        assert "configuration error: --horizon" in capsys.readouterr().err
+
     def test_compare_passes_on_safe_config(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[radio]\ntotal_rate = 5e6\n[experiment]\nhorizon = 300 s\nseeds = 1\n")
