@@ -119,11 +119,12 @@ class LeftoverServiceCurve:
         """Asymptotic slope of the envelope, bits/s.  This is the correct
         stability rate: the per-period charge grows linearly with the
         window, so it must be netted off the full rate."""
-        rate = self.radio.total_rate - self.period_bits / self.t_p
+        consumption = self.period_bits / self.t_p
+        rate = self.radio.total_rate - consumption
         if rate <= 0:
             raise InfeasibleError(
                 f"{self.scheme.value}: latency-critical load saturates capacity "
-                f"(per-period consumption {self.period_bits} bits >= {self.radio.total_rate * self.t_p} bits)"
+                f"(consumption {consumption!r} b/s >= total rate {self.radio.total_rate!r} b/s)"
             )
         return rate
 

@@ -7,17 +7,24 @@ claim their slots.  Whatever capacity is left in each slot drains the
 background FIFO queue as fluid, so a background packet may finish mid-slot
 with its completion time interpolated linearly.
 
-The per-period structure of the latency-critical flow is exploited when
-the configuration is cleanly periodic (grant and SR periods divide the
-traffic period and no scheduler state crosses a period boundary): one
+When the configuration is cleanly periodic (grant and SR periods divide
+the traffic period and no scheduler state crosses a period boundary), one
 period is walked exactly and the pattern is replicated, which keeps
-multi-hour horizons cheap.  Otherwise the machines run event by event over
-the whole horizon.
+multi-hour horizons cheap.  Otherwise the machines walk the horizon one
+hyperperiod chunk at a time: lcm of the traffic period and the SR and grant
+periods the scheme follows, so every chunk starts on an SR opportunity and
+a grant instant with the same arrivals.  The only state that crosses a
+chunk boundary is the demand gate's busy slot, carried relative to the
+chunk start and clamped at 0; standing-grant data never does, because the
+grant at the boundary serves the freshest arrival before it.  A full
+chunk's events therefore depend only on that entry state: they are
+memoised on it and shifted into place when it repeats.  The partial final
+chunk is walked explicitly, since a grant past the horizon leaves its
+arrivals unresolved.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -36,6 +43,8 @@ from .traffic import (
 from .units import ceil_div, to_ns
 
 log = logging.getLogger(__name__)
+
+_PATH_RECORD = "%s: %s path (%s), H = %d periods, %d chunks walked, %d reused"
 
 
 @dataclass(frozen=True)
@@ -91,21 +100,6 @@ class SimReport:
 
     CSV_HEADER = "scheme,tti_s,t_ib_s,seed,haptic_drop_rate,haptic_delay_max_s,leftover_p99_s,remainder_bits"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "scheme": self.scheme.value,
-                "seed": self.seed,
-                "horizon_s": self.horizon_s,
-                "slots_simulated": self.slots_simulated,
-                "haptic_drop_rate": self.haptic_drop_rate,
-                "remainder_bits_per_period": self.remainder_bits_per_period,
-                "haptic_delays_s": self.haptic_delays.tolist(),
-                "leftover_delays_s": self.leftover_delays.tolist(),
-                "haptic_period_counts": self.haptic_period_counts.tolist(),
-            }
-        )
-
     def csv_row(self, radio: RadioConfig, haptic: HapticTrafficModel) -> str:
         dmax = float(self.haptic_delays.max()) if len(self.haptic_delays) else 0.0
         p99 = empirical_quantile(self.leftover_delays, 0.99) if len(self.leftover_delays) else float("nan")
@@ -127,17 +121,24 @@ class _HapticEvents:
     busy_end: int                # first slot at which a new SR procedure could start
 
     def occupied(self) -> np.ndarray:
-        return np.unique(np.concatenate([self.data_slots, self.reserved_slots]))
+        return _sorted_unique(np.concatenate([self.data_slots, self.reserved_slots]))
 
 
-def _demand_machine(sa: np.ndarray, tti_ns: int, k_sr: int | None) -> _HapticEvents:
+def _sorted_unique(slots: np.ndarray) -> np.ndarray:
+    """np.unique for integer slots: a sort and an adjacent-difference mask."""
+    slots = np.sort(slots)
+    keep = np.ones(len(slots), dtype=bool)
+    keep[1:] = slots[1:] != slots[:-1]
+    return slots[keep]
+
+
+def _demand_machine(sa: np.ndarray, tti_ns: int, k_sr: int | None, busy: int) -> _HapticEvents:
     """DS when k_sr is given, FA when None.  Acceptance is gated by the
     grant pipeline: SR at the next opportunity, grant in hand three slots
-    later; fast uplink is free again after one slot."""
-    busy = -1
+    later; fast uplink is free again after one slot.  busy is the first
+    slot at which the gate accepts an arrival."""
     tx, data, delays, dropped = [], [], [], []
-    for s in sa:
-        s = int(s)
+    for s in sa.tolist():
         if s >= busy:
             if k_sr is None:
                 busy = s + 1
@@ -161,80 +162,42 @@ def _demand_machine(sa: np.ndarray, tti_ns: int, k_sr: int | None) -> _HapticEve
     )
 
 
-def _grant_machine(sa: np.ndarray, tti_ns: int, k_pg: int, reserved: np.ndarray,
-                   last_grant: int | None) -> tuple[_HapticEvents, int]:
+def _grant_machine(sa: np.ndarray, tti_ns: int, k_pg: int, reserved: np.ndarray, last_grant: int) -> _HapticEvents:
     """Standing-grant machine: the grant at slot g transmits the freshest
     pending arrival strictly before g and supersedes the rest.  Arrivals
-    whose serving grant falls past last_grant stay unresolved.  Returns the
-    events plus the unresolved count."""
-    if len(sa) == 0:
-        empty = np.array([], dtype=np.int64)
-        return _HapticEvents(empty, reserved, empty.copy(), np.array([], dtype=float), empty.copy(), -1), 0
+    whose serving grant falls past last_grant stay unresolved."""
     g_slot = (sa // k_pg + 1) * k_pg
-    resolved = np.ones(len(sa), dtype=bool) if last_grant is None else (g_slot <= last_grant)
-    last_of_group = np.empty(len(sa), dtype=bool)
+    resolved = g_slot <= last_grant
+    last_of_group = np.ones(len(sa), dtype=bool)
     last_of_group[:-1] = g_slot[1:] != g_slot[:-1]
-    last_of_group[-1] = True
     served = last_of_group & resolved
     delays = (g_slot[served] - sa[served] + 4) * tti_ns / 1e9
-    events = _HapticEvents(
-        g_slot[served].astype(np.int64),
-        reserved,
-        sa[served].astype(np.int64),
-        delays.astype(float),
-        sa[~served & resolved].astype(np.int64),
-        -1,
-    )
-    return events, int(np.count_nonzero(~resolved))
+    return _HapticEvents(g_slot[served], reserved, sa[served], delays, sa[~served & resolved], 0)
 
 
-def _srr_one_period(radio: RadioConfig, haptic: HapticTrafficModel, arrivals_ns: np.ndarray) -> _HapticEvents:
-    """Soft reservation over a single period starting from idle state:
-    standing grants inside the burst (held through the first grant at or
-    past the burst end while burst data pends), SR procedure outside."""
-    tti = radio.tti_ns
-    k_pg = radio.t_pg_ns // tti
-    k_b = haptic.t_b_ns // tti
-    sa = arrivals_ns // tti
-    in_burst = sa < k_b
-    flush = ceil_div(k_b, k_pg) * k_pg
-    reserved = np.arange(0, k_b, k_pg, dtype=np.int64)
-    burst_events, unresolved = _grant_machine(sa[in_burst], tti, k_pg, reserved, last_grant=flush)
-    sparse_events = _demand_machine(sa[~in_burst], tti, radio.t_sr_ns // tti)
-    if unresolved:
-        raise AssertionError("burst arrivals must resolve by the flush grant")
-    return _HapticEvents(
-        np.sort(np.concatenate([burst_events.data_slots, sparse_events.data_slots])),
-        reserved,
-        np.concatenate([burst_events.tx_arrival_slots, sparse_events.tx_arrival_slots]),
-        np.concatenate([burst_events.delays_s, sparse_events.delays_s]),
-        np.concatenate([burst_events.dropped_arrival_slots, sparse_events.dropped_arrival_slots]),
-        sparse_events.busy_end,
-    )
-
-
-def _srr_sequential(radio: RadioConfig, haptic: HapticTrafficModel, arrivals_ns: np.ndarray,
-                    n_slots: int) -> _HapticEvents:
-    """General soft-reservation walk over the whole horizon, carrying SR
-    pipeline state across period boundaries.  Used when the per-period
-    pattern does not replicate cleanly."""
+def _srr_sequential(radio: RadioConfig, haptic: HapticTrafficModel, sa: np.ndarray, n_slots: int,
+                    busy: int) -> _HapticEvents:
+    """Soft reservation over n_slots starting on a period and grant
+    boundary: standing grants inside the burst (held through the first
+    grant at or past the burst end while burst data pends), SR procedure
+    outside, gated from busy on.  Only the first grant after an arrival
+    can serve anything, so only those grants are visited."""
     tti = radio.tti_ns
     k_pg = radio.t_pg_ns // tti
     k_sr = radio.t_sr_ns // tti
     k_p = haptic.t_p_ns // tti
     k_b = haptic.t_b_ns // tti
-    sa = arrivals_ns // tti
-    in_burst = (sa % k_p) < k_b
+    in_burst = ((sa % k_p) < k_b).tolist()
+    sa = sa.tolist()
+    grants = np.arange(0, n_slots, k_pg, dtype=np.int64)
 
     tx, data, delays, dropped = [], [], [], []
-    reserved = [g for g in range(0, n_slots, k_pg) if (g % k_p) < k_b]
-    busy = -1
     pend_last, pend_cnt = 0, 0
     i, n = 0, len(sa)
-    max_grant = (n_slots // k_pg + 2) * k_pg
-    for g in range(0, max_grant + 1, k_pg):
+    while i < n:
+        g = (sa[i] // k_pg + 1) * k_pg  # first grant after the next arrival
         while i < n and sa[i] < g:
-            s = int(sa[i])
+            s = sa[i]
             if in_burst[i]:
                 if pend_cnt:
                     dropped.append(pend_last)
@@ -255,11 +218,9 @@ def _srr_sequential(radio: RadioConfig, haptic: HapticTrafficModel, arrivals_ns:
             data.append(g)
             delays.append((g - pend_last + 4) * tti / 1e9)
             pend_cnt = 0
-        if i >= n and pend_cnt == 0:
-            break
     return _HapticEvents(
-        np.array(sorted(data), dtype=np.int64),
-        np.array(reserved, dtype=np.int64),
+        np.array(data, dtype=np.int64),
+        grants[grants % k_p < k_b],
         np.array(tx, dtype=np.int64),
         np.array(delays, dtype=float),
         np.array(dropped, dtype=np.int64),
@@ -267,42 +228,57 @@ def _srr_sequential(radio: RadioConfig, haptic: HapticTrafficModel, arrivals_ns:
     )
 
 
-def _one_period_events(config: SimConfig, offsets_ns: np.ndarray) -> _HapticEvents:
-    radio, haptic, scheme = config.radio, config.haptic, config.scheme
-    tti = radio.tti_ns
-    sa = offsets_ns // tti
-    if scheme is SchedulingScheme.DYNAMIC:
-        return _demand_machine(sa, tti, radio.t_sr_ns // tti)
-    if scheme is SchedulingScheme.FAST_UPLINK:
-        return _demand_machine(sa, tti, None)
-    if scheme is SchedulingScheme.SEMI_PERSISTENT:
-        k_pg = radio.t_pg_ns // tti
-        reserved = np.arange(0, config.slots_per_period, k_pg, dtype=np.int64)
-        events, _ = _grant_machine(sa, tti, k_pg, reserved, last_grant=None)
-        return events
-    return _srr_one_period(radio, haptic, offsets_ns)
-
-
-def _pattern_is_clean(config: SimConfig, events: _HapticEvents) -> bool:
-    """True when one period's outcome replicates verbatim: grant and SR
-    phases realign at the period boundary and no state crosses it.  A grant
-    landing exactly on the boundary is allowed for SPS because it rides the
-    next period's reserved slot."""
+def _chunk_events(config: SimConfig, sa: np.ndarray, n_slots: int, busy: int) -> _HapticEvents:
+    """Run the scheme's machine over n_slots slots that start on a period
+    boundary that is also an SR opportunity and a grant instant.  sa are the
+    arrival slots relative to that start; busy is the demand gate carried
+    in, relative to the same start."""
     radio, scheme = config.radio, config.scheme
     tti = radio.tti_ns
-    k_p = config.slots_per_period
+    if scheme is SchedulingScheme.DYNAMIC:
+        return _demand_machine(sa, tti, radio.t_sr_ns // tti, busy)
+    if scheme is SchedulingScheme.FAST_UPLINK:
+        return _demand_machine(sa, tti, None, busy)
+    if scheme is SchedulingScheme.SEMI_PERSISTENT:
+        k_pg = radio.t_pg_ns // tti
+        return _grant_machine(sa, tti, k_pg, np.arange(0, n_slots, k_pg, dtype=np.int64), last_grant=n_slots)
+    return _srr_sequential(radio, config.haptic, sa, n_slots, busy)
+
+
+def _grid_periods(config: SimConfig) -> dict[str, int]:
+    """The SR and standing-grant periods, in slots, that the scheme follows."""
+    radio, scheme = config.radio, config.scheme
+    grids = {}
     if scheme in (SchedulingScheme.DYNAMIC, SchedulingScheme.SOFT_RESERVATION):
-        if k_p % (radio.t_sr_ns // tti):
-            return False
+        grids["t_sr"] = radio.t_sr_ns // radio.tti_ns
     if scheme in (SchedulingScheme.SEMI_PERSISTENT, SchedulingScheme.SOFT_RESERVATION):
-        if k_p % (radio.t_pg_ns // tti):
-            return False
+        grids["t_pg"] = radio.t_pg_ns // radio.tti_ns
+    return grids
+
+
+def _replication_blocker(config: SimConfig, events: _HapticEvents) -> str | None:
+    """Why one period's outcome does not replicate verbatim, or None when it
+    does: grant and SR phases must realign at the period boundary and no
+    state may cross it.  A grant landing exactly on the boundary is allowed
+    for SPS because it rides the next period's reserved slot."""
+    k_p = config.slots_per_period
+    for name, k in _grid_periods(config).items():
+        if k_p % k:
+            return f"t_p is not a multiple of {name}"
     if events.busy_end > k_p:
-        return False
-    limit = k_p + 1 if scheme is SchedulingScheme.SEMI_PERSISTENT else k_p
+        return "the SR pipeline is busy past the period end"
+    limit = k_p + 1 if config.scheme is SchedulingScheme.SEMI_PERSISTENT else k_p
     if len(events.data_slots) and events.data_slots.max() >= limit:
-        return False
-    return True
+        return "a transmission lands past the period end"
+    return None
+
+
+def _tile(parts: list[np.ndarray], order: list[int], span: int) -> np.ndarray:
+    """parts[order[c]] + c * span for every chunk c, laid end to end."""
+    sizes = np.array([len(p) for p in parts], dtype=np.int64)
+    lens = sizes[order]
+    idx = np.repeat((np.cumsum(sizes) - sizes)[order] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+    return np.concatenate(parts)[idx] + np.repeat(np.arange(len(order), dtype=np.int64) * span, lens)
 
 
 class _CapacityProfile:
@@ -313,23 +289,24 @@ class _CapacityProfile:
                  tti_ns: int, total_rate: float, reduced_rate: float):
         self.period_ns = period_slots * tti_ns
         self.repeats = repeats
-        occ = np.unique(np.asarray(occupied_slots, dtype=np.int64))
+        occ = _sorted_unique(np.asarray(occupied_slots, dtype=np.int64))
         if len(occ) and (occ[0] < 0 or occ[-1] >= period_slots):
             raise ValueError("occupied slots outside the profile period")
-        seg_t, seg_rate = [0], []
-        for s in occ:
-            s = int(s)
-            if s * tti_ns > seg_t[-1]:
-                seg_rate.append(total_rate)
-                seg_t.append(s * tti_ns)
-            seg_rate.append(reduced_rate)
-            seg_t.append((s + 1) * tti_ns)
-        if seg_t[-1] < self.period_ns:
-            seg_rate.append(total_rate)
-            seg_t.append(self.period_ns)
-        bounds = np.array(seg_t, dtype=np.int64)
+        # one reduced-rate segment per occupied slot, preceded by a full-rate
+        # segment wherever a gap separates it from the previous one
+        prev_end = np.zeros_like(occ)
+        prev_end[1:] = occ[:-1] + 1
+        starts = np.stack([prev_end, occ], axis=1)
+        rates = np.tile(np.array([total_rate, reduced_rate], dtype=float), (len(occ), 1))
+        keep = np.stack([occ > prev_end, np.ones(len(occ), dtype=bool)], axis=1)
+        starts, rates = starts[keep], rates[keep]
+        end = int(occ[-1]) + 1 if len(occ) else 0
+        if end < period_slots:
+            starts = np.append(starts, end)
+            rates = np.append(rates, float(total_rate))
+        bounds = np.append(starts, period_slots).astype(np.int64) * tti_ns
         self.seg_t = bounds[:-1]
-        self.seg_rate = np.array(seg_rate, dtype=float)
+        self.seg_rate = rates
         seg_bits = self.seg_rate * (np.diff(bounds) / 1e9)
         self.seg_S = np.concatenate([[0.0], np.cumsum(seg_bits)[:-1]])
         self.period_bits = float(np.sum(seg_bits))
@@ -373,19 +350,28 @@ class _CapacityProfile:
 def _haptic_layer(config: SimConfig):
     """Resolve the latency-critical flow over the whole horizon.
 
+    One period is walked from idle state first.  When it replicates
+    verbatim, its pattern is repeated over a periodic capacity profile.
+    Otherwise the horizon is cut into hyperperiod chunks (see the module
+    docstring): full chunks are memoised on the demand-gate state they enter
+    with and shifted into place, the partial final chunk is walked
+    explicitly, and the capacity profile spans the whole horizon.
+
     Returns (capacity profile, per-period counts, post-warm-up access
     delays, mean occupied slots per period).
     """
-    radio, haptic, scheme = config.radio, config.haptic, config.scheme
+    radio, haptic = config.radio, config.haptic
     tti = radio.tti_ns
     k_p = config.slots_per_period
     n_periods = config.n_periods
-    offs = period_arrival_offsets_ns(haptic)
-    m = haptic_blocks(radio)
-    reduced = (radio.n_channels - m) * radio.channel_rate
+    n_slots = n_periods * k_p
+    reduced = (radio.n_channels - haptic_blocks(radio)) * radio.channel_rate
+    period_sa = period_arrival_offsets_ns(haptic) // tti
 
-    one = _one_period_events(config, offs)
-    if _pattern_is_clean(config, one):
+    one = _chunk_events(config, period_sa, k_p, 0)
+    blocker = _replication_blocker(config, one)
+    if blocker is None:
+        log.debug(_PATH_RECORD, config.scheme.value, "replicated", "clean", 1, 1, n_periods - 1)
         occupied = one.occupied()
         occupied = occupied[occupied < k_p]
         profile = _CapacityProfile(occupied, k_p, n_periods, tti, radio.total_rate, reduced)
@@ -394,30 +380,36 @@ def _haptic_layer(config: SimConfig):
         delays = np.tile(one.delays_s, max(n_periods - 1, 0))
         return profile, counts, delays, float(len(occupied))
 
-    # general path: explicit events over the whole horizon
-    starts = (np.arange(n_periods, dtype=np.int64) * haptic.t_p_ns)[:, None]
-    arrivals = (starts + offs[None, :]).ravel()
-    n_slots = n_periods * k_p
-    if scheme is SchedulingScheme.DYNAMIC:
-        events = _demand_machine(arrivals // tti, tti, radio.t_sr_ns // tti)
-    elif scheme is SchedulingScheme.FAST_UPLINK:
-        events = _demand_machine(arrivals // tti, tti, None)
-    elif scheme is SchedulingScheme.SEMI_PERSISTENT:
-        k_pg = radio.t_pg_ns // tti
-        reserved = np.arange(0, n_slots, k_pg, dtype=np.int64)
-        events, _ = _grant_machine(arrivals // tti, tti, k_pg, reserved, last_grant=n_slots)
-    else:
-        events = _srr_sequential(radio, haptic, arrivals, n_slots)
-    occupied = events.occupied()
+    span = math.lcm(k_p, *_grid_periods(config).values())
+    chunk_sa = (np.arange(min(span, n_slots) // k_p, dtype=np.int64)[:, None] * k_p + period_sa).ravel()
+    walked: list[_HapticEvents] = []
+    seen: dict[int, int] = {}  # entry busy -> index into walked
+    order, busy = [], 0
+    for _ in range(n_slots // span):
+        if busy not in seen:
+            seen[busy] = len(walked)
+            walked.append(_chunk_events(config, chunk_sa, span, busy))
+        order.append(seen[busy])
+        busy = max(walked[order[-1]].busy_end - span, 0)
+    rest = n_slots % span
+    if rest:
+        order.append(len(walked))
+        walked.append(_chunk_events(config, chunk_sa[chunk_sa < rest], rest, busy))
+    log.debug(_PATH_RECORD, config.scheme.value, "hyperperiod", blocker, span // k_p,
+              len(walked), len(order) - len(walked))
+
+    def tiled(field: str, shift: int = span) -> np.ndarray:
+        return _tile([getattr(e, field) for e in walked], order, shift)
+
+    tx_slots, dropped_slots = tiled("tx_arrival_slots"), tiled("dropped_arrival_slots")
+    occupied = _sorted_unique(np.concatenate([tiled("data_slots"), tiled("reserved_slots")]))
     occupied = occupied[occupied < n_slots]
     profile = _CapacityProfile(occupied, n_slots, 1, tti, radio.total_rate, reduced)
-    counts = np.zeros((n_periods, 2), dtype=np.int64)
-    np.add.at(counts[:, 0], np.minimum(events.tx_arrival_slots // k_p, n_periods - 1), 1)
-    np.add.at(counts[:, 1], np.minimum(events.dropped_arrival_slots // k_p, n_periods - 1), 1)
-    keep = events.tx_arrival_slots >= k_p
+    counts = np.stack([np.bincount(tx_slots // k_p, minlength=n_periods),
+                       np.bincount(dropped_slots // k_p, minlength=n_periods)], axis=1)
     per_period_occ = np.bincount(occupied // k_p, minlength=n_periods)
     occupancy = float(per_period_occ[1:].mean()) if n_periods > 1 else float(per_period_occ.mean())
-    return profile, counts, events.delays_s[keep], occupancy
+    return profile, counts, tiled("delays_s", 0)[tx_slots >= k_p], occupancy
 
 
 def run(config: SimConfig) -> SimReport:

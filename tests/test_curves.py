@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,16 @@ class TestLongRunRate:
         curve = LeftoverServiceCurve(S.SEMI_PERSISTENT, cfg, HapticTrafficModel(1.0, 0.2, 2e-3, 50e-3))
         with pytest.raises(InfeasibleError):
             curve.long_run_rate()
+
+    def test_saturation_message_compares_what_the_check_compares(self):
+        # exactly saturated up to rounding: 43 slots per period, one grant per slot
+        cfg = RadioConfig(1, 1e4, 0.125e-3, 0.125e-3, 0.125e-3, 1e-4)
+        h = HapticTrafficModel(43 * 0.125e-3, 0.125e-3, 0.125e-3, 0.125e-3)
+        curve = LeftoverServiceCurve(S.SEMI_PERSISTENT, cfg, h)
+        with pytest.raises(InfeasibleError) as info:
+            curve.long_run_rate()
+        consumption, total = re.search(r"consumption (\S+) b/s >= total rate (\S+) b/s", str(info.value)).groups()
+        assert float(consumption) >= float(total)
 
 
 class TestMaxStableTheta:
