@@ -33,11 +33,8 @@ from .radio import (
 )
 from .scheduling import (
     DropReport,
-    GrantPattern,
     drop_walk,
-    ds_effective_burst_count,
     effective_burst_count,
-    grant_pattern,
     remainder_of_service,
 )
 from .simulate import SimConfig, SimReport, empirical_quantile, run, validate_against_walk

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Verbs: bound, drop, remainder, simulate, sweep, compare.  Exit codes:
-0 success, 1 configuration error, 2 comparison failure.
+0 success, 1 configuration error or infeasible load, 2 comparison failure.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, InfeasibleError
 from .experiments import ExperimentSpec, linear_grid, load_config, parse_time, run_experiment
 from .radio import SchedulingScheme
 
@@ -101,6 +101,9 @@ def main(argv=None) -> int:
         return run_experiment(spec)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
+    except InfeasibleError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -1,6 +1,6 @@
-"""Per-scheme grant mechanics at the analytic level: the exact one-period
-drop walk, the effective burst transmission count, remainder of service,
-and grant pattern generation.
+"""Per-scheme grant mechanics at the analytic level: the two grant rules
+as integer-tick kernels (shared with the simulator), the exact one-period
+drop walk, the effective burst transmission count and remainder of service.
 
 Drop semantics follow the latest-data rule: at each transmission
 opportunity only the freshest pending packet is sent and every packet it
@@ -10,7 +10,6 @@ opportunities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +24,7 @@ from .radio import (
     haptic_blocks,
 )
 from .traffic import HapticTrafficModel, period_arrival_offsets_ns, period_counters
-from .units import ceil_div, to_ns, to_s
-
-
-@dataclass
-class GrantPattern:
-    """Grant instants of one hyperperiod (empty for demand-driven schemes)."""
-
-    instants_s: np.ndarray
-    hyperperiod_s: float
-    scheme: SchedulingScheme
+from .units import ceil_div, to_ns
 
 
 @dataclass
@@ -61,106 +51,77 @@ class DropReport:
         )
 
 
-def _make_report(scheme, arrivals, delays, dropped) -> DropReport:
+def _make_report(scheme, arrivals: int, delays: np.ndarray) -> DropReport:
     transmitted = len(delays)
+    dropped = arrivals - transmitted
     rate = dropped / arrivals if arrivals else 0.0
-    return DropReport(scheme, arrivals, transmitted, dropped, rate, np.asarray(delays, dtype=float))
+    return DropReport(scheme, arrivals, transmitted, dropped, rate, delays)
 
 
-def _walk_demand(offsets_ns: np.ndarray, gate_ns: int, flat_delay_s: float):
-    """Grant-on-demand walk (DS and FA): a packet is accepted only when the
-    previous acceptance happened at least gate_ns earlier; the boundary
-    counts as free."""
-    busy = None
-    delays, dropped = [], 0
-    for a in offsets_ns:
-        if busy is None or a >= busy:
-            delays.append(flat_delay_s)
-            busy = a + gate_ns
-        else:
-            dropped += 1
-    return delays, dropped
+def standing_grants(ticks: np.ndarray, period: int, last_grant: int | None = None):
+    """Standing-grant rule on integer ticks: grants fire every period from
+    tick 0, and the grant at g transmits the freshest arrival strictly
+    before it and supersedes the rest of its group.  An arrival coincident
+    with a grant waits for the next one.  Arrivals whose grant falls past
+    last_grant stay unresolved.
+
+    ticks must be sorted.  Returns (each arrival's grant tick, served mask,
+    dropped mask).
+    """
+    grant = (ticks // period + 1) * period
+    served = np.ones(len(ticks), dtype=bool)
+    served[:-1] = grant[1:] != grant[:-1]
+    resolved = np.ones(len(ticks), dtype=bool) if last_grant is None else grant <= last_grant
+    return grant, served & resolved, ~served & resolved
 
 
-def _walk_demand_slotted(offsets_ns: np.ndarray, radio: RadioConfig, fast: bool):
-    """Slot-quantized variant: arrivals round down to slots, SR waits round
-    up to the next opportunity, and the busy window closes once the grant
-    has been received (three slots after the SR slot)."""
-    tti = radio.tti_ns
-    if not fast and radio.t_sr_ns % tti:
-        raise ConfigError("radio.t_sr: must be a whole number of TTIs for the slotted walk")
-    k_sr = radio.t_sr_ns // tti
-    busy = None
-    delays, dropped = [], 0
-    for a in offsets_ns:
-        sa = a // tti
-        if busy is None or sa >= busy:
-            if fast:
-                busy = sa + 1
-                delays.append(to_s(4 * tti))
-            else:
-                sr = ceil_div(sa, k_sr) * k_sr
-                busy = sr + 3
-                delays.append(to_s((sr - sa + 6) * tti))
-        else:
-            dropped += 1
-    return delays, dropped
+def demand_gate(slots: np.ndarray, k_sr: int | None, busy: int = 0):
+    """Demand-gate rule on slots: DS when k_sr is given, FA when None.  An
+    arrival at or after busy is accepted and closes the gate: DS sends its
+    SR at the next opportunity, holds the grant three slots later and
+    transmits one slot after that; FA transmits two slots after the arrival
+    and is free again the next slot.  Every other arrival is dropped.
+
+    slots must be sorted.  Each arrival's next accepted successor is found
+    by one searchsorted, so only accepted arrivals are visited.  Returns
+    (accepted indices, their data slots, their access delays in slots, the
+    first slot at which the gate accepts again).
+    """
+    if k_sr is None:
+        free, data = slots + 1, slots + 2
+    else:
+        sr = -(-slots // k_sr) * k_sr
+        free, data = sr + 3, sr + 4
+    successor = np.searchsorted(slots, free).tolist()
+    accepted, i, n = [], int(np.searchsorted(slots, busy)), len(slots)
+    while i < n:
+        accepted.append(i)
+        i = successor[i]
+    acc = np.array(accepted, dtype=np.int64)
+    if len(acc):
+        busy = int(free[acc[-1]])
+    return acc, data[acc], data[acc] - slots[acc] + 2, busy
 
 
-def _walk_granted(offsets_ns: np.ndarray, t_pg_ns: int, extra_delay_ns: int, last_grant_ns: int | None = None):
-    """Standing-grant walk: grants fire every t_pg_ns from zero; each grant
-    transmits the freshest arrival strictly before it and drops the rest of
-    the backlog.  An arrival coincident with a grant waits for the next one.
-    Grants continue (or run to last_grant_ns inclusive) until every arrival
-    is resolved."""
-    delays, dropped = [], 0
-    i, n = 0, len(offsets_ns)
-    pend_last, pend_cnt = 0, 0
-    k = 0
-    while True:
-        g = k * t_pg_ns
-        while i < n and offsets_ns[i] < g:
-            pend_last = offsets_ns[i]
-            pend_cnt += 1
-            i += 1
-        if pend_cnt:
-            delays.append(to_s((g - pend_last) + extra_delay_ns))
-            dropped += pend_cnt - 1
-            pend_cnt = 0
-        if i >= n:
-            break
-        if last_grant_ns is not None and g >= last_grant_ns:
-            break
-        k += 1
-    return delays, dropped
+def _gate_stride(gate_ns: int, spacing_ns: int) -> int:
+    """A demand gate of gate_ns accepts every k-th of evenly spaced
+    arrivals, the boundary spacing == gate counting as free."""
+    return max(1, ceil_div(gate_ns, spacing_ns))
 
 
-def _walk_granted_slotted(offsets_ns: np.ndarray, radio: RadioConfig, last_grant_slot: int | None = None):
-    tti = radio.tti_ns
-    if radio.t_pg_ns % tti:
-        raise ConfigError("radio.t_pg: must be a whole number of TTIs for the slotted walk")
-    k_pg = radio.t_pg_ns // tti
-    slots = offsets_ns // tti
-    delays, dropped = [], 0
-    i, n = 0, len(slots)
-    pend_last, pend_cnt = 0, 0
-    k = 0
-    while True:
-        g = k * k_pg
-        while i < n and slots[i] < g:
-            pend_last = slots[i]
-            pend_cnt += 1
-            i += 1
-        if pend_cnt:
-            delays.append(to_s((g - pend_last + 4) * tti))
-            dropped += pend_cnt - 1
-            pend_cnt = 0
-        if i >= n:
-            break
-        if last_grant_slot is not None and g >= last_grant_slot:
-            break
-        k += 1
-    return delays, dropped
+def _grant_delays(ticks: np.ndarray, period: int, extra: int, tick_ns: int) -> np.ndarray:
+    grant, served, _ = standing_grants(ticks, period)
+    return (grant[served] - ticks[served] + extra) * tick_ns / 1e9
+
+
+def _gate_delays(slots: np.ndarray, k_sr: int | None, tti_ns: int) -> np.ndarray:
+    return demand_gate(slots, k_sr)[2] * tti_ns / 1e9
+
+
+def _in_slots(ns: int, tti_ns: int, name: str, walk: str = "walk") -> int:
+    if ns % tti_ns:
+        raise ConfigError(f"{name}: must be a whole number of TTIs for the slotted {walk}")
+    return ns // tti_ns
 
 
 def drop_walk(
@@ -173,10 +134,12 @@ def drop_walk(
 
     With slotted=True the walk is re-run at slot granularity (arrival times
     rounded down to slot boundaries, SR waits rounded up to the next
-    opportunity), matching the simulator's clock.
+    opportunity), matching the simulator's clock.  Every arrival of the
+    period is resolved, so whatever is not transmitted is dropped.
     """
     offs = period_arrival_offsets_ns(haptic)
     arrivals = len(offs)
+    n_burst = int(np.searchsorted(offs, haptic.t_b_ns))
     tti = radio.tti_ns
 
     if scheme in (SchedulingScheme.DYNAMIC, SchedulingScheme.FAST_UPLINK):
@@ -184,46 +147,41 @@ def drop_walk(
         if slotted:
             # one physical pipeline, busy state carried across the burst edge,
             # exactly as the simulator runs it
-            delays, dropped = _walk_demand_slotted(offs, radio, fast)
+            k_sr = None if fast else _in_slots(radio.t_sr_ns, tti, "radio.t_sr")
+            delays = _gate_delays(offs // tti, k_sr, tti)
         else:
             # worst-case gating is evaluated per regime: the burst stream and
             # the sparse stream are each paced by their own spacing, so the
             # boundary packet at the burst edge is not charged against the
-            # burst's worst-case grant wait
+            # burst's worst-case grant wait; each regime is evenly spaced, so
+            # its accepted count is ceil(arrivals / stride)
             gate = to_ns(fa_grant_latency(radio) if fast else ds_grant_latency(radio))
-            flat = haptic_access_delay(scheme, radio)
-            t_b = haptic.t_b_ns
-            b_delays, b_dropped = _walk_demand(offs[offs < t_b], gate, flat)
-            s_delays, s_dropped = _walk_demand(offs[offs >= t_b], gate, flat)
-            delays, dropped = b_delays + s_delays, b_dropped + s_dropped
-        return _make_report(scheme, arrivals, delays, dropped)
+            sent = (ceil_div(n_burst, _gate_stride(gate, haptic.t_ib_ns))
+                    + ceil_div(arrivals - n_burst, _gate_stride(gate, haptic.t_nb_ns)))
+            delays = np.full(sent, haptic_access_delay(scheme, radio))
+        return _make_report(scheme, arrivals, delays)
 
     if scheme is SchedulingScheme.SEMI_PERSISTENT:
         if slotted:
-            delays, dropped = _walk_granted_slotted(offs, radio)
+            delays = _grant_delays(offs // tti, _in_slots(radio.t_pg_ns, tti, "radio.t_pg"), 4, tti)
         else:
-            delays, dropped = _walk_granted(offs, radio.t_pg_ns, 4 * tti)
-        return _make_report(scheme, arrivals, delays, dropped)
+            delays = _grant_delays(offs, radio.t_pg_ns, 4 * tti, 1)
+        return _make_report(scheme, arrivals, delays)
 
     if scheme is SchedulingScheme.SOFT_RESERVATION:
-        t_b = haptic.t_b_ns
-        burst = offs[offs < t_b]
-        sparse = offs[offs >= t_b]
+        # The standing grant is held through the first instant at or past the
+        # burst end, so burst-tail data still rides the reserved grant and
+        # every burst arrival is resolved.
         if slotted:
-            if t_b % tti:
-                raise ConfigError("haptic.t_b: must be a whole number of TTIs for the slotted SRR walk")
-            k_pg = radio.t_pg_ns // tti
-            flush_slot = ceil_div(t_b // tti, k_pg) * k_pg
-            b_delays, b_dropped = _walk_granted_slotted(burst, radio, last_grant_slot=flush_slot)
-            s_delays, s_dropped = _walk_demand_slotted(sparse, radio, fast=False)
+            _in_slots(haptic.t_b_ns, tti, "haptic.t_b", "SRR walk")
+            sa = offs // tti
+            b_delays = _grant_delays(sa[:n_burst], _in_slots(radio.t_pg_ns, tti, "radio.t_pg"), 4, tti)
+            s_delays = _gate_delays(sa[n_burst:], _in_slots(radio.t_sr_ns, tti, "radio.t_sr"), tti)
         else:
-            # The standing grant is held through the first instant at or past
-            # the burst end, so burst-tail data still rides the reserved grant.
-            flush = ceil_div(t_b, radio.t_pg_ns) * radio.t_pg_ns
-            b_delays, b_dropped = _walk_granted(burst, radio.t_pg_ns, 4 * tti, last_grant_ns=flush)
-            gate = to_ns(ds_grant_latency(radio))
-            s_delays, s_dropped = _walk_demand(sparse, gate, haptic_access_delay(scheme, radio, in_burst=False))
-        return _make_report(scheme, arrivals, b_delays + s_delays, b_dropped + s_dropped)
+            b_delays = _grant_delays(offs[:n_burst], radio.t_pg_ns, 4 * tti, 1)
+            sent = ceil_div(arrivals - n_burst, _gate_stride(to_ns(ds_grant_latency(radio)), haptic.t_nb_ns))
+            s_delays = np.full(sent, haptic_access_delay(scheme, radio, in_burst=False))
+        return _make_report(scheme, arrivals, np.concatenate([b_delays, s_delays]))
 
     raise ConfigError(f"unknown scheme {scheme!r}")
 
@@ -232,14 +190,8 @@ def effective_burst_count(gate_ns: int, haptic: HapticTrafficModel) -> int:
     """Closed-form transmissions per burst when a pre-transmission wait of
     gate_ns gates acceptance: only every k-th arrival gets through, with the
     boundary spacing == gate counting as schedulable."""
-    k = max(1, ceil_div(gate_ns, haptic.t_ib_ns))
+    k = _gate_stride(gate_ns, haptic.t_ib_ns)
     return int(haptic.t_b_ns // (k * haptic.t_ib_ns))
-
-
-def ds_effective_burst_count(radio: RadioConfig, haptic: HapticTrafficModel) -> int:
-    """Transmissions per burst under dynamic scheduling.  The drop walk is
-    the ground truth; this closed form tracks it to within one packet."""
-    return effective_burst_count(to_ns(ds_grant_latency(radio)), haptic)
 
 
 def remainder_of_service(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel) -> float:
@@ -263,14 +215,3 @@ def remainder_of_service(scheme: SchedulingScheme, radio: RadioConfig, haptic: H
     slot_bits = m * radio.channel_rate * radio.tti
     return radio.total_rate * haptic.t_p - slot_bits * consumed
 
-
-def grant_pattern(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel) -> GrantPattern:
-    """Reserved grant instants over one hyperperiod (lcm of the traffic and
-    grant periods).  Demand-driven schemes have no standing grants."""
-    if scheme in (SchedulingScheme.DYNAMIC, SchedulingScheme.FAST_UPLINK):
-        return GrantPattern(np.array([], dtype=float), haptic.t_p, scheme)
-    hyper = math.lcm(haptic.t_p_ns, radio.t_pg_ns)
-    instants = np.arange(0, hyper, radio.t_pg_ns, dtype=np.int64)
-    if scheme is SchedulingScheme.SOFT_RESERVATION:
-        instants = instants[(instants % haptic.t_p_ns) < haptic.t_b_ns]
-    return GrantPattern(instants / 1e9, to_s(hyper), scheme)

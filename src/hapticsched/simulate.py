@@ -33,14 +33,14 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleError
 from .radio import RadioConfig, SchedulingScheme, haptic_blocks
-from .scheduling import drop_walk
+from .scheduling import demand_gate, drop_walk, standing_grants
 from .traffic import (
     HapticTrafficModel,
     LeftoverTrafficModel,
     leftover_arrivals,
     period_arrival_offsets_ns,
 )
-from .units import ceil_div, to_ns
+from .units import to_ns
 
 log = logging.getLogger(__name__)
 
@@ -132,117 +132,44 @@ def _sorted_unique(slots: np.ndarray) -> np.ndarray:
     return slots[keep]
 
 
-def _demand_machine(sa: np.ndarray, tti_ns: int, k_sr: int | None, busy: int) -> _HapticEvents:
-    """DS when k_sr is given, FA when None.  Acceptance is gated by the
-    grant pipeline: SR at the next opportunity, grant in hand three slots
-    later; fast uplink is free again after one slot.  busy is the first
-    slot at which the gate accepts an arrival."""
-    tx, data, delays, dropped = [], [], [], []
-    for s in sa.tolist():
-        if s >= busy:
-            if k_sr is None:
-                busy = s + 1
-                data.append(s + 2)
-                delays.append(4 * tti_ns / 1e9)
-            else:
-                sr = ceil_div(s, k_sr) * k_sr
-                busy = sr + 3
-                data.append(sr + 4)
-                delays.append((sr - s + 6) * tti_ns / 1e9)
-            tx.append(s)
-        else:
-            dropped.append(s)
-    return _HapticEvents(
-        np.array(data, dtype=np.int64),
-        np.array([], dtype=np.int64),
-        np.array(tx, dtype=np.int64),
-        np.array(delays, dtype=float),
-        np.array(dropped, dtype=np.int64),
-        busy,
-    )
-
-
-def _grant_machine(sa: np.ndarray, tti_ns: int, k_pg: int, reserved: np.ndarray, last_grant: int) -> _HapticEvents:
-    """Standing-grant machine: the grant at slot g transmits the freshest
-    pending arrival strictly before g and supersedes the rest.  Arrivals
-    whose serving grant falls past last_grant stay unresolved."""
-    g_slot = (sa // k_pg + 1) * k_pg
-    resolved = g_slot <= last_grant
-    last_of_group = np.ones(len(sa), dtype=bool)
-    last_of_group[:-1] = g_slot[1:] != g_slot[:-1]
-    served = last_of_group & resolved
-    delays = (g_slot[served] - sa[served] + 4) * tti_ns / 1e9
-    return _HapticEvents(g_slot[served], reserved, sa[served], delays, sa[~served & resolved], 0)
-
-
-def _srr_sequential(radio: RadioConfig, haptic: HapticTrafficModel, sa: np.ndarray, n_slots: int,
-                    busy: int) -> _HapticEvents:
-    """Soft reservation over n_slots starting on a period and grant
-    boundary: standing grants inside the burst (held through the first
-    grant at or past the burst end while burst data pends), SR procedure
-    outside, gated from busy on.  Only the first grant after an arrival
-    can serve anything, so only those grants are visited."""
-    tti = radio.tti_ns
-    k_pg = radio.t_pg_ns // tti
-    k_sr = radio.t_sr_ns // tti
-    k_p = haptic.t_p_ns // tti
-    k_b = haptic.t_b_ns // tti
-    in_burst = ((sa % k_p) < k_b).tolist()
-    sa = sa.tolist()
-    grants = np.arange(0, n_slots, k_pg, dtype=np.int64)
-
-    tx, data, delays, dropped = [], [], [], []
-    pend_last, pend_cnt = 0, 0
-    i, n = 0, len(sa)
-    while i < n:
-        g = (sa[i] // k_pg + 1) * k_pg  # first grant after the next arrival
-        while i < n and sa[i] < g:
-            s = sa[i]
-            if in_burst[i]:
-                if pend_cnt:
-                    dropped.append(pend_last)
-                    pend_cnt -= 1
-                pend_last, pend_cnt = s, pend_cnt + 1
-            elif s >= busy:
-                sr = ceil_div(s, k_sr) * k_sr
-                busy = sr + 3
-                data.append(sr + 4)
-                delays.append((sr - s + 6) * tti / 1e9)
-                tx.append(s)
-            else:
-                dropped.append(s)
-            i += 1
-        if pend_cnt:
-            # grant is held (burst or flush) and serves the freshest packet
-            tx.append(pend_last)
-            data.append(g)
-            delays.append((g - pend_last + 4) * tti / 1e9)
-            pend_cnt = 0
-    return _HapticEvents(
-        np.array(data, dtype=np.int64),
-        grants[grants % k_p < k_b],
-        np.array(tx, dtype=np.int64),
-        np.array(delays, dtype=float),
-        np.array(dropped, dtype=np.int64),
-        busy,
-    )
-
-
 def _chunk_events(config: SimConfig, sa: np.ndarray, n_slots: int, busy: int) -> _HapticEvents:
     """Run the scheme's machine over n_slots slots that start on a period
     boundary that is also an SR opportunity and a grant instant.  sa are the
     arrival slots relative to that start; busy is the demand gate carried
-    in, relative to the same start."""
-    radio, scheme = config.radio, config.scheme
+    in, relative to the same start.
+
+    Standing grants serve SPS arrivals (up to the grant at n_slots) and SRR
+    burst arrivals (through the flush grant, wherever it lands); the demand
+    gate takes DS and FA arrivals and SRR sparse ones.  The two arrival sets
+    never interact, so their events are concatenated: burst first for SRR.
+    """
+    radio, haptic, scheme = config.radio, config.haptic, config.scheme
     tti = radio.tti_ns
-    if scheme is SchedulingScheme.DYNAMIC:
-        return _demand_machine(sa, tti, radio.t_sr_ns // tti, busy)
-    if scheme is SchedulingScheme.FAST_UPLINK:
-        return _demand_machine(sa, tti, None, busy)
+    k_pg = radio.t_pg_ns // tti
+    no_slots = np.array([], dtype=np.int64)
+    granted, gated, reserved, last_grant = no_slots, sa, no_slots, None
     if scheme is SchedulingScheme.SEMI_PERSISTENT:
-        k_pg = radio.t_pg_ns // tti
-        return _grant_machine(sa, tti, k_pg, np.arange(0, n_slots, k_pg, dtype=np.int64), last_grant=n_slots)
-    return _srr_sequential(radio, config.haptic, sa, n_slots, busy)
+        granted, gated, last_grant = sa, no_slots, n_slots
+        reserved = np.arange(0, n_slots, k_pg, dtype=np.int64)
+    elif scheme is SchedulingScheme.SOFT_RESERVATION:
+        k_p, k_b = haptic.t_p_ns // tti, haptic.t_b_ns // tti
+        in_burst = (sa % k_p) < k_b
+        granted, gated = sa[in_burst], sa[~in_burst]
+        reserved = np.arange(0, n_slots, k_pg, dtype=np.int64)
+        reserved = reserved[reserved % k_p < k_b]
+    k_sr = None if scheme is SchedulingScheme.FAST_UPLINK else radio.t_sr_ns // tti
+    grant, served, superseded = standing_grants(granted, k_pg, last_grant)
+    acc, data, delay, busy = demand_gate(gated, k_sr, busy)
+    rejected = np.ones(len(gated), dtype=bool)
+    rejected[acc] = False
+    return _HapticEvents(
+        np.concatenate([grant[served], data]),
+        reserved,
+        np.concatenate([granted[served], gated[acc]]),
+        np.concatenate([grant[served] - granted[served] + 4, delay]) * tti / 1e9,
+        np.concatenate([granted[superseded], gated[rejected]]),
+        busy,
+    )
 
 
 def _grid_periods(config: SimConfig) -> dict[str, int]:
@@ -493,7 +420,9 @@ def validate_against_walk(config: SimConfig) -> bool:
     """Cross-check the simulator against the analytic walk re-run at slot
     granularity: per-period transmitted/dropped counts must match exactly
     on every full period after warm-up (the final period is skipped because
-    its tail may still be in flight at the horizon)."""
+    its tail may still be in flight at the horizon).  Both run the grant
+    kernels of `scheduling`, so this checks the simulator's chunking,
+    replication and per-period bookkeeping, not the grant rules."""
     report = run(config)
     walk = drop_walk(config.scheme, config.radio, config.haptic, slotted=True)
     expected = (walk.transmitted, walk.dropped)

@@ -1,6 +1,14 @@
 import pytest
 
-from hapticsched import ConfigError, ExperimentSpec, SchedulingScheme, linear_grid, load_config, run_experiment
+from hapticsched import (
+    ConfigError,
+    ExperimentSpec,
+    InfeasibleError,
+    SchedulingScheme,
+    linear_grid,
+    load_config,
+    run_experiment,
+)
 from hapticsched.cli import main
 from hapticsched.experiments import parse_time
 
@@ -189,6 +197,18 @@ class TestCli:
     def test_non_integer_seed_exit_code(self, capsys):
         assert main(["bound", "--seed", "x"]) == 1
         assert "configuration error: --seed" in capsys.readouterr().err
+
+    def test_infeasible_simulation_exit_code(self, capsys, monkeypatch):
+        import hapticsched.experiments as exp
+
+        def blow_up(config):
+            raise InfeasibleError("leftover queue grew superlinearly")
+
+        monkeypatch.setattr(exp, "run_simulation", blow_up)
+        assert main(["simulate", "--scheme", "DS"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "infeasible: leftover queue grew superlinearly\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("horizon", ["inf", "nan"])
     def test_non_finite_horizon_exit_code(self, capsys, horizon):

@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
+from test_event_oracle import configs, naive_outcome
 
 from hapticsched import (
+    ConfigError,
+    DropReport,
     HapticTrafficModel,
     RadioConfig,
     SchedulingScheme,
     drop_walk,
-    ds_effective_burst_count,
     ds_grant_latency,
     effective_burst_count,
-    grant_pattern,
+    fa_grant_latency,
+    haptic_access_delay,
     haptic_arrivals,
     remainder_of_service,
 )
+from hapticsched.traffic import period_arrival_offsets_ns
+from hapticsched.units import ceil_div, to_ns, to_s
 
 S = SchedulingScheme
 
@@ -25,6 +32,10 @@ def haptic(t_ib, **kw):
     args = dict(t_p=1.0, t_b=0.2, t_ib=t_ib, t_nb=50e-3)
     args.update(kw)
     return HapticTrafficModel(**args)
+
+
+def ds_gate(cfg):
+    return to_ns(ds_grant_latency(cfg))
 
 
 def grid(start_ms, stop_ms, step_ms=0.05):
@@ -136,10 +147,10 @@ class TestWalkConsistency:
 
 class TestEffectiveBurstCount:
     def test_boundary_spacing_counts_as_schedulable(self):
-        assert ds_effective_burst_count(radio(0.5e-3), haptic(2e-3)) == 100
+        assert effective_burst_count(ds_gate(radio(0.5e-3)), haptic(2e-3)) == 100
 
     def test_every_second_packet_served(self):
-        assert ds_effective_burst_count(radio(0.5e-3), haptic(1.5e-3)) == 66
+        assert effective_burst_count(ds_gate(radio(0.5e-3)), haptic(1.5e-3)) == 66
 
     def test_every_third_packet_served(self):
         assert effective_burst_count(2_000_000, haptic(0.9e-3)) == 74
@@ -148,7 +159,7 @@ class TestEffectiveBurstCount:
         cfg = radio(0.5e-3)
         for t_ib in grid(1.0, 3.0):
             h = haptic(t_ib)
-            closed = ds_effective_burst_count(cfg, h)
+            closed = effective_burst_count(ds_gate(cfg), h)
             walk_burst = drop_walk(S.DYNAMIC, cfg, h).transmitted - 16
             assert abs(closed - walk_burst) <= 1, t_ib
             k = max(1, -(-2_000_000 // h.t_ib_ns))
@@ -190,23 +201,206 @@ class TestRemainder:
             assert ds == fa
 
 
-class TestGrantPattern:
-    def test_standing_grant_count(self):
-        pattern = grant_pattern(S.SEMI_PERSISTENT, radio(0.5e-3), haptic(2e-3))
-        assert len(pattern.instants_s) == 200
-        assert np.allclose(np.diff(pattern.instants_s), 5e-3)
+# Reference walks: one arrival at a time, written as plain loops.  drop_walk
+# computes the same rules with vectorised kernels and closed forms and must
+# agree with these bit for bit.
 
-    def test_soft_reservation_clipped_to_burst(self):
-        pattern = grant_pattern(S.SOFT_RESERVATION, radio(0.5e-3), haptic(2e-3))
-        assert len(pattern.instants_s) == 40
-        assert pattern.instants_s.max() < 0.2
+def ref_walk_demand(offsets_ns, gate_ns, flat_delay_s):
+    """Grant-on-demand walk (DS and FA): a packet is accepted only when the
+    previous acceptance happened at least gate_ns earlier; the boundary
+    counts as free."""
+    busy = None
+    delays, dropped = [], 0
+    for a in offsets_ns:
+        if busy is None or a >= busy:
+            delays.append(flat_delay_s)
+            busy = a + gate_ns
+        else:
+            dropped += 1
+    return delays, dropped
 
-    def test_demand_driven_empty(self):
-        assert len(grant_pattern(S.DYNAMIC, radio(0.5e-3), haptic(2e-3)).instants_s) == 0
-        assert len(grant_pattern(S.FAST_UPLINK, radio(0.5e-3), haptic(2e-3)).instants_s) == 0
 
-    def test_hyperperiod_alignment(self):
-        cfg = RadioConfig(10, 1e6, 0.5e-3, 0.5e-3, 3e-3, 1e-4)
-        pattern = grant_pattern(S.SEMI_PERSISTENT, cfg, haptic(2e-3))
-        assert pattern.hyperperiod_s == pytest.approx(3.0)  # lcm(1 s, 3 ms)
-        assert pattern.instants_s[-1] < pattern.hyperperiod_s
+def ref_walk_demand_slotted(offsets_ns, radio, fast):
+    """Slot-quantized variant: arrivals round down to slots, SR waits round
+    up to the next opportunity, and the busy window closes once the grant
+    has been received (three slots after the SR slot)."""
+    tti = radio.tti_ns
+    if not fast and radio.t_sr_ns % tti:
+        raise ConfigError("radio.t_sr: must be a whole number of TTIs for the slotted walk")
+    k_sr = radio.t_sr_ns // tti
+    busy = None
+    delays, dropped = [], 0
+    for a in offsets_ns:
+        sa = a // tti
+        if busy is None or sa >= busy:
+            if fast:
+                busy = sa + 1
+                delays.append(to_s(4 * tti))
+            else:
+                sr = ceil_div(sa, k_sr) * k_sr
+                busy = sr + 3
+                delays.append(to_s((sr - sa + 6) * tti))
+        else:
+            dropped += 1
+    return delays, dropped
+
+
+def ref_walk_granted(offsets_ns, t_pg_ns, extra_delay_ns, last_grant_ns=None):
+    """Standing-grant walk: grants fire every t_pg_ns from zero; each grant
+    transmits the freshest arrival strictly before it and drops the rest of
+    the backlog.  An arrival coincident with a grant waits for the next one.
+    Grants continue (or run to last_grant_ns inclusive) until every arrival
+    is resolved."""
+    delays, dropped = [], 0
+    i, n = 0, len(offsets_ns)
+    pend_last, pend_cnt = 0, 0
+    k = 0
+    while True:
+        g = k * t_pg_ns
+        while i < n and offsets_ns[i] < g:
+            pend_last = offsets_ns[i]
+            pend_cnt += 1
+            i += 1
+        if pend_cnt:
+            delays.append(to_s((g - pend_last) + extra_delay_ns))
+            dropped += pend_cnt - 1
+            pend_cnt = 0
+        if i >= n:
+            break
+        if last_grant_ns is not None and g >= last_grant_ns:
+            break
+        k += 1
+    return delays, dropped
+
+
+def ref_walk_granted_slotted(offsets_ns, radio, last_grant_slot=None):
+    tti = radio.tti_ns
+    if radio.t_pg_ns % tti:
+        raise ConfigError("radio.t_pg: must be a whole number of TTIs for the slotted walk")
+    k_pg = radio.t_pg_ns // tti
+    slots = offsets_ns // tti
+    delays, dropped = [], 0
+    i, n = 0, len(slots)
+    pend_last, pend_cnt = 0, 0
+    k = 0
+    while True:
+        g = k * k_pg
+        while i < n and slots[i] < g:
+            pend_last = slots[i]
+            pend_cnt += 1
+            i += 1
+        if pend_cnt:
+            delays.append(to_s((g - pend_last + 4) * tti))
+            dropped += pend_cnt - 1
+            pend_cnt = 0
+        if i >= n:
+            break
+        if last_grant_slot is not None and g >= last_grant_slot:
+            break
+        k += 1
+    return delays, dropped
+
+
+def reference_walk(scheme, radio, haptic, slotted=False):
+    """drop_walk composed from the reference loops."""
+    offs = period_arrival_offsets_ns(haptic)
+    tti = radio.tti_ns
+    t_b = haptic.t_b_ns
+    burst, sparse = offs[offs < t_b], offs[offs >= t_b]
+    if scheme in (S.DYNAMIC, S.FAST_UPLINK):
+        fast = scheme is S.FAST_UPLINK
+        if slotted:
+            delays, dropped = ref_walk_demand_slotted(offs, radio, fast)
+        else:
+            gate = to_ns(fa_grant_latency(radio) if fast else ds_grant_latency(radio))
+            flat = haptic_access_delay(scheme, radio)
+            b_delays, b_dropped = ref_walk_demand(burst, gate, flat)
+            s_delays, s_dropped = ref_walk_demand(sparse, gate, flat)
+            delays, dropped = b_delays + s_delays, b_dropped + s_dropped
+    elif scheme is S.SEMI_PERSISTENT:
+        if slotted:
+            delays, dropped = ref_walk_granted_slotted(offs, radio)
+        else:
+            delays, dropped = ref_walk_granted(offs, radio.t_pg_ns, 4 * tti)
+    else:
+        if slotted:
+            if t_b % tti:
+                raise ConfigError("haptic.t_b: must be a whole number of TTIs for the slotted SRR walk")
+            k_pg = radio.t_pg_ns // tti
+            flush_slot = ceil_div(t_b // tti, k_pg) * k_pg
+            b_delays, b_dropped = ref_walk_granted_slotted(burst, radio, last_grant_slot=flush_slot)
+            s_delays, s_dropped = ref_walk_demand_slotted(sparse, radio, fast=False)
+        else:
+            flush = ceil_div(t_b, radio.t_pg_ns) * radio.t_pg_ns
+            b_delays, b_dropped = ref_walk_granted(burst, radio.t_pg_ns, 4 * tti, last_grant_ns=flush)
+            gate = to_ns(ds_grant_latency(radio))
+            s_delays, s_dropped = ref_walk_demand(sparse, gate, haptic_access_delay(scheme, radio, in_burst=False))
+        delays, dropped = b_delays + s_delays, b_dropped + s_dropped
+    arrivals = len(offs)
+    return DropReport(scheme, arrivals, len(delays), dropped, dropped / arrivals, np.asarray(delays, dtype=float))
+
+
+@st.composite
+def walk_inputs(draw):
+    """Radio and traffic in whole ns; SR, grant and burst lengths are
+    sometimes off the slot grid, which the slotted walk must reject."""
+    tti = draw(st.sampled_from([125_000, 250_000, 500_000, 1_000_000, 333_333]))
+    k_p = draw(st.integers(3, 300))
+    t_p = k_p * tti + draw(st.sampled_from([0, 0, 1, tti // 3]))
+    t_b = draw(st.integers(1, t_p - 1))
+    if draw(st.booleans()):
+        t_b = min(max(tti, t_b // tti * tti), t_p - 1)
+    t_ib = draw(st.integers(max(1, t_b // 200), t_b))
+    t_nb = draw(st.integers(max(1, (t_p - t_b) // 200), t_p - t_b))
+    on_grid = st.integers(1, 24).map(lambda k: k * tti)
+    t_sr = draw(on_grid | st.integers(1, 24 * tti))
+    t_pg = draw(on_grid | st.integers(tti, 24 * tti))
+    try:
+        radio = RadioConfig(10, 1e6, to_s(tti), to_s(t_sr), to_s(t_pg), 1e-5)
+        return radio, HapticTrafficModel(to_s(t_p), to_s(t_b), to_s(t_ib), to_s(t_nb))
+    except ConfigError:  # float rounding of t_p - t_b against t_nb
+        reject()
+
+
+class TestWalkEqualsReferenceLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=walk_inputs(), scheme=st.sampled_from(list(S)), slotted=st.booleans())
+    # arrivals coincide with grants, and the spacing equals the DS gate
+    @example(inputs=(radio(0.125e-3), haptic(1.25e-3)), scheme=S.SEMI_PERSISTENT, slotted=False)
+    @example(inputs=(radio(0.5e-3), haptic(2e-3)), scheme=S.DYNAMIC, slotted=False)
+    @example(inputs=(radio(0.5e-3), haptic(1.3e-3)), scheme=S.SOFT_RESERVATION, slotted=True)
+    def test_counts_and_delays_are_identical(self, inputs, scheme, slotted):
+        radio_cfg, h = inputs
+        try:
+            expected = reference_walk(scheme, radio_cfg, h, slotted)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as info:
+                drop_walk(scheme, radio_cfg, h, slotted)
+            assert str(info.value) == str(exc)
+            return
+        got = drop_walk(scheme, radio_cfg, h, slotted)
+        assert (got.arrivals, got.transmitted, got.dropped) == (expected.arrivals, expected.transmitted, expected.dropped)
+        assert got.drop_rate == expected.drop_rate
+        assert got.per_packet_delays.dtype == expected.per_packet_delays.dtype
+        assert np.array_equal(got.per_packet_delays, expected.per_packet_delays)
+
+
+class TestSlottedWalkAgainstPerSlotOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=configs())
+    def test_first_period_counts(self, cfg):
+        """The slotted walk is one period from idle, as is the oracle's first
+        period, except that a standing-grant group may straddle the period
+        end: then the first arrival of the next period supersedes the last
+        granted one of this period."""
+        walk = drop_walk(cfg.scheme, cfg.radio, cfg.haptic, slotted=True)
+        counts, _, _ = naive_outcome(cfg)
+        straddles = 0
+        if cfg.scheme in (S.SEMI_PERSISTENT, S.SOFT_RESERVATION):
+            tti = cfg.radio.tti_ns
+            k_p, k_pg = cfg.haptic.t_p_ns // tti, cfg.radio.t_pg_ns // tti
+            offs = period_arrival_offsets_ns(cfg.haptic)
+            if cfg.scheme is S.SOFT_RESERVATION:
+                offs = offs[offs < cfg.haptic.t_b_ns]
+            straddles = int((offs[-1] // tti // k_pg + 1) * k_pg > k_p)
+        assert tuple(counts[0]) == (walk.transmitted - straddles, walk.dropped + straddles)
