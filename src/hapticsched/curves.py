@@ -13,6 +13,7 @@ dips below the requested level again.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -138,12 +139,15 @@ def long_run_rate(curve: LeftoverServiceCurve) -> float:
     return curve.long_run_rate()
 
 
+@functools.lru_cache(maxsize=1024)
 def max_stable_theta(leftover: LeftoverTrafficModel, service_rate: float) -> float:
     """Largest tail-decay parameter that keeps the flow's equivalent rate
     below the service rate.
 
     Solved by bisection to 1e-12 relative width, then backed off by 1e-9 so
-    the stability inequality stays strict.
+    the stability inequality stays strict.  Results are memoised, because a
+    sweep asks for the same (leftover, service_rate) pair many times; an
+    InfeasibleError is not cached and is raised afresh on each call.
     """
     lam, sig = leftover.lambda_rate, leftover.sigma
     if service_rate <= lam * sig:

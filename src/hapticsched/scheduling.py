@@ -109,6 +109,25 @@ def _gate_stride(gate_ns: int, spacing_ns: int) -> int:
     return max(1, ceil_div(gate_ns, spacing_ns))
 
 
+def _demand_sent(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel) -> int:
+    """Transmissions per period of the unslotted DS or FA walk.
+
+    Worst-case gating is evaluated per regime: the burst stream and the
+    sparse stream are each paced by their own spacing, so the boundary
+    packet at the burst edge is not charged against the burst's worst-case
+    grant wait.  Each regime is evenly spaced, so its accepted count is
+    ceil(arrivals / stride); the regimes hold ceil(t_b / t_ib) and
+    ceil((t_p - t_b) / t_nb) arrivals, as period_arrival_offsets_ns lays
+    them out.
+    """
+    fast = scheme is SchedulingScheme.FAST_UPLINK
+    gate = to_ns(fa_grant_latency(radio) if fast else ds_grant_latency(radio))
+    n_burst = ceil_div(haptic.t_b_ns, haptic.t_ib_ns)
+    n_sparse = ceil_div(haptic.t_p_ns - haptic.t_b_ns, haptic.t_nb_ns)
+    return (ceil_div(n_burst, _gate_stride(gate, haptic.t_ib_ns))
+            + ceil_div(n_sparse, _gate_stride(gate, haptic.t_nb_ns)))
+
+
 def _grant_delays(ticks: np.ndarray, period: int, extra: int, tick_ns: int) -> np.ndarray:
     grant, served, _ = standing_grants(ticks, period)
     return (grant[served] - ticks[served] + extra) * tick_ns / 1e9
@@ -150,15 +169,7 @@ def drop_walk(
             k_sr = None if fast else _in_slots(radio.t_sr_ns, tti, "radio.t_sr")
             delays = _gate_delays(offs // tti, k_sr, tti)
         else:
-            # worst-case gating is evaluated per regime: the burst stream and
-            # the sparse stream are each paced by their own spacing, so the
-            # boundary packet at the burst edge is not charged against the
-            # burst's worst-case grant wait; each regime is evenly spaced, so
-            # its accepted count is ceil(arrivals / stride)
-            gate = to_ns(fa_grant_latency(radio) if fast else ds_grant_latency(radio))
-            sent = (ceil_div(n_burst, _gate_stride(gate, haptic.t_ib_ns))
-                    + ceil_div(arrivals - n_burst, _gate_stride(gate, haptic.t_nb_ns)))
-            delays = np.full(sent, haptic_access_delay(scheme, radio))
+            delays = np.full(_demand_sent(scheme, radio, haptic), haptic_access_delay(scheme, radio))
         return _make_report(scheme, arrivals, delays)
 
     if scheme is SchedulingScheme.SEMI_PERSISTENT:
@@ -205,7 +216,7 @@ def remainder_of_service(scheme: SchedulingScheme, radio: RadioConfig, haptic: H
     m = haptic_blocks(radio)
     _, _, r_nb, _ = period_counters(haptic, 0.0)
     if scheme in (SchedulingScheme.DYNAMIC, SchedulingScheme.FAST_UPLINK):
-        consumed = drop_walk(scheme, radio, haptic).transmitted
+        consumed = _demand_sent(scheme, radio, haptic)
     elif scheme is SchedulingScheme.SEMI_PERSISTENT:
         consumed = haptic.t_p_ns // radio.t_pg_ns
     elif scheme is SchedulingScheme.SOFT_RESERVATION:

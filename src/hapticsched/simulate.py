@@ -45,6 +45,12 @@ from .units import to_ns
 log = logging.getLogger(__name__)
 
 _PATH_RECORD = "%s: %s path (%s), H = %d periods, %d chunks walked, %d reused"
+_BACKGROUND_RECORD = ("%s: background %d packets arrived, %d finished, %d unfinished, "
+                      "%d kept after warm-up, %d blocks walked")
+
+# background packets per block of the queue walk: the block's temporaries
+# stay in cache, and the per-block overhead is small next to its work
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -245,9 +251,7 @@ class _CapacityProfile:
         self.n_occupied = len(occ)
 
     def supply_at(self, t_ns) -> np.ndarray:
-        t_ns = np.asarray(t_ns, dtype=np.int64)
-        k = t_ns // self.period_ns
-        r = t_ns - k * self.period_ns
+        k, r = np.divmod(np.asarray(t_ns, dtype=np.int64), self.period_ns)
         j = np.searchsorted(self.seg_t, r, side="right") - 1
         return k * self.period_bits + self.seg_S[j] + self.seg_rate[j] * (r - self.seg_t[j]) / 1e9
 
@@ -266,7 +270,8 @@ class _CapacityProfile:
         high = res >= self.period_bits
         k[high] += 1
         res[high] -= self.period_bits
-        j = np.clip(np.searchsorted(self.ris_S, res, side="right") - 1, 0, len(self.ris_S) - 1)
+        # searchsorted returns at most len(ris_S), so only 0 can be undershot
+        j = np.maximum(np.searchsorted(self.ris_S, res, side="right") - 1, 0)
         dt_ns = (res - self.ris_S[j]) / self.ris_rate[j] * 1e9
         t_ns = k * float(self.period_ns) + self.ris_t[j] + dt_ns
         out = t_ns / 1e9
@@ -339,6 +344,65 @@ def _haptic_layer(config: SimConfig):
     return profile, counts, tiled("delays_s", 0)[tx_slots >= k_p], occupancy
 
 
+def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: float,
+                      warmup_s: float) -> np.ndarray:
+    """Drain the background FIFO queue through the leftover capacity and
+    return the completion delays of the finished packets that arrived after
+    warm-up.
+
+    Packet i finishes when cumulative capacity reaches
+    max_{j <= i}(supply(a_j) - cum_{j-1}) + cum_i.  The packets are walked
+    in blocks of _BLOCK, the running maximum carried from one block into
+    the next, so every temporary stays block-sized; only the cumulative
+    sizes are summed over the whole timeline at once, in the same order as
+    an unblocked pass.  Completion times are nondecreasing and a target
+    past the horizon is unreachable, so the unfinished packets are a
+    suffix: a binary search for inf finds the first of them, and the walk
+    stops at the block that holds it.
+
+    Raises InfeasibleError when the queue grows superlinearly.
+    """
+    timeline = leftover_arrivals(config.leftover, horizon_s, config.seed)
+    arrivals, sizes = timeline.times_s, timeline.sizes_bits
+    n = len(arrivals)
+    cum = np.cumsum(sizes)
+    t_mid = 0.5 * horizon_s
+    first_kept = int(np.searchsorted(arrivals, warmup_s, side="left"))
+    delays = np.empty(n - first_kept)
+    kept = finished = finished_mid = blocks = 0
+    peak = -np.inf
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        blocks += 1
+        a = arrivals[lo:hi]
+        c = cum[lo:hi]
+        level = profile.supply_at(np.round(a * 1e9).astype(np.int64))
+        level -= c - sizes[lo:hi]
+        level[0] = max(level[0], peak)
+        np.maximum.accumulate(level, out=level)
+        peak = level[-1]
+        level += c
+        completion = profile.time_of_supply(level)
+        done = int(np.searchsorted(completion, np.inf))
+        finished += done
+        finished_mid += int(np.searchsorted(completion, t_mid, side="right"))
+        start = min(max(first_kept - lo, 0), done)
+        np.subtract(completion[start:done], a[start:done], out=delays[kept:kept + done - start])
+        kept += done - start
+        if done < hi - lo:
+            break
+    log.debug(_BACKGROUND_RECORD, config.scheme.value, n, finished, n - finished, kept, blocks)
+
+    q_mid = int(np.searchsorted(arrivals, t_mid, side="right")) - finished_mid
+    q_end = n - finished
+    if queue_blowup(q_mid, q_end):
+        raise InfeasibleError(
+            f"leftover queue grew superlinearly ({q_mid} packets at mid-horizon, "
+            f"{q_end} at the end): configuration is unstable"
+        )
+    return delays[:kept]
+
+
 def run(config: SimConfig) -> SimReport:
     """Replay the configuration and measure drop rates, access delays,
     background completion delays and the spare per-period capacity.
@@ -353,31 +417,7 @@ def run(config: SimConfig) -> SimReport:
     warmup_s = haptic.t_p_ns / 1e9
 
     profile, counts, haptic_delays, occupancy = _haptic_layer(config)
-
-    timeline = leftover_arrivals(config.leftover, horizon_s, config.seed)
-    arrivals = timeline.times_s
-    sizes = timeline.sizes_bits
-    if len(arrivals):
-        a_ns = np.round(arrivals * 1e9).astype(np.int64)
-        supply_at_arrival = profile.supply_at(a_ns)
-        cum = np.cumsum(sizes)
-        backlog = np.maximum.accumulate(supply_at_arrival - (cum - sizes))
-        completion = profile.time_of_supply(backlog + cum)
-        finished = np.isfinite(completion)
-        fin_times = completion[finished]  # nondecreasing: FIFO
-
-        t_mid = 0.5 * horizon_s
-        q_mid = int(np.searchsorted(arrivals, t_mid, side="right") - np.searchsorted(fin_times, t_mid, side="right"))
-        q_end = int(len(arrivals) - len(fin_times))
-        if queue_blowup(q_mid, q_end):
-            raise InfeasibleError(
-                f"leftover queue grew superlinearly ({q_mid} packets at mid-horizon, "
-                f"{q_end} at the end): configuration is unstable"
-            )
-        keep = (arrivals >= warmup_s) & finished
-        leftover_delays = (completion - arrivals)[keep]
-    else:
-        leftover_delays = np.array([], dtype=float)
+    leftover_delays = _background_layer(config, profile, horizon_s, warmup_s)
 
     post = counts[1:] if n_periods > 1 else counts
     tx_total = int(post[:, 0].sum())
@@ -409,10 +449,11 @@ def empirical_quantile(delays, p: float) -> float:
     """Nearest-rank order statistic: the ceil(p*n)-th smallest sample."""
     if not (0 < p < 1):
         raise ConfigError(f"p must be in (0, 1), got {p!r}")
-    data = np.sort(np.asarray(delays, dtype=float))
+    data = np.array(delays, dtype=float)  # a copy: it is partitioned in place
     if len(data) == 0:
         raise ValueError("empty sample")
     rank = min(max(math.ceil(p * len(data)), 1), len(data))
+    data.partition(rank - 1)
     return float(data[rank - 1])
 
 

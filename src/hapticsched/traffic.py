@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -119,25 +118,6 @@ class ArrivalTimeline:
     def __len__(self) -> int:
         return len(self.times_s)
 
-    def to_csv(self, path) -> None:
-        lines = ["arrival_time_s,size_bits"]
-        lines += [f"{t:.9f},{float(s)!r}" for t, s in zip(self.times_s, self.sizes_bits)]
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def from_csv(cls, path, horizon_s: float | None = None) -> "ArrivalTimeline":
-        rows = Path(path).read_text().strip().splitlines()
-        if not rows or rows[0] != "arrival_time_s,size_bits":
-            raise ValueError(f"{path}: not an arrival timeline CSV")
-        times, sizes = [], []
-        for row in rows[1:]:
-            t, s = row.split(",")
-            times.append(float(t))
-            sizes.append(float(s))
-        if horizon_s is None:
-            horizon_s = times[-1] if times else 0.0
-        return cls(np.array(times), np.array(sizes), horizon_s)
-
 
 def period_arrival_offsets_ns(model: HapticTrafficModel) -> np.ndarray:
     """Arrival instants within one traffic period, in ns from the period start.
@@ -190,7 +170,13 @@ def leftover_arrivals(model: LeftoverTrafficModel, horizon: float, seed: int) ->
     while len(times) and times[-1] <= horizon:
         more = np.cumsum(rng.exponential(mean_gap, chunk)) + times[-1]
         times = np.concatenate([times, more])
-    times = np.unique(times[times <= horizon])
+    # a cumsum of nonnegative gaps is nondecreasing: the arrivals up to the
+    # horizon are a prefix, and an instant drawn twice (a zero gap, or one
+    # lost to rounding) repeats in adjacent entries
+    times = times[: np.searchsorted(times, horizon, side="right")]
+    repeated = times[1:] == times[:-1]
+    if repeated.any():
+        times = times[np.concatenate([[True], ~repeated])]
     if model.size_distribution is SizeDistribution.DETERMINISTIC:
         sizes = np.full(len(times), float(model.sigma))
     else:

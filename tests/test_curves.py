@@ -135,6 +135,22 @@ class TestMaxStableTheta:
         with pytest.raises(InfeasibleError):
             max_stable_theta(LEFTOVER, 4.0 * 12000.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(lam=st.floats(0.1, 500.0), sigma=st.floats(1.0, 1e5), ratio=st.floats(0.5, 50.0))
+    def test_memoised_calls_repeat_the_bisection_bit_for_bit(self, lam, sigma, ratio):
+        leftover = LeftoverTrafficModel(lam, sigma)
+        rate = ratio * lam * sigma
+        try:
+            want = max_stable_theta.__wrapped__(leftover, rate)
+        except InfeasibleError as exc:
+            for _ in range(2):  # an error is raised afresh, never cached
+                with pytest.raises(InfeasibleError) as info:
+                    max_stable_theta(leftover, rate)
+                assert str(info.value) == str(exc)
+            return
+        first, again = max_stable_theta(leftover, rate), max_stable_theta(LeftoverTrafficModel(lam, sigma), rate)
+        assert first.hex() == want.hex() and again.hex() == want.hex()
+
 
 class TestCrossingTime:
     def test_zero_level_zero_demand(self):

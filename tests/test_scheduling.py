@@ -16,6 +16,7 @@ from hapticsched import (
     fa_grant_latency,
     haptic_access_delay,
     haptic_arrivals,
+    haptic_blocks,
     remainder_of_service,
 )
 from hapticsched.traffic import period_arrival_offsets_ns
@@ -383,6 +384,16 @@ class TestWalkEqualsReferenceLoops:
         assert got.drop_rate == expected.drop_rate
         assert got.per_packet_delays.dtype == expected.per_packet_delays.dtype
         assert np.array_equal(got.per_packet_delays, expected.per_packet_delays)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=walk_inputs(), scheme=st.sampled_from([S.DYNAMIC, S.FAST_UPLINK]))
+    def test_demand_remainder_charges_the_walk_transmissions(self, inputs, scheme):
+        radio_cfg, h = inputs
+        walk = reference_walk(scheme, radio_cfg, h)
+        slot_bits = haptic_blocks(radio_cfg) * radio_cfg.channel_rate * radio_cfg.tti
+        expected = radio_cfg.total_rate * h.t_p - slot_bits * walk.transmitted
+        assert remainder_of_service(scheme, radio_cfg, h) == expected
 
 
 class TestSlottedWalkAgainstPerSlotOracle:

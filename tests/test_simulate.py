@@ -1,15 +1,25 @@
 import dataclasses
+import logging
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_event_oracle import configs
 
 from hapticsched import (
+    ArrivalTimeline,
     ConfigError,
     HapticTrafficModel,
+    InfeasibleError,
     LeftoverTrafficModel,
     RadioConfig,
     SchedulingScheme,
     SimConfig,
+    SimReport,
+    SizeDistribution,
     drop_walk,
     empirical_quantile,
     haptic_blocks,
@@ -224,6 +234,112 @@ class TestCapacityProfile:
         assert np.isinf(profile.time_of_supply(np.array([profile.total_bits * 1.001]))[0])
 
 
+def whole_array_run(config):
+    """The simulator with its background queue drained in one whole-array
+    pass, as it was computed before the block walk: every packet's supply at
+    arrival, one running maximum and one inversion over the full timeline."""
+    radio, haptic = config.radio, config.haptic
+    n_periods = config.n_periods
+    n_slots = n_periods * config.slots_per_period
+    horizon_s = n_slots * radio.tti_ns / 1e9
+    warmup_s = haptic.t_p_ns / 1e9
+    profile, counts, haptic_delays, occupancy = simulate_mod._haptic_layer(config)
+    timeline = simulate_mod.leftover_arrivals(config.leftover, horizon_s, config.seed)
+    arrivals, sizes = timeline.times_s, timeline.sizes_bits
+    leftover_delays = np.array([], dtype=float)
+    if len(arrivals):
+        supply_at_arrival = profile.supply_at(np.round(arrivals * 1e9).astype(np.int64))
+        cum = np.cumsum(sizes)
+        backlog = np.maximum.accumulate(supply_at_arrival - (cum - sizes))
+        completion = profile.time_of_supply(backlog + cum)
+        finished = np.isfinite(completion)
+        fin_times = completion[finished]
+        t_mid = 0.5 * horizon_s
+        q_mid = int(np.searchsorted(arrivals, t_mid, side="right") - np.searchsorted(fin_times, t_mid, side="right"))
+        q_end = int(len(arrivals) - len(fin_times))
+        if simulate_mod.queue_blowup(q_mid, q_end):
+            raise InfeasibleError(
+                f"leftover queue grew superlinearly ({q_mid} packets at mid-horizon, "
+                f"{q_end} at the end): configuration is unstable"
+            )
+        leftover_delays = (completion - arrivals)[(arrivals >= warmup_s) & finished]
+    post = counts[1:] if n_periods > 1 else counts
+    tx_total, dr_total = int(post[:, 0].sum()), int(post[:, 1].sum())
+    drop_rate = dr_total / (tx_total + dr_total) if (tx_total + dr_total) else 0.0
+    slot_bits = haptic_blocks(radio) * radio.channel_rate * radio.tti
+    return SimReport(
+        config.scheme, drop_rate, np.asarray(haptic_delays, dtype=float), leftover_delays,
+        radio.total_rate * haptic.t_p - slot_bits * occupancy, n_slots, config.seed, counts, horizon_s,
+    )
+
+
+def assert_reports_identical(got, want):
+    for field in dataclasses.fields(want):
+        x, y = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(y, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+@st.composite
+def loaded_configs(draw):
+    """Per-slot oracle configurations with a few hundred background packets
+    at 5% to 160% of the channel rate: heavy enough to leave packets
+    unfinished at the horizon."""
+    cfg = draw(configs())
+    horizon = cfg.n_periods * cfg.haptic.t_p
+    lam = draw(st.integers(1, 400)) / horizon
+    load = draw(st.floats(0.05, 1.6))
+    leftover = LeftoverTrafficModel(lam, load * cfg.radio.total_rate / lam,
+                                    draw(st.sampled_from(list(SizeDistribution))))
+    return dataclasses.replace(cfg, leftover=leftover, seed=draw(st.integers(0, 2**31)))
+
+
+class TestBlockWalkEqualsWholeArrayPass:
+    @settings(max_examples=80, deadline=None)
+    @given(cfg=loaded_configs(), block=st.sampled_from([1, 2, 7, simulate_mod._BLOCK]), forced=st.booleans())
+    def test_every_field_identical(self, cfg, block, forced):
+        with mock.patch.object(simulate_mod, "_BLOCK", block):
+            if forced:  # the hyperperiod path, whatever the grids
+                with mock.patch.object(simulate_mod, "_replication_blocker", lambda *a: "forced"):
+                    got, want = run(cfg), whole_array_run(cfg)
+            else:
+                got, want = run(cfg), whole_array_run(cfg)
+        assert_reports_identical(got, want)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, simulate_mod._BLOCK])
+    def test_blowup_raises_the_same_error(self, block):
+        # no latency-critical load and 1 Mbit packets on a 1 Mb/s channel: a
+        # backlogged packet finishes on a whole second, the tenth exactly at
+        # mid-horizon.  200 packets in the first 0.2 s leave 190 queued at
+        # 10 s; 2500 more in the second half leave 2680 at the end
+        idle = RadioConfig(10, 1e6, 0.5e-3, 0.5e-3, 5e-3, 0.0)
+        cfg = SimConfig(idle, haptic(), LEFTOVER, S.SEMI_PERSISTENT, 20.0, 1)
+        times = np.concatenate([np.arange(200) / 1000, 10.0 + np.arange(1, 2501) / 256])
+        timeline = ArrivalTimeline(times, np.full(len(times), 1e6), 20.0)
+        with mock.patch.object(simulate_mod, "leftover_arrivals", lambda *a: timeline):
+            with pytest.raises(InfeasibleError) as want:
+                whole_array_run(cfg)
+            with mock.patch.object(simulate_mod, "_BLOCK", block), pytest.raises(InfeasibleError) as got:
+                run(cfg)
+        assert str(got.value) == str(want.value)
+        assert "(190 packets at mid-horizon, 2680 at the end)" in str(got.value)
+
+    def test_run_record_counts_background_packets(self, caplog):
+        cfg = sim(S.DYNAMIC, horizon=20.0, leftover=LeftoverTrafficModel(4.0, 5e5))
+        with mock.patch.object(simulate_mod, "_BLOCK", 16), caplog.at_level(logging.DEBUG, "hapticsched.simulate"):
+            report = run(cfg)
+        records = [r for r in caplog.records if r.msg is simulate_mod._BACKGROUND_RECORD]
+        assert len(records) == 1
+        _, arrived, finished, unfinished, kept, blocks = records[0].args
+        timeline = simulate_mod.leftover_arrivals(cfg.leftover, report.horizon_s, cfg.seed)
+        assert arrived == len(timeline) and finished + unfinished == arrived
+        assert unfinished > 0  # 2 Mb/s offered against less than 1 Mb/s
+        assert kept == len(report.leftover_delays)
+        assert blocks == finished // 16 + 1  # the walk stops at the first unfinished packet
+
+
 class TestQuantile:
     def test_nearest_rank_examples(self):
         assert empirical_quantile([1, 2, 3, 4], 0.5) == 2
@@ -241,6 +357,13 @@ class TestQuantile:
     def test_probability_validated(self):
         with pytest.raises(ConfigError):
             empirical_quantile([1.0], 1.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.lists(st.sampled_from([0.5, 1.0, 1.0 + 2**-52, 2.0, 7.25, 1e9]), min_size=1, max_size=60),
+           p=st.floats(1e-6, 1 - 1e-6))
+    def test_equals_sort_then_index_with_ties(self, data, p):
+        rank = min(max(math.ceil(p * len(data)), 1), len(data))
+        assert empirical_quantile(data, p) == float(np.sort(data)[rank - 1])
 
 
 class TestReportSerialization:

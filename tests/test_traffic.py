@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hapticsched import (
     ArrivalTimeline,
@@ -106,14 +109,12 @@ class TestCounters:
 
 
 class TestLeftoverArrivals:
-    def test_reproducible_byte_for_byte(self, tmp_path):
+    def test_reproducible_byte_for_byte(self):
         model = LeftoverTrafficModel(4.0, 12000.0)
         a = leftover_arrivals(model, 200.0, seed=9)
         b = leftover_arrivals(model, 200.0, seed=9)
-        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-        a.to_csv(pa)
-        b.to_csv(pb)
-        assert pa.read_bytes() == pb.read_bytes()
+        assert a.times_s.tobytes() == b.times_s.tobytes()
+        assert a.sizes_bits.tobytes() == b.sizes_bits.tobytes()
         c = leftover_arrivals(model, 200.0, seed=10)
         assert len(c) == 0 or not np.array_equal(a.times_s, c.times_s)
 
@@ -141,19 +142,85 @@ class TestLeftoverArrivals:
         assert len(leftover_arrivals(model, 1e-9, seed=1)) == 0
 
 
+_default_rng = np.random.default_rng
+
+
+def unique_reference(model, horizon, seed):
+    """Background timeline built as it was before the prefix slice: keep the
+    times up to the horizon, then np.unique (a full sort)."""
+    rng = np.random.default_rng(seed)
+    mean_gap = 1.0 / model.lambda_rate
+    expected = model.lambda_rate * horizon
+    chunk = int(expected + 10 * math.sqrt(expected) + 16)
+    times = np.cumsum(rng.exponential(mean_gap, chunk))
+    while len(times) and times[-1] <= horizon:
+        more = np.cumsum(rng.exponential(mean_gap, chunk)) + times[-1]
+        times = np.concatenate([times, more])
+    times = np.unique(times[times <= horizon])
+    if model.size_distribution is SizeDistribution.DETERMINISTIC:
+        sizes = np.full(len(times), float(model.sigma))
+    else:
+        sizes = np.maximum(rng.exponential(model.sigma, len(times)), np.finfo(float).tiny)
+    return times, sizes
+
+
+class ZeroingGenerator:
+    """A seeded generator whose exponential draws are zero at every
+    every-th position: a zero gap repeats an arrival instant."""
+
+    def __init__(self, seed, every):
+        self._rng = _default_rng(seed)
+        self._every = every
+
+    def exponential(self, scale, size):
+        out = self._rng.exponential(scale, size)
+        out[:: self._every] = 0.0
+        return out
+
+
+class TestLeftoverArrivalsEqualUniqueReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.floats(0.5, 300.0),
+        sigma=st.floats(1.0, 1e5),
+        law=st.sampled_from(list(SizeDistribution)),
+        horizon=st.floats(0.01, 30.0),
+        seed=st.integers(0, 2**32 - 1),
+        zero_every=st.none() | st.integers(2, 6),
+    )
+    @example(lam=4.0, sigma=12000.0, law=SizeDistribution.EXPONENTIAL_MEAN, horizon=200.0, seed=9, zero_every=2)
+    def test_same_bytes(self, lam, sigma, law, horizon, seed, zero_every):
+        model = LeftoverTrafficModel(lam, sigma, law)
+        factory = _default_rng if zero_every is None else (lambda s: ZeroingGenerator(s, zero_every))
+        with mock.patch.object(np.random, "default_rng", factory):
+            got = leftover_arrivals(model, horizon, seed)
+            times, sizes = unique_reference(model, horizon, seed)
+        assert got.times_s.tobytes() == times.tobytes()
+        assert got.sizes_bits.tobytes() == sizes.tobytes()
+        assert got.horizon_s == horizon
+
+
+    def test_arrival_on_the_horizon_is_kept(self):
+        # gaps of exactly 1/4 s put the 200th arrival on the 50 s horizon
+        class EvenGaps:
+            def __init__(self, seed):
+                pass
+
+            def exponential(self, scale, size):
+                return np.full(size, scale)
+
+        model = LeftoverTrafficModel(4.0, 12000.0)
+        with mock.patch.object(np.random, "default_rng", EvenGaps):
+            got = leftover_arrivals(model, 50.0, seed=1)
+            times, _ = unique_reference(model, 50.0, seed=1)
+        assert got.times_s[-1] == 50.0 and len(got) == 200
+        assert got.times_s.tobytes() == times.tobytes()
+
+
 class TestTimelineContainer:
     def test_rejects_non_increasing_times(self):
         with pytest.raises(ValueError):
             ArrivalTimeline(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 1.0)
-
-    def test_csv_round_trip(self, tmp_path):
-        model = HapticTrafficModel(**TABLE, worst_case_excess_burst=False)
-        tl = haptic_arrivals(model, 1.0)
-        path = tmp_path / "t.csv"
-        tl.to_csv(path)
-        back = ArrivalTimeline.from_csv(path, horizon_s=1.0)
-        assert np.array_equal(tl.times_s, back.times_s)
-        assert np.array_equal(tl.sizes_bits, back.sizes_bits)
 
 
 class TestModelValidation:
