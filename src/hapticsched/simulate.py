@@ -7,18 +7,17 @@ claim their slots.  Whatever capacity is left in each slot drains the
 background FIFO queue as fluid, so a background packet may finish mid-slot
 with its completion time interpolated linearly.
 
-When the configuration is cleanly periodic (grant and SR periods divide
-the traffic period and no scheduler state crosses a period boundary), one
-period is walked exactly and the pattern is replicated, which keeps
-multi-hour horizons cheap.  Otherwise the machines walk the horizon one
-hyperperiod chunk at a time: lcm of the traffic period and the SR and grant
-periods the scheme follows, so every chunk starts on an SR opportunity and
-a grant instant with the same arrivals.  The only state that crosses a
-chunk boundary is the demand gate's busy slot, carried relative to the
-chunk start and clamped at 0; standing-grant data never does, because the
-grant at the boundary serves the freshest arrival before it.  A full
-chunk's events therefore depend only on that entry state: they are
-memoised on it and shifted into place when it repeats.  The partial final
+The machines walk hyperperiod chunks: lcm of the traffic period and the
+SR and grant periods the scheme follows, so every chunk starts on an SR
+opportunity and a grant instant with the same arrivals.  Only the demand
+gate's busy slot crosses a chunk boundary, carried relative to the chunk
+start and clamped at 0; standing-grant data never does, because the grant
+at the boundary serves the freshest arrival before it.  A full chunk's
+events thus depend only on that entry state, so from the first entry state
+seen twice the chunks repeat: the horizon is a prefix of chunks and a
+cycle repeated to the end, and only the distinct chunks are walked.  On
+the grant grid, with no state crossing a period boundary, the chunk and
+the cycle are one period and the prefix is empty.  The partial final
 chunk is walked explicitly, since a grant past the horizon leaves its
 arrivals unresolved.
 """
@@ -44,7 +43,7 @@ from .units import to_ns
 
 log = logging.getLogger(__name__)
 
-_PATH_RECORD = "%s: %s path (%s), H = %d periods, %d chunks walked, %d reused"
+_PATH_RECORD = "%s: chunks of %d periods, prefix %d + cycle %d chunks, %d chunks walked (%s)"
 _BACKGROUND_RECORD = ("%s: background %d packets arrived, %d finished, %d unfinished, "
                       "%d kept after warm-up, %d blocks walked")
 
@@ -65,7 +64,9 @@ class SimConfig:
     def __post_init__(self):
         problems = []
         tti = self.radio.tti_ns
-        if self.horizon < 10 * self.haptic.t_p:
+        if not math.isfinite(self.horizon):
+            problems.append(f"horizon: must be finite, got {self.horizon!r}")
+        elif self.haptic.t_p_ns == 0 or self.n_periods < 10:
             problems.append(
                 f"horizon: must cover at least 10 traffic periods, got {self.horizon!r} s "
                 f"with t_p={self.haptic.t_p!r} s"
@@ -125,9 +126,7 @@ class _HapticEvents:
     delays_s: np.ndarray
     dropped_arrival_slots: np.ndarray
     busy_end: int                # first slot at which a new SR procedure could start
-
-    def occupied(self) -> np.ndarray:
-        return _sorted_unique(np.concatenate([self.data_slots, self.reserved_slots]))
+    n_slots: int
 
 
 def _sorted_unique(slots: np.ndarray) -> np.ndarray:
@@ -175,6 +174,7 @@ def _chunk_events(config: SimConfig, sa: np.ndarray, n_slots: int, busy: int) ->
         np.concatenate([grant[served] - granted[served] + 4, delay]) * tti / 1e9,
         np.concatenate([granted[superseded], gated[rejected]]),
         busy,
+        n_slots,
     )
 
 
@@ -190,10 +190,9 @@ def _grid_periods(config: SimConfig) -> dict[str, int]:
 
 
 def _replication_blocker(config: SimConfig, events: _HapticEvents) -> str | None:
-    """Why one period's outcome does not replicate verbatim, or None when it
-    does: grant and SR phases must realign at the period boundary and no
-    state may cross it.  A grant landing exactly on the boundary is allowed
-    for SPS because it rides the next period's reserved slot."""
+    """For the path record: why one period's events do not repeat verbatim
+    (grant and SR phases must realign at the period end and no state may
+    cross it; an SPS grant on the boundary rides a reserved slot), or None."""
     k_p = config.slots_per_period
     for name, k in _grid_periods(config).items():
         if k_p % k:
@@ -206,142 +205,156 @@ def _replication_blocker(config: SimConfig, events: _HapticEvents) -> str | None
     return None
 
 
-def _tile(parts: list[np.ndarray], order: list[int], span: int) -> np.ndarray:
-    """parts[order[c]] + c * span for every chunk c, laid end to end."""
-    sizes = np.array([len(p) for p in parts], dtype=np.int64)
-    lens = sizes[order]
-    idx = np.repeat((np.cumsum(sizes) - sizes)[order] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
-    return np.concatenate(parts)[idx] + np.repeat(np.arange(len(order), dtype=np.int64) * span, lens)
-
-
 class _CapacityProfile:
-    """Piecewise-linear cumulative background capacity, periodic over the
-    occupancy pattern.  Supports exact evaluation and inversion."""
+    """Piecewise-linear cumulative background capacity over a prefix and one
+    cycle repeated after it up to the horizon, evaluated and inverted
+    exactly: a time or bit target past the prefix folds back into the
+    cycle, each completed cycle adding cycle_bits."""
 
-    def __init__(self, occupied_slots: np.ndarray, period_slots: int, repeats: int,
-                 tti_ns: int, total_rate: float, reduced_rate: float):
-        self.period_ns = period_slots * tti_ns
-        self.repeats = repeats
+    def __init__(self, occupied_slots: np.ndarray, prefix_slots: int, cycle_slots: int,
+                 horizon_slots: int, tti_ns: int, total_rate: float, reduced_rate: float):
+        self.prefix_ns, self.cycle_ns = prefix_slots * tti_ns, cycle_slots * tti_ns
+        end = prefix_slots + cycle_slots
         occ = _sorted_unique(np.asarray(occupied_slots, dtype=np.int64))
-        if len(occ) and (occ[0] < 0 or occ[-1] >= period_slots):
-            raise ValueError("occupied slots outside the profile period")
-        # one reduced-rate segment per occupied slot, preceded by a full-rate
-        # segment wherever a gap separates it from the previous one
-        prev_end = np.zeros_like(occ)
-        prev_end[1:] = occ[:-1] + 1
-        starts = np.stack([prev_end, occ], axis=1)
-        rates = np.tile(np.array([total_rate, reduced_rate], dtype=float), (len(occ), 1))
-        keep = np.stack([occ > prev_end, np.ones(len(occ), dtype=bool)], axis=1)
-        starts, rates = starts[keep], rates[keep]
-        end = int(occ[-1]) + 1 if len(occ) else 0
-        if end < period_slots:
-            starts = np.append(starts, end)
-            rates = np.append(rates, float(total_rate))
-        bounds = np.append(starts, period_slots).astype(np.int64) * tti_ns
+        if len(occ) and (occ[0] < 0 or occ[-1] >= end):
+            raise ValueError("occupied slots outside the profile")
+        # a reduced-rate segment per occupied slot, a full-rate one per gap
+        # between them, and the cycle starting a segment of its own
+        bounds = _sorted_unique(np.concatenate([[0, prefix_slots, end], occ, occ + 1]))
+        self.seg_rate = np.full(len(bounds) - 1, float(total_rate))
+        self.seg_rate[np.searchsorted(bounds, occ)] = reduced_rate
+        bounds = bounds * tti_ns
         self.seg_t = bounds[:-1]
-        self.seg_rate = rates
         seg_bits = self.seg_rate * (np.diff(bounds) / 1e9)
         self.seg_S = np.concatenate([[0.0], np.cumsum(seg_bits)[:-1]])
-        self.period_bits = float(np.sum(seg_bits))
-        self.total_bits = self.period_bits * repeats
+        cut = int(np.searchsorted(self.seg_t, self.prefix_ns))
+        self.prefix_bits, self.cycle_bits = float(self.seg_S[cut]), float(np.sum(seg_bits[cut:]))
         rising = self.seg_rate > 0
-        self.ris_t = self.seg_t[rising]
-        self.ris_S = self.seg_S[rising]
-        self.ris_rate = self.seg_rate[rising]
-        self.n_occupied = len(occ)
+        self.ris_t, self.ris_S, self.ris_rate = self.seg_t[rising], self.seg_S[rising], self.seg_rate[rising]
+        self.total_bits = float(self.supply_at(horizon_slots * tti_ns))
 
     def supply_at(self, t_ns) -> np.ndarray:
-        k, r = np.divmod(np.asarray(t_ns, dtype=np.int64), self.period_ns)
+        t = np.asarray(t_ns, dtype=np.int64)
+        if self.prefix_ns:  # times inside the prefix do not fold
+            k = np.maximum(t - self.prefix_ns, 0) // self.cycle_ns
+            r = t - k * self.cycle_ns
+        else:
+            k, r = np.divmod(t, self.cycle_ns)
         j = np.searchsorted(self.seg_t, r, side="right") - 1
-        return k * self.period_bits + self.seg_S[j] + self.seg_rate[j] * (r - self.seg_t[j]) / 1e9
+        return k * self.cycle_bits + self.seg_S[j] + self.seg_rate[j] * (r - self.seg_t[j]) / 1e9
 
     def time_of_supply(self, bits) -> np.ndarray:
         """Earliest time (seconds) at which cumulative capacity reaches each
         target; inf when the target lies past the horizon.  Targets that
         fall on a zero-rate plateau resolve at the next rising segment."""
         bits = np.asarray(bits, dtype=float)
-        if self.period_bits <= 0 or len(self.ris_S) == 0:
+        if len(self.ris_S) == 0:
             return np.full(bits.shape, np.inf)
-        k = np.floor(bits / self.period_bits)
-        res = bits - k * self.period_bits
-        low = res < 0
-        k[low] -= 1
-        res[low] += self.period_bits
-        high = res >= self.period_bits
-        k[high] += 1
-        res[high] -= self.period_bits
+        if self.cycle_bits <= 0:  # nothing accrues after the prefix
+            k, res = np.zeros(bits.shape), bits
+        else:
+            k = np.floor((bits - self.prefix_bits if self.prefix_ns else bits) / self.cycle_bits)
+            res = bits - k * self.cycle_bits
+            low = res < self.prefix_bits
+            k[low] -= 1
+            res[low] += self.cycle_bits
+            high = res >= self.prefix_bits + self.cycle_bits
+            k[high] += 1
+            res[high] -= self.cycle_bits
+            if self.prefix_ns:  # targets inside the prefix do not fold
+                inside = bits < self.prefix_bits
+                k[inside], res[inside] = 0, bits[inside]
         # searchsorted returns at most len(ris_S), so only 0 can be undershot
         j = np.maximum(np.searchsorted(self.ris_S, res, side="right") - 1, 0)
         dt_ns = (res - self.ris_S[j]) / self.ris_rate[j] * 1e9
-        t_ns = k * float(self.period_ns) + self.ris_t[j] + dt_ns
+        t_ns = k * float(self.cycle_ns) + self.ris_t[j] + dt_ns
         out = t_ns / 1e9
         out[bits > self.total_bits * (1 + 1e-12)] = np.inf
         return out
 
 
 def _haptic_layer(config: SimConfig):
-    """Resolve the latency-critical flow over the whole horizon.
-
-    One period is walked from idle state first.  When it replicates
-    verbatim, its pattern is repeated over a periodic capacity profile.
-    Otherwise the horizon is cut into hyperperiod chunks (see the module
-    docstring): full chunks are memoised on the demand-gate state they enter
-    with and shifted into place, the partial final chunk is walked
-    explicitly, and the capacity profile spans the whole horizon.
+    """Resolve the latency-critical flow over the whole horizon: walk full
+    chunks from an idle gate until their entry state repeats or the horizon
+    runs out (see the module docstring), then the partial final chunk; lay
+    out counts and delays with the cycle repeated in place, and span the
+    capacity profile over the prefix and one cycle (the horizon when no
+    state repeats).
 
     Returns (capacity profile, per-period counts, post-warm-up access
-    delays, mean occupied slots per period).
+    delays, mean occupied slots per period after warm-up).
     """
     radio, haptic = config.radio, config.haptic
-    tti = radio.tti_ns
-    k_p = config.slots_per_period
-    n_periods = config.n_periods
+    tti, k_p, n_periods = radio.tti_ns, config.slots_per_period, config.n_periods
     n_slots = n_periods * k_p
-    reduced = (radio.n_channels - haptic_blocks(radio)) * radio.channel_rate
-    period_sa = period_arrival_offsets_ns(haptic) // tti
-
-    one = _chunk_events(config, period_sa, k_p, 0)
-    blocker = _replication_blocker(config, one)
-    if blocker is None:
-        log.debug(_PATH_RECORD, config.scheme.value, "replicated", "clean", 1, 1, n_periods - 1)
-        occupied = one.occupied()
-        occupied = occupied[occupied < k_p]
-        profile = _CapacityProfile(occupied, k_p, n_periods, tti, radio.total_rate, reduced)
-        tx, dr = len(one.delays_s), len(one.dropped_arrival_slots)
-        counts = np.tile(np.array([[tx, dr]], dtype=np.int64), (n_periods, 1))
-        delays = np.tile(one.delays_s, max(n_periods - 1, 0))
-        return profile, counts, delays, float(len(occupied))
-
     span = math.lcm(k_p, *_grid_periods(config).values())
+    n_full, rest = divmod(n_slots, span)
+    period_sa = period_arrival_offsets_ns(haptic) // tti
     chunk_sa = (np.arange(min(span, n_slots) // k_p, dtype=np.int64)[:, None] * k_p + period_sa).ravel()
-    walked: list[_HapticEvents] = []
-    seen: dict[int, int] = {}  # entry busy -> index into walked
-    order, busy = [], 0
-    for _ in range(n_slots // span):
-        if busy not in seen:
-            seen[busy] = len(walked)
-            walked.append(_chunk_events(config, chunk_sa, span, busy))
-        order.append(seen[busy])
-        busy = max(walked[order[-1]].busy_end - span, 0)
-    rest = n_slots % span
-    if rest:
-        order.append(len(walked))
-        walked.append(_chunk_events(config, chunk_sa[chunk_sa < rest], rest, busy))
-    log.debug(_PATH_RECORD, config.scheme.value, "hyperperiod", blocker, span // k_p,
-              len(walked), len(order) - len(walked))
 
-    def tiled(field: str, shift: int = span) -> np.ndarray:
-        return _tile([getattr(e, field) for e in walked], order, shift)
+    walked, seen, busy = [], {}, 0  # seen: entry busy -> index into walked
+    while len(walked) < n_full and busy not in seen:
+        seen[busy] = len(walked)
+        walked.append(_chunk_events(config, chunk_sa, span, busy))
+        busy = max(walked[-1].busy_end - span, 0)
+    start = seen.get(busy, len(walked))  # the cycle is walked[start:], empty if the horizon came first
+    cycle = len(walked) - start
 
-    tx_slots, dropped_slots = tiled("tx_arrival_slots"), tiled("dropped_arrival_slots")
-    occupied = _sorted_unique(np.concatenate([tiled("data_slots"), tiled("reserved_slots")]))
-    occupied = occupied[occupied < n_slots]
-    profile = _CapacityProfile(occupied, n_slots, 1, tti, radio.total_rate, reduced)
-    counts = np.stack([np.bincount(tx_slots // k_p, minlength=n_periods),
-                       np.bincount(dropped_slots // k_p, minlength=n_periods)], axis=1)
-    per_period_occ = np.bincount(occupied // k_p, minlength=n_periods)
-    occupancy = float(per_period_occ[1:].mean()) if n_periods > 1 else float(per_period_occ.mean())
-    return profile, counts, tiled("delays_s", 0)[tx_slots >= k_p], occupancy
+    def at(c: int) -> int:  # index into walked of full chunk c
+        return c if c < start else start + (c - start) % cycle
+
+    if rest:  # the partial chunk joins walked last
+        walked.append(_chunk_events(config, chunk_sa[chunk_sa < rest], rest, list(seen)[at(n_full)] if cycle else busy))
+    # chunk 0 on its own (its first period is warm-up), the rest of the prefix,
+    # the cycle repeated, its first few chunks again and the partial chunk
+    head = max(start, 1)
+    reps, trail = divmod(n_full - head, cycle) if cycle else (0, 0)
+    block = [at(c) for c in range(head, head + cycle)]
+    runs = [([c], 1) for c in range(1, head)] + [(block, reps), (block[:trail], 1), ([len(walked) - 1], int(rest > 0))]
+    runs = [(idx, n) for idx, n in runs if idx and n] if n_full else []  # else the partial chunk is chunk 0
+
+    def lay(first: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
+        """first, then the parts of the chunks after chunk 0 in horizon order."""
+        blocks = [(first, 1)] + [(np.concatenate([parts[i] for i in idx]), n) for idx, n in runs]
+        out = np.empty((sum(len(a) * n for a, n in blocks),) + first.shape[1:], first.dtype)
+        pos = 0
+        for a, n in blocks:
+            out[pos:pos + len(a) * n].reshape((n,) + a.shape)[...] = a
+            pos += len(a) * n
+        return out
+
+    counts = [np.stack([np.bincount(arrivals // k_p, minlength=e.n_slots // k_p)
+                        for arrivals in (e.tx_arrival_slots, e.dropped_arrival_slots)], axis=1) for e in walked]
+    counts = lay(counts[0], counts)
+    delays = lay(walked[0].delays_s[walked[0].tx_arrival_slots >= k_p], [e.delays_s for e in walked])
+
+    chunks, prefix, end = list(enumerate(walked)), 0, n_slots  # without a cycle: the horizon
+    if cycle:
+        # transmissions can land in later chunks (the carried SR gate, the SPS
+        # boundary grant, the SRR flush grant); leaving out those on slots
+        # reserved there anyway, they reach at most `reach` chunks ahead, so
+        # from start + reach on only cycle chunks spill into a chunk
+        spill = np.concatenate([e.data_slots for e in walked[:start + cycle]])
+        spill = spill[spill >= span]
+        if len(spill):  # reserved slots are the same in every full chunk
+            spill = spill[~np.isin(spill % span, walked[0].reserved_slots, kind="table")]
+        reach = int(spill.max()) // span if len(spill) else 0
+        prefix = start + reach
+        chunks, end = [(c, walked[at(c)]) for c in range(prefix + cycle)], (prefix + cycle) * span
+    slots = np.concatenate([np.concatenate([e.data_slots, e.reserved_slots]) + c * span for c, e in chunks])
+    occ = _sorted_unique(slots[slots < min(end, n_slots)])
+    prefix_slots, cycle_slots = prefix * span, end - prefix * span
+    profile = _CapacityProfile(occ, prefix_slots, cycle_slots, n_slots, tti, radio.total_rate,
+                               (radio.n_channels - haptic_blocks(radio)) * radio.channel_rate)
+    # occupied slots after period 0, the cycle's counted once per completed cycle
+    q = max(n_slots - prefix_slots, 0) // cycle_slots
+    occupied = q * (len(occ) - occ.searchsorted(prefix_slots)) + occ.searchsorted(n_slots - q * cycle_slots)
+    occupancy = int(occupied - occ.searchsorted(k_p)) / (n_periods - 1)
+
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(_PATH_RECORD, config.scheme.value, span // k_p, prefix if cycle else n_full, cycle,
+                  len(walked), _replication_blocker(config, walked[0]) or "clean")
+    return profile, counts, delays, occupancy
 
 
 def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: float,
@@ -411,17 +424,14 @@ def run(config: SimConfig) -> SimReport:
     first period is discarded as warm-up.
     """
     radio, haptic, scheme = config.radio, config.haptic, config.scheme
-    n_periods = config.n_periods
-    n_slots = n_periods * config.slots_per_period
+    n_slots = config.n_periods * config.slots_per_period
     horizon_s = n_slots * radio.tti_ns / 1e9
     warmup_s = haptic.t_p_ns / 1e9
 
     profile, counts, haptic_delays, occupancy = _haptic_layer(config)
     leftover_delays = _background_layer(config, profile, horizon_s, warmup_s)
 
-    post = counts[1:] if n_periods > 1 else counts
-    tx_total = int(post[:, 0].sum())
-    dr_total = int(post[:, 1].sum())
+    tx_total, dr_total = (int(x) for x in counts[1:].sum(axis=0))
     drop_rate = dr_total / (tx_total + dr_total) if (tx_total + dr_total) else 0.0
     slot_bits = haptic_blocks(radio) * radio.channel_rate * radio.tti
     remainder = radio.total_rate * haptic.t_p - slot_bits * occupancy
@@ -462,8 +472,8 @@ def validate_against_walk(config: SimConfig) -> bool:
     granularity: per-period transmitted/dropped counts must match exactly
     on every full period after warm-up (the final period is skipped because
     its tail may still be in flight at the horizon).  Both run the grant
-    kernels of `scheduling`, so this checks the simulator's chunking,
-    replication and per-period bookkeeping, not the grant rules."""
+    kernels of `scheduling`, so this checks the simulator's chunking and
+    per-period bookkeeping, not the grant rules."""
     report = run(config)
     walk = drop_walk(config.scheme, config.radio, config.haptic, slotted=True)
     expected = (walk.transmitted, walk.dropped)

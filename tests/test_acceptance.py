@@ -25,9 +25,9 @@ from hapticsched import (
     leftover_delay_bound,
     remainder_of_service,
     run,
-    validate_against_walk,
 )
 from hapticsched.cli import main
+from test_event_oracle import naive_outcome
 
 S = SchedulingScheme
 TTIS = (0.125e-3, 0.25e-3, 0.5e-3, 1e-3)
@@ -191,16 +191,31 @@ def test_criterion_08_soft_reservation_improves_on_standing_grant():
 
 
 def test_criterion_09_oracle_equivalence_grid():
+    # the per-slot oracle of tests/test_event_oracle.py shares no code with
+    # the simulator's grant kernels or its chunks
     t0 = time.time()
-    ok = True
-    for scheme in (S.DYNAMIC, S.FAST_UPLINK, S.SEMI_PERSISTENT):
-        for tti in TTIS:
-            for t_ib in (1e-3, 1.5e-3, 2e-3, 3e-3):
-                cfg = SimConfig(radio(tti), haptic(t_ib), LEFTOVER, scheme, 12.0, 1)
-                ok &= validate_against_walk(cfg)
+    cases = [SimConfig(radio(tti), haptic(t_ib), LEFTOVER, scheme, 12.0, 1)
+             for scheme in (S.DYNAMIC, S.FAST_UPLINK, S.SEMI_PERSISTENT)
+             for tti in TTIS for t_ib in (1e-3, 1.5e-3, 2e-3, 3e-3)]
+    # off the grid: 2001 slots per period against a 10-slot grant period and
+    # a 4-slot SR period
+    off_grid = HapticTrafficModel(1.0005, 0.2, 2e-3, 50e-3)
+    cases += [SimConfig(radio(0.5e-3), off_grid, LEFTOVER, scheme, 12.0, 1)
+              for scheme in (S.SEMI_PERSISTENT, S.SOFT_RESERVATION)]
+    cases.append(SimConfig(RadioConfig(10, 1e6, 0.5e-3, 2e-3, 5e-3, 1e-4), off_grid, LEFTOVER, S.DYNAMIC, 12.0, 1))
+    mismatched = []
+    for cfg in cases:
+        rep = run(cfg)
+        counts, delays, remainder = naive_outcome(cfg)
+        if not (np.array_equal(rep.haptic_period_counts, counts)
+                and np.array_equal(np.sort(rep.haptic_delays), delays)
+                and rep.remainder_bits_per_period == remainder):
+            mismatched.append(f"{cfg.scheme.value} tti={cfg.radio.tti} t_ib={cfg.haptic.t_ib} t_p={cfg.haptic.t_p}")
     elapsed = time.time() - t0
-    ok &= elapsed < 120.0
-    report(9, ok, f"simulator equals the slotted walk on the 3x4x4 grid ({elapsed:.1f}s)")
+    ok = not mismatched and elapsed < 120.0
+    report(9, ok, f"simulator equals the per-slot oracle (per-period counts, sorted delays, remainder) "
+                  f"on the 3x4x4 grid and {len(cases) - 48} off-grid points ({elapsed:.1f}s)"
+                  + (f"; mismatched: {', '.join(mismatched)}" if mismatched else ""))
 
 
 def test_criterion_10_deterministic_outputs(tmp_path):

@@ -2,7 +2,7 @@
 
 `naive_outcome` implements the four grant rules straight from the model
 notes, one slot at a time, and knows nothing of the simulator's machines,
-its hyperperiod chunks or its period replication:
+its hyperperiod chunks or their cycle:
 
 - DS: the SR goes out at the next SR opportunity, the gate is busy until
   three slots after it, data goes out four slots after it, and the access

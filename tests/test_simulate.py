@@ -5,9 +5,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_event_oracle import configs
+from test_event_oracle import configs, make_config
 
 from hapticsched import (
     ArrivalTimeline,
@@ -101,14 +101,29 @@ class TestOracleEquivalence:
         with pytest.raises(ConfigError, match="horizon"):
             SimConfig(radio(), haptic(), LEFTOVER, S.DYNAMIC, 5.0, 1)
 
+    def test_horizon_guard_counts_whole_periods_on_the_ns_lattice(self):
+        # t_p = 1.0000016 ms snaps to 1,000,002 ns = 2 slots of 500,001 ns; ten
+        # t_p in float seconds is 10,000,016 ns, which holds only 9 periods
+        tti = 500_001e-9
+        r = RadioConfig(10, 1e6, tti, tti, 10 * tti, 1e-4)
+        h = HapticTrafficModel(1.0000016e-3, tti, tti, 1.0000016e-3 - tti)
+        with pytest.raises(ConfigError, match="horizon: must cover at least 10 traffic periods"):
+            SimConfig(r, h, LEFTOVER, S.DYNAMIC, 10 * h.t_p, 1)
+        assert SimConfig(r, h, LEFTOVER, S.DYNAMIC, 10 * 1_000_002e-9, 1).n_periods == 10
+
+    @pytest.mark.parametrize("horizon", [float("inf"), float("nan")])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(ConfigError, match="horizon: must be finite"):
+            SimConfig(radio(), haptic(), LEFTOVER, S.DYNAMIC, horizon, 1)
+
 
 class TestFastSlowAgreement:
     @pytest.mark.parametrize("scheme", list(S))
-    def test_periodic_replication_equals_event_walk(self, scheme, monkeypatch):
+    def test_periodic_replication_equals_event_walk(self, scheme):
+        # one replicated period against every chunk laid over a flat profile
         cfg = sim(scheme, horizon=12.0, seed=11)
         fast = run(cfg)
-        monkeypatch.setattr(simulate_mod, "_replication_blocker", lambda *a: "forced")
-        slow = run(cfg)
+        slow = whole_array_run(cfg, reference_haptic_layer)
         assert np.array_equal(fast.haptic_period_counts, slow.haptic_period_counts)
         assert np.allclose(np.sort(fast.haptic_delays), np.sort(slow.haptic_delays))
         assert np.allclose(fast.leftover_delays, slow.leftover_delays)
@@ -167,22 +182,33 @@ class TestLeftoverSide:
 
 
 class TestCapacityProfile:
-    def test_supply_matches_per_slot_integration(self):
-        # brute-force oracle: integrate slot by slot at 1 us resolution
+    @staticmethod
+    def check_supply_against_per_slot_integration(prefix):
+        # brute-force oracle: integrate slot by slot at 1 us resolution, the
+        # slots after the prefix repeating the 40-slot cycle
         rng = np.random.default_rng(0)
-        occupied = np.sort(rng.choice(40, size=9, replace=False))
+        occupied = np.sort(rng.choice(prefix + 40, size=9 + prefix // 2, replace=False))
         profile = simulate_mod._CapacityProfile(
-            occupied, period_slots=40, repeats=3, tti_ns=1_000_000, total_rate=1e6, reduced_rate=0.2e6
+            occupied, prefix_slots=prefix, cycle_slots=40, horizon_slots=prefix + 120, tti_ns=1_000_000,
+            total_rate=1e6, reduced_rate=0.2e6
         )
         occ = set(occupied.tolist())
-        for t_us in (0, 1, 499, 500, 1000, 39999, 40000, 40001, 95000, 119999):
-            t_ns = t_us * 1000
+        checks = {0, 1, 499, 500, 1000, 12999, 13000, 13001, 39999, 40000, 40001, 52999, 53000, 95000, 119999}
+        for t_us in sorted(checks | {(prefix + 120) * 1000 - 1, (prefix + 120) * 1000}):
             total = 0.0
             for step in range(t_us):
-                slot = (step // 1000) % 40
-                rate = 0.2e6 if slot in occ else 1e6
-                total += rate * 1e-6
-            assert profile.supply_at(np.array([t_ns]))[0] == pytest.approx(total, rel=1e-9, abs=1e-6)
+                slot = step // 1000
+                if slot >= prefix:
+                    slot = prefix + (slot - prefix) % 40
+                total += (0.2e6 if slot in occ else 1e6) * 1e-6
+            assert profile.supply_at(np.array([t_us * 1000]))[0] == pytest.approx(total, rel=1e-9, abs=1e-6)
+        assert profile.total_bits == pytest.approx(total, rel=1e-9, abs=1e-6)
+
+    def test_supply_matches_per_slot_integration(self):
+        self.check_supply_against_per_slot_integration(0)
+
+    def test_supply_with_a_prefix_matches_per_slot_integration(self):
+        self.check_supply_against_per_slot_integration(13)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_segments_equal_a_per_slot_loop(self, seed):
@@ -203,7 +229,7 @@ class TestCapacityProfile:
         if seg_t[-1] < period * tti:
             seg_t.append(period * tti)
             seg_rate.append(full)
-        profile = simulate_mod._CapacityProfile(occupied, period, 2, tti, full, reduced)
+        profile = simulate_mod._CapacityProfile(occupied, 0, period, 2 * period, tti, full, reduced)
         assert np.array_equal(profile.seg_t, np.array(seg_t[:-1], dtype=np.int64))
         assert np.array_equal(profile.seg_rate, np.array(seg_rate))
 
@@ -211,7 +237,8 @@ class TestCapacityProfile:
         rng = np.random.default_rng(1)
         occupied = np.sort(rng.choice(40, size=9, replace=False))
         profile = simulate_mod._CapacityProfile(
-            occupied, period_slots=40, repeats=5, tti_ns=1_000_000, total_rate=1e6, reduced_rate=0.2e6
+            occupied, prefix_slots=0, cycle_slots=40, horizon_slots=200, tti_ns=1_000_000,
+            total_rate=1e6, reduced_rate=0.2e6
         )
         times_ns = rng.integers(0, 5 * 40 * 1_000_000, size=200)
         supply = profile.supply_at(times_ns)
@@ -220,7 +247,8 @@ class TestCapacityProfile:
 
     def test_zero_rate_plateaus_resolve_at_next_rising_segment(self):
         profile = simulate_mod._CapacityProfile(
-            np.array([1]), period_slots=4, repeats=2, tti_ns=1_000_000, total_rate=1e6, reduced_rate=0.0
+            np.array([1]), prefix_slots=0, cycle_slots=4, horizon_slots=8, tti_ns=1_000_000,
+            total_rate=1e6, reduced_rate=0.0
         )
         # one full slot of capacity accrues by t=1ms and stalls until t=2ms
         t = profile.time_of_supply(np.array([1000.0 + 1e-9]))[0]
@@ -228,22 +256,185 @@ class TestCapacityProfile:
 
     def test_targets_past_horizon_are_unreachable(self):
         profile = simulate_mod._CapacityProfile(
-            np.array([], dtype=np.int64), period_slots=4, repeats=2, tti_ns=1_000_000,
+            np.array([], dtype=np.int64), prefix_slots=0, cycle_slots=4, horizon_slots=8, tti_ns=1_000_000,
             total_rate=1e6, reduced_rate=1e6
         )
         assert np.isinf(profile.time_of_supply(np.array([profile.total_bits * 1.001]))[0])
 
+    def test_a_cycle_without_capacity_leaves_the_prefix_reachable(self):
+        # every cycle slot occupied at zero reduced rate: only the prefix's
+        # two free slots supply bits, and nothing past them is reachable
+        profile = simulate_mod._CapacityProfile(
+            np.arange(2, 7), prefix_slots=3, cycle_slots=4, horizon_slots=15, tti_ns=1_000_000,
+            total_rate=1e6, reduced_rate=0.0
+        )
+        assert profile.total_bits == 2000.0
+        assert np.allclose(profile.time_of_supply(np.array([500.0, 1500.0])), [0.5e-3, 1.5e-3])
+        assert np.isinf(profile.time_of_supply(np.array([2000.5]))[0])
 
-def whole_array_run(config):
+
+def tile_gather(parts: list[np.ndarray], order: list[int], span: int) -> np.ndarray:
+    """parts[order[c]] + c * span for every chunk c, laid end to end."""
+    sizes = np.array([len(p) for p in parts], dtype=np.int64)
+    lens = sizes[order]
+    idx = np.repeat((np.cumsum(sizes) - sizes)[order] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+    return np.concatenate(parts)[idx] + np.repeat(np.arange(len(order), dtype=np.int64) * span, lens)
+
+
+class FlatProfile:
+    """The cumulative background capacity as one segment table and one
+    cumulative sum over the whole horizon."""
+
+    def __init__(self, occupied_slots, n_slots, tti_ns, total_rate, reduced_rate):
+        self.period_ns = n_slots * tti_ns
+        occ = np.unique(occupied_slots)
+        seg_t, seg_rate = [0], []
+        for s in occ.tolist():
+            if s * tti_ns > seg_t[-1]:
+                seg_t.append(s * tti_ns)
+                seg_rate.append(total_rate)
+            seg_t.append((s + 1) * tti_ns)
+            seg_rate.append(reduced_rate)
+        if seg_t[-1] < n_slots * tti_ns:
+            seg_t.append(n_slots * tti_ns)
+            seg_rate.append(total_rate)
+        bounds = np.array(seg_t, dtype=np.int64)
+        self.seg_t = bounds[:-1]
+        self.seg_rate = np.array(seg_rate, dtype=float)
+        seg_bits = self.seg_rate * (np.diff(bounds) / 1e9)
+        self.seg_S = np.concatenate([[0.0], np.cumsum(seg_bits)[:-1]])
+        self.total_bits = float(np.sum(seg_bits))
+        rising = self.seg_rate > 0
+        self.ris_t, self.ris_S, self.ris_rate = self.seg_t[rising], self.seg_S[rising], self.seg_rate[rising]
+
+    def supply_at(self, t_ns):
+        k, r = np.divmod(np.asarray(t_ns, dtype=np.int64), self.period_ns)
+        j = np.searchsorted(self.seg_t, r, side="right") - 1
+        return k * self.total_bits + self.seg_S[j] + self.seg_rate[j] * (r - self.seg_t[j]) / 1e9
+
+    def time_of_supply(self, bits):
+        bits = np.asarray(bits, dtype=float)
+        if self.total_bits <= 0 or len(self.ris_S) == 0:
+            return np.full(bits.shape, np.inf)
+        k = np.floor(bits / self.total_bits)
+        res = bits - k * self.total_bits
+        low = res < 0
+        k[low] -= 1
+        res[low] += self.total_bits
+        high = res >= self.total_bits
+        k[high] += 1
+        res[high] -= self.total_bits
+        j = np.maximum(np.searchsorted(self.ris_S, res, side="right") - 1, 0)
+        t_ns = k * float(self.period_ns) + self.ris_t[j] + (res - self.ris_S[j]) / self.ris_rate[j] * 1e9
+        out = t_ns / 1e9
+        out[bits > self.total_bits * (1 + 1e-12)] = np.inf
+        return out
+
+
+def reference_haptic_layer(config):
+    """The latency-critical layer with every chunk of the horizon laid end to
+    end by a gather (full chunks memoised on their entry state, the partial
+    final one walked) and a flat capacity profile over the horizon: the
+    same (profile, counts, post-warm-up delays, occupancy) as the
+    simulator's prefix-and-cycle layout, computed without it."""
+    radio, haptic = config.radio, config.haptic
+    tti = radio.tti_ns
+    k_p = config.slots_per_period
+    n_periods = config.n_periods
+    n_slots = n_periods * k_p
+    span = math.lcm(k_p, *simulate_mod._grid_periods(config).values())
+    period_sa = simulate_mod.period_arrival_offsets_ns(haptic) // tti
+    chunk_sa = (np.arange(min(span, n_slots) // k_p, dtype=np.int64)[:, None] * k_p + period_sa).ravel()
+    walked, seen, order, busy = [], {}, [], 0
+    for _ in range(n_slots // span):
+        if busy not in seen:
+            seen[busy] = len(walked)
+            walked.append(simulate_mod._chunk_events(config, chunk_sa, span, busy))
+        order.append(seen[busy])
+        busy = max(walked[order[-1]].busy_end - span, 0)
+    rest = n_slots % span
+    if rest:
+        order.append(len(walked))
+        walked.append(simulate_mod._chunk_events(config, chunk_sa[chunk_sa < rest], rest, busy))
+
+    def tiled(field, shift=span):
+        return tile_gather([getattr(e, field) for e in walked], order, shift)
+
+    tx_slots, dropped_slots = tiled("tx_arrival_slots"), tiled("dropped_arrival_slots")
+    occupied = np.unique(np.concatenate([tiled("data_slots"), tiled("reserved_slots")]))
+    occupied = occupied[occupied < n_slots]
+    reduced = (radio.n_channels - haptic_blocks(radio)) * radio.channel_rate
+    profile = FlatProfile(occupied, n_slots, tti, radio.total_rate, reduced)
+    counts = np.stack([np.bincount(tx_slots // k_p, minlength=n_periods),
+                       np.bincount(dropped_slots // k_p, minlength=n_periods)], axis=1)
+    occupancy = float(np.bincount(occupied // k_p, minlength=n_periods)[1:].mean())
+    return profile, counts, tiled("delays_s", 0)[tx_slots >= k_p], occupancy
+
+
+class TestPrefixCycleLayoutEqualsFlatReference:
+    @settings(max_examples=80, deadline=None)
+    @given(cfg=configs(), seed=st.integers(0, 2**32 - 1))
+    # t_p = 2001 slots against a 10-slot grant period: 12 periods end mid-chunk
+    @example(cfg=make_config(S.SEMI_PERSISTENT, 500_000, 2001, 400, 16, 400, 1, 10, 12, 0), seed=0)
+    # SRR chunk lcm(7, 3, 16) = 48 periods: the horizon ends before the cycle closes
+    @example(cfg=make_config(S.SOFT_RESERVATION, 1_000_000, 7, 3, 3, 5, 3, 16, 10, 0), seed=1)
+    # DS with k_sr = 4 against 30 slots: data spills across the chunk boundary
+    @example(cfg=make_config(S.DYNAMIC, 1_000_000, 30, 10, 8, 12, 4, 1, 11, 5), seed=2)
+    # DS in 4-slot chunks: the SR for the arrival in slot 3 sends its data two chunks on
+    @example(cfg=make_config(S.DYNAMIC, 1_000_000, 4, 1, 4, 8, 4, 1, 10, 0), seed=3)
+    def test_layer_equals_reference(self, cfg, seed):
+        profile, counts, delays, occupancy = simulate_mod._haptic_layer(cfg)
+        ref, ref_counts, ref_delays, ref_occupancy = reference_haptic_layer(cfg)
+        assert counts.dtype == ref_counts.dtype and np.array_equal(counts, ref_counts)
+        assert np.array_equal(np.sort(delays), np.sort(ref_delays))
+        assert occupancy == ref_occupancy
+        # the flat profile sums every segment of the horizon in one cumsum,
+        # the periodic one adds whole cycles: they agree to float rounding
+        tti, n_slots = cfg.radio.tti_ns, cfg.n_periods * cfg.slots_per_period
+        bits_tol = 1e-12 * ref.total_bits
+        time_tol = bits_tol / ref.ris_rate.min()
+        rng = np.random.default_rng(seed)
+        times = np.concatenate([np.arange(n_slots + 1) * tti, rng.integers(0, n_slots * tti + 1, 300)])
+        assert np.allclose(profile.supply_at(times), ref.supply_at(times), rtol=0, atol=bits_tol)
+        assert profile.total_bits == pytest.approx(ref.total_bits, rel=0, abs=bits_tol)
+        targets = rng.uniform(0, ref.total_bits, 300)
+        assert np.allclose(profile.time_of_supply(targets), ref.time_of_supply(targets), rtol=0, atol=time_tol)
+
+    def test_on_the_grid_the_cycle_is_one_period(self):
+        # the last arrival, in slot 1999, is sent on the grant at the period
+        # boundary: that slot is reserved in the next period anyway
+        late = HapticTrafficModel(1.0, 0.2, 2e-3, 0.7995)
+        cfg = SimConfig(radio(), late, LEFTOVER, S.SEMI_PERSISTENT, 20.0, 1)
+        events = simulate_mod._chunk_events(cfg, simulate_mod.period_arrival_offsets_ns(late) // 500_000, 2000, 0)
+        assert events.data_slots.max() == 2000
+        profile = simulate_mod._haptic_layer(cfg)[0]
+        assert (profile.prefix_ns, profile.cycle_ns) == (0, late.t_p_ns)
+
+    @pytest.mark.parametrize("cfg, args", [
+        (sim(S.SEMI_PERSISTENT, horizon=20.0), ("SPS", 1, 0, 1, 1, "clean")),
+        (make_config(S.DYNAMIC, 1_000_000, 30, 10, 8, 12, 4, 1, 11, 5),
+         ("DS", 2, 1, 1, 2, "t_p is not a multiple of t_sr")),
+        (make_config(S.SOFT_RESERVATION, 1_000_000, 7, 3, 3, 5, 3, 16, 10, 0),
+         ("SRR", 48, 0, 0, 1, "t_p is not a multiple of t_sr")),
+    ])
+    def test_path_record(self, cfg, args, caplog):
+        with caplog.at_level(logging.DEBUG, "hapticsched.simulate"):
+            run(cfg)
+        records = [r for r in caplog.records if r.msg is simulate_mod._PATH_RECORD]
+        assert len(records) == 1 and records[0].args == args
+
+
+def whole_array_run(config, haptic_layer=None):
     """The simulator with its background queue drained in one whole-array
     pass, as it was computed before the block walk: every packet's supply at
-    arrival, one running maximum and one inversion over the full timeline."""
+    arrival, one running maximum and one inversion over the full timeline.
+    haptic_layer defaults to the simulator's own."""
     radio, haptic = config.radio, config.haptic
     n_periods = config.n_periods
     n_slots = n_periods * config.slots_per_period
     horizon_s = n_slots * radio.tti_ns / 1e9
     warmup_s = haptic.t_p_ns / 1e9
-    profile, counts, haptic_delays, occupancy = simulate_mod._haptic_layer(config)
+    profile, counts, haptic_delays, occupancy = (haptic_layer or simulate_mod._haptic_layer)(config)
     timeline = simulate_mod.leftover_arrivals(config.leftover, horizon_s, config.seed)
     arrivals, sizes = timeline.times_s, timeline.sizes_bits
     leftover_delays = np.array([], dtype=float)
@@ -263,7 +454,7 @@ def whole_array_run(config):
                 f"{q_end} at the end): configuration is unstable"
             )
         leftover_delays = (completion - arrivals)[(arrivals >= warmup_s) & finished]
-    post = counts[1:] if n_periods > 1 else counts
+    post = counts[1:]
     tx_total, dr_total = int(post[:, 0].sum()), int(post[:, 1].sum())
     drop_rate = dr_total / (tx_total + dr_total) if (tx_total + dr_total) else 0.0
     slot_bits = haptic_blocks(radio) * radio.channel_rate * radio.tti
@@ -273,10 +464,12 @@ def whole_array_run(config):
     )
 
 
-def assert_reports_identical(got, want):
+def assert_reports_identical(got, want, leftover_atol=0.0):
     for field in dataclasses.fields(want):
         x, y = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(y, np.ndarray):
+        if field.name == "leftover_delays" and leftover_atol:
+            assert x.dtype == y.dtype and x.shape == y.shape and np.allclose(x, y, rtol=0, atol=leftover_atol)
+        elif isinstance(y, np.ndarray):
             assert x.dtype == y.dtype and np.array_equal(x, y), field.name
         else:
             assert x == y, field.name
@@ -298,15 +491,18 @@ def loaded_configs(draw):
 
 class TestBlockWalkEqualsWholeArrayPass:
     @settings(max_examples=80, deadline=None)
-    @given(cfg=loaded_configs(), block=st.sampled_from([1, 2, 7, simulate_mod._BLOCK]), forced=st.booleans())
-    def test_every_field_identical(self, cfg, block, forced):
+    @given(cfg=loaded_configs(), block=st.sampled_from([1, 2, 7, simulate_mod._BLOCK]), reference=st.booleans())
+    def test_every_field_identical(self, cfg, block, reference):
         with mock.patch.object(simulate_mod, "_BLOCK", block):
-            if forced:  # the hyperperiod path, whatever the grids
-                with mock.patch.object(simulate_mod, "_replication_blocker", lambda *a: "forced"):
-                    got, want = run(cfg), whole_array_run(cfg)
-            else:
-                got, want = run(cfg), whole_array_run(cfg)
-        assert_reports_identical(got, want)
+            got = run(cfg)
+        if reference:  # against the flat profile over the horizon, equal to float rounding:
+            # a quarter of the channels at most carries the latency-critical flow, so a
+            # bits error of 1e-12 of the horizon supply moves a completion by less than
+            # 2e-12 of the horizon
+            want = whole_array_run(cfg, reference_haptic_layer)
+            assert_reports_identical(got, want, leftover_atol=2e-12 * want.horizon_s)
+        else:
+            assert_reports_identical(got, whole_array_run(cfg))
 
     @pytest.mark.parametrize("block", [1, 2, 7, simulate_mod._BLOCK])
     def test_blowup_raises_the_same_error(self, block):
