@@ -126,7 +126,6 @@ class _HapticEvents:
     delays_s: np.ndarray
     dropped_arrival_slots: np.ndarray
     busy_end: int                # first slot at which a new SR procedure could start
-    n_slots: int
 
 
 def _sorted_unique(slots: np.ndarray) -> np.ndarray:
@@ -174,7 +173,6 @@ def _chunk_events(config: SimConfig, sa: np.ndarray, n_slots: int, busy: int) ->
         np.concatenate([grant[served] - granted[served] + 4, delay]) * tti / 1e9,
         np.concatenate([granted[superseded], gated[rejected]]),
         busy,
-        n_slots,
     )
 
 
@@ -235,11 +233,8 @@ class _CapacityProfile:
 
     def supply_at(self, t_ns) -> np.ndarray:
         t = np.asarray(t_ns, dtype=np.int64)
-        if self.prefix_ns:  # times inside the prefix do not fold
-            k = np.maximum(t - self.prefix_ns, 0) // self.cycle_ns
-            r = t - k * self.cycle_ns
-        else:
-            k, r = np.divmod(t, self.cycle_ns)
+        k = np.maximum(t - self.prefix_ns, 0) // self.cycle_ns  # times inside the prefix do not fold
+        r = t - k * self.cycle_ns
         j = np.searchsorted(self.seg_t, r, side="right") - 1
         return k * self.cycle_bits + self.seg_S[j] + self.seg_rate[j] * (r - self.seg_t[j]) / 1e9
 
@@ -252,18 +247,15 @@ class _CapacityProfile:
             return np.full(bits.shape, np.inf)
         if self.cycle_bits <= 0:  # nothing accrues after the prefix
             k, res = np.zeros(bits.shape), bits
-        else:
-            k = np.floor((bits - self.prefix_bits if self.prefix_ns else bits) / self.cycle_bits)
+        else:  # targets inside the prefix do not fold
+            k = np.maximum(np.floor((bits - self.prefix_bits) / self.cycle_bits), 0)
             res = bits - k * self.cycle_bits
-            low = res < self.prefix_bits
+            low = (res < self.prefix_bits) & (k > 0)
             k[low] -= 1
             res[low] += self.cycle_bits
             high = res >= self.prefix_bits + self.cycle_bits
             k[high] += 1
             res[high] -= self.cycle_bits
-            if self.prefix_ns:  # targets inside the prefix do not fold
-                inside = bits < self.prefix_bits
-                k[inside], res[inside] = 0, bits[inside]
         # searchsorted returns at most len(ris_S), so only 0 can be undershot
         j = np.maximum(np.searchsorted(self.ris_S, res, side="right") - 1, 0)
         dt_ns = (res - self.ris_S[j]) / self.ris_rate[j] * 1e9
@@ -323,8 +315,9 @@ def _haptic_layer(config: SimConfig):
             pos += len(a) * n
         return out
 
-    counts = [np.stack([np.bincount(arrivals // k_p, minlength=e.n_slots // k_p)
-                        for arrivals in (e.tx_arrival_slots, e.dropped_arrival_slots)], axis=1) for e in walked]
+    counts = [np.stack([np.bincount(arrivals // k_p, minlength=n // k_p)  # the partial chunk is last
+                        for arrivals in (e.tx_arrival_slots, e.dropped_arrival_slots)], axis=1)
+              for e, n in zip(walked, [span] * (len(walked) - 1) + [rest or span])]
     counts = lay(counts[0], counts)
     delays = lay(walked[0].delays_s[walked[0].tx_arrival_slots >= k_p], [e.delays_s for e in walked])
 
