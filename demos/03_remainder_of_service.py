@@ -20,8 +20,9 @@ for spacing_ms in (1.0, 1.5, 2.0, 2.5, 3.0):
 
 print("""
 SPS consumes 200 slots per period (one every 5 ms) no matter how fast the
-source actually runs, so its column is flat.  SRR reserves only the 40
-in-burst grants plus the 16 sparse sends and keeps the rest.  DS and FA
+source actually runs, so its column is flat.  SRR claims only the 40
+in-burst grants, the flush grant at the burst end and the 16 sparse sends,
+and keeps the rest.  DS and FA
 track the transmitted packet count, so slower sources leave more capacity,
 and the two coincide wherever both are lossless.
 """)

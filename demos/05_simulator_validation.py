@@ -41,9 +41,9 @@ for scheme in S:
           f"p90 {q90 * 1e3:5.2f} ms <= bound {bound90 * 1e3:5.2f} ms: {'yes' if q90 <= bound90 else 'NO'}")
 
 print("""
-The soft-reservation remainder sits one slot below the closed form: the
-standing grant is held through the first instant past the burst end when
-burst data is still pending, a slot the per-period counters do not charge.
-Everything else matches exactly; the delay bound covers the measured tail
-with a comfortable margin.
+Every measured remainder equals the closed form, soft reservation included:
+its standing grant is held through the first instant past the burst end
+while burst data is still pending, and the per-period charge counts that
+flush grant.  The delay bound covers the measured tail with a comfortable
+margin.
 """)

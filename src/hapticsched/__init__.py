@@ -17,8 +17,6 @@ from .curves import (
     horizontal_distance,
     leftover_delay_bound,
     leftover_delay_bound_details,
-    leftover_service,
-    long_run_rate,
     max_stable_theta,
 )
 from .errors import ConfigError, InfeasibleError
@@ -31,21 +29,14 @@ from .radio import (
     haptic_access_delay,
     haptic_blocks,
 )
-from .scheduling import (
-    DropReport,
-    drop_walk,
-    effective_burst_count,
-    remainder_of_service,
-)
+from .scheduling import DropReport, drop_walk, remainder_of_service
 from .simulate import SimConfig, SimReport, empirical_quantile, run, validate_against_walk
 from .traffic import (
     ArrivalTimeline,
     HapticTrafficModel,
     LeftoverTrafficModel,
     SizeDistribution,
-    haptic_arrivals,
     leftover_arrivals,
-    period_counters,
 )
 
 __version__ = "0.1.0"

@@ -20,16 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError
-from .radio import (
-    RadioConfig,
-    SchedulingScheme,
-    ds_grant_latency,
-    fa_grant_latency,
-    haptic_blocks,
-)
-from .scheduling import effective_burst_count
+from .radio import RadioConfig, SchedulingScheme, haptic_blocks
+from .scheduling import period_charge
 from .traffic import HapticTrafficModel, LeftoverTrafficModel
-from .units import to_ns
 
 
 @dataclass
@@ -50,13 +43,7 @@ class ArrivalCurve:
     def rate(self) -> float:
         """Equivalent rate of the flow at this theta, bits/s.  Decreases to
         lambda * sigma as theta approaches zero."""
-        return self.lambda_rate * math.expm1(self.theta * self.sigma) / self.theta
-
-    def alpha(self, t):
-        return self.rate() * np.asarray(t, dtype=float)
-
-    def violation_bound(self, x: float) -> float:
-        return math.exp(-self.theta * x)
+        return effective_bandwidth(self.lambda_rate, self.sigma, self.theta)
 
 
 def effective_bandwidth(lambda_rate: float, sigma: float, theta: float) -> float:
@@ -68,35 +55,16 @@ class LeftoverServiceCurve:
 
     slots_per_period is the per-period slot consumption charged inside the
     window; slots_excess is the extra one-burst allowance charged once.
+    Both come from scheduling.period_charge.
     """
 
     def __init__(self, scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel):
         self.scheme = scheme
         self.radio = radio
         self.haptic = haptic
-        self.blocks = haptic_blocks(radio)
-        r_nb = (haptic.t_p_ns - haptic.t_b_ns) // haptic.t_nb_ns
-        if scheme is SchedulingScheme.DYNAMIC:
-            r_b = effective_burst_count(to_ns(ds_grant_latency(radio)), haptic)
-            self.slots_per_period = r_b + r_nb
-            self.slots_excess = r_b
-        elif scheme is SchedulingScheme.FAST_UPLINK:
-            r_b = effective_burst_count(to_ns(fa_grant_latency(radio)), haptic)
-            self.slots_per_period = r_b + r_nb
-            self.slots_excess = r_b
-        elif scheme is SchedulingScheme.SEMI_PERSISTENT:
-            self.slots_per_period = int(haptic.t_p_ns // radio.t_pg_ns)
-            self.slots_excess = int(haptic.t_b_ns // radio.t_pg_ns)
-        elif scheme is SchedulingScheme.SOFT_RESERVATION:
-            r_bg = int(haptic.t_b_ns // radio.t_pg_ns)
-            self.slots_per_period = r_bg + int(r_nb)
-            self.slots_excess = r_bg
-        else:
-            raise ConfigError(f"unknown scheme {scheme!r}")
-        self.slots_per_period = int(self.slots_per_period)
-        self.slots_excess = int(self.slots_excess)
+        self.slots_per_period, self.slots_excess = period_charge(scheme, radio, haptic)
         # bits lost per claimed slot, and the two fixed charges
-        self.slot_bits = self.blocks * radio.channel_rate * radio.tti
+        self.slot_bits = haptic_blocks(radio) * radio.channel_rate * radio.tti
         self.period_bits = self.slot_bits * self.slots_per_period
         self.offset_bits = self.slot_bits * (self.slots_excess + 2)
         self.t_p = haptic.t_p
@@ -128,15 +96,6 @@ class LeftoverServiceCurve:
                 f"(consumption {consumption!r} b/s >= total rate {self.radio.total_rate!r} b/s)"
             )
         return rate
-
-
-def leftover_service(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel, u):
-    """Convenience evaluation of the leftover envelope at window length u."""
-    return LeftoverServiceCurve(scheme, radio, haptic).value(u)
-
-
-def long_run_rate(curve: LeftoverServiceCurve) -> float:
-    return curve.long_run_rate()
 
 
 @functools.lru_cache(maxsize=1024)
@@ -209,7 +168,6 @@ class DelayBoundResult:
 
     scheme: SchedulingScheme
     epsilon: float
-    convention: str
     theta: float
     x_bits: float
     d0_s: float
@@ -230,26 +188,18 @@ def leftover_delay_bound_details(
     haptic: HapticTrafficModel,
     leftover: LeftoverTrafficModel,
     epsilon: float,
-    convention: str = "violation",
 ) -> DelayBoundResult:
-    """Delay bound for the background traffic with outage target epsilon.
-
-    The default convention makes the tail bound equal epsilon (violation
-    probability epsilon).  The alternative 'complement' convention sets
-    the tail bound to 1 - epsilon instead; it gives a far smaller level
-    and is kept only for reproducing that reading.
-    """
+    """Delay bound for the background traffic with outage target epsilon:
+    the level x at which the tail bound exp(-theta * x) equals epsilon, and
+    the time the envelope takes to clear it."""
     if not (0 < epsilon < 1):
         raise ConfigError(f"epsilon must be in (0, 1), got {epsilon!r}")
-    if convention not in ("violation", "complement"):
-        raise ConfigError(f"unknown outage convention {convention!r}")
     curve = LeftoverServiceCurve(scheme, radio, haptic)
     rate = curve.long_run_rate()
     theta = max_stable_theta(leftover, rate)
-    target = epsilon if convention == "violation" else 1.0 - epsilon
-    x = math.log(1.0 / target) / theta
+    x = math.log(1.0 / epsilon) / theta
     d0 = crossing_time(curve, x)
-    return DelayBoundResult(scheme, epsilon, convention, theta, x, d0, rate)
+    return DelayBoundResult(scheme, epsilon, theta, x, d0, rate)
 
 
 def leftover_delay_bound(
@@ -258,9 +208,8 @@ def leftover_delay_bound(
     haptic: HapticTrafficModel,
     leftover: LeftoverTrafficModel,
     epsilon: float,
-    convention: str = "violation",
 ) -> float:
-    return leftover_delay_bound_details(scheme, radio, haptic, leftover, epsilon, convention).d0_s
+    return leftover_delay_bound_details(scheme, radio, haptic, leftover, epsilon).d0_s
 
 
 def horizontal_distance(arrival: ArrivalCurve, x: float, curve: LeftoverServiceCurve, horizon: float) -> float:

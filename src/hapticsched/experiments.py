@@ -42,9 +42,9 @@ DEFAULT_SEEDS = (1,)
 
 _SECTIONS = {
     "radio": {"n_channels", "total_rate", "tti", "t_sr", "t_pg", "haptic_demand_norm"},
-    "haptic": {"t_p", "t_b", "t_ib", "t_nb", "worst_case_excess_burst"},
+    "haptic": {"t_p", "t_b", "t_ib", "t_nb"},
     "leftover": {"lambda_rate", "sigma", "size_distribution"},
-    "snc": {"epsilon", "outage_convention"},
+    "snc": {"epsilon"},
     "experiment": {"horizon", "seeds", "schemes", "workers"},
 }
 
@@ -74,7 +74,6 @@ class LoadedConfig:
     haptic: HapticTrafficModel
     leftover: LeftoverTrafficModel
     epsilon: float
-    outage_convention: str
     horizon: float
     seeds: tuple[int, ...]
     schemes: tuple[SchedulingScheme, ...]
@@ -101,14 +100,15 @@ class LoadedConfig:
         return replace(self, radio=radio, haptic=haptic)
 
     def config_hash(self, scheme: SchedulingScheme | None = None, seed: int | None = None) -> str:
+        # True and "violation" fill the slots of two removed settings, so
+        # existing result files keep matching their configurations
         payload = {
             "radio": [self.radio.n_channels, self.radio.total_rate, self.radio.tti,
                       self.radio.t_sr, self.radio.t_pg, self.radio.haptic_demand_norm],
-            "haptic": [self.haptic.t_p, self.haptic.t_b, self.haptic.t_ib, self.haptic.t_nb,
-                       self.haptic.worst_case_excess_burst],
+            "haptic": [self.haptic.t_p, self.haptic.t_b, self.haptic.t_ib, self.haptic.t_nb, True],
             "leftover": [self.leftover.lambda_rate, self.leftover.sigma,
                          self.leftover.size_distribution.value],
-            "snc": [self.epsilon, self.outage_convention],
+            "snc": [self.epsilon, "violation"],
             "scheme": scheme.value if scheme else None,
             "seed": seed,
         }
@@ -168,8 +168,6 @@ def load_config(path=None) -> LoadedConfig:
             t_b=parse_time(get("haptic", "t_b", repr(DEFAULT_T_B)), "haptic.t_b"),
             t_ib=parse_time(get("haptic", "t_ib", repr(DEFAULT_T_IB)), "haptic.t_ib"),
             t_nb=parse_time(get("haptic", "t_nb", repr(DEFAULT_T_NB)), "haptic.t_nb"),
-            worst_case_excess_burst=str(get("haptic", "worst_case_excess_burst", "true")).lower()
-            in ("1", "true", "yes", "on"),
         )
     except (ConfigError, ValueError) as exc:
         problems.extend(getattr(exc, "problems", [str(exc)]))
@@ -187,11 +185,8 @@ def load_config(path=None) -> LoadedConfig:
     except ValueError:
         problems.append(f"snc.epsilon: cannot parse {get('snc', 'epsilon')!r}")
         epsilon = DEFAULT_EPSILON
-    convention = str(get("snc", "outage_convention", "violation")).strip()
     if not (0 < epsilon < 1):
         problems.append(f"snc.epsilon: must be in (0, 1), got {epsilon!r}")
-    if convention not in ("violation", "complement"):
-        problems.append(f"snc.outage_convention: must be 'violation' or 'complement', got {convention!r}")
 
     horizon = DEFAULT_HORIZON
     try:
@@ -227,7 +222,6 @@ def load_config(path=None) -> LoadedConfig:
         haptic=haptic,
         leftover=leftover,
         epsilon=epsilon,
-        outage_convention=convention,
         horizon=horizon,
         seeds=seeds,
         schemes=tuple(schemes),
@@ -289,9 +283,7 @@ def _fmt(value) -> str:
 
 def _bound_fields(point: LoadedConfig, scheme: SchedulingScheme, epsilon: float) -> tuple[list, str]:
     try:
-        details = leftover_delay_bound_details(
-            scheme, point.radio, point.haptic, point.leftover, epsilon, point.outage_convention
-        )
+        details = leftover_delay_bound_details(scheme, point.radio, point.haptic, point.leftover, epsilon)
         return [details.theta, details.x_bits, details.d0_s, details.long_run_rate_bps], "ok"
     except InfeasibleError:
         return ["", "", "", ""], "infeasible"

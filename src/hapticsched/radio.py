@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError
-from .units import ceil_div, to_ns, to_s
+from .units import ceil_div, positive_ns, to_ns, to_s
 
 
 class SchedulingScheme(Enum):
@@ -57,10 +57,10 @@ class RadioConfig:
             problems.append(f"radio.n_channels: must be an integer >= 1, got {self.n_channels!r}")
         if self.total_rate <= 0:
             problems.append(f"radio.total_rate: must be > 0, got {self.total_rate!r}")
-        if self.tti <= 0:
-            problems.append(f"radio.tti: must be > 0, got {self.tti!r}")
-        if self.t_sr <= 0:
-            problems.append(f"radio.t_sr: must be > 0, got {self.t_sr!r}")
+        for name in ("tti", "t_sr"):
+            value = getattr(self, name)
+            if not positive_ns(value):
+                problems.append(f"radio.{name}: must be at least 1 ns, got {value!r}")
         if self.tti > 0 and self.t_pg < self.tti:
             problems.append(f"radio.t_pg: must be >= radio.tti, got t_pg={self.t_pg!r}, tti={self.tti!r}")
         if self.haptic_demand_norm < 0:

@@ -1,6 +1,6 @@
 """Per-scheme grant mechanics at the analytic level: the two grant rules
 as integer-tick kernels (shared with the simulator), the exact one-period
-drop walk, the effective burst transmission count and remainder of service.
+drop walk, the per-period slot charge and the remainder of service.
 
 Drop semantics follow the latest-data rule: at each transmission
 opportunity only the freshest pending packet is sent and every packet it
@@ -23,7 +23,7 @@ from .radio import (
     haptic_access_delay,
     haptic_blocks,
 )
-from .traffic import HapticTrafficModel, period_arrival_offsets_ns, period_counters
+from .traffic import HapticTrafficModel, period_arrival_offsets_ns
 from .units import ceil_div, to_ns
 
 
@@ -103,29 +103,52 @@ def demand_gate(slots: np.ndarray, k_sr: int | None, busy: int = 0):
     return acc, data[acc], data[acc] - slots[acc] + 2, busy
 
 
-def _gate_stride(gate_ns: int, spacing_ns: int) -> int:
-    """A demand gate of gate_ns accepts every k-th of evenly spaced
-    arrivals, the boundary spacing == gate counting as free."""
-    return max(1, ceil_div(gate_ns, spacing_ns))
+def _gated(gate_ns: int, window_ns: int, spacing_ns: int) -> int:
+    """Arrivals a demand gate of gate_ns accepts out of the ceil(window /
+    spacing) evenly spaced ones of a window: every k-th, the boundary
+    spacing == gate counting as free."""
+    return ceil_div(ceil_div(window_ns, spacing_ns), max(1, ceil_div(gate_ns, spacing_ns)))
 
 
-def _demand_sent(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel) -> int:
-    """Transmissions per period of the unslotted DS or FA walk.
+def period_charge(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel) -> tuple[int, int]:
+    """Slots the latency-critical flow claims in one traffic period, and the
+    share of them one extra burst adds: (slots_per_period, slots_excess).
 
-    Worst-case gating is evaluated per regime: the burst stream and the
-    sparse stream are each paced by their own spacing, so the boundary
-    packet at the burst edge is not charged against the burst's worst-case
-    grant wait.  Each regime is evenly spaced, so its accepted count is
-    ceil(arrivals / stride); the regimes hold ceil(t_b / t_ib) and
-    ceil((t_p - t_b) / t_nb) arrivals, as period_arrival_offsets_ns lays
-    them out.
+    This is the one per-period count behind the remainder of service, the
+    leftover envelope and the unslotted DS/FA walk.  It is a closed form
+    over the arrivals period_arrival_offsets_ns lays out, ceil(t_b / t_ib)
+    in the burst and ceil((t_p - t_b) / t_nb) after it, and runs no walk.
+
+    DS and FA claim one slot per accepted arrival.  Each regime is gated
+    against its own spacing, so the boundary packet at the burst edge is
+    not charged against the burst's worst-case grant wait; the excess is
+    the accepted burst share.  SPS claims every grant: t_p // t_pg, and
+    t_b // t_pg in a burst.  SRR claims every
+    grant inside the burst, the flush grant when the last burst arrival's
+    grant lands at or past the burst end (one at the period end is the
+    next period's first reserved grant), and one slot per sparse arrival
+    the DS gate accepts.  Its excess is the reserved burst grants only:
+    the envelope's two edge slots cover the flush grant.
     """
-    fast = scheme is SchedulingScheme.FAST_UPLINK
-    gate = to_ns(fa_grant_latency(radio) if fast else ds_grant_latency(radio))
-    n_burst = ceil_div(haptic.t_b_ns, haptic.t_ib_ns)
-    n_sparse = ceil_div(haptic.t_p_ns - haptic.t_b_ns, haptic.t_nb_ns)
-    return (ceil_div(n_burst, _gate_stride(gate, haptic.t_ib_ns))
-            + ceil_div(n_sparse, _gate_stride(gate, haptic.t_nb_ns)))
+    t_p, t_b = haptic.t_p_ns, haptic.t_b_ns
+    if scheme is SchedulingScheme.SEMI_PERSISTENT:
+        t_pg = radio.t_pg_ns
+        return t_p // t_pg, t_b // t_pg
+    t_ib, t_nb = haptic.t_ib_ns, haptic.t_nb_ns
+    if scheme is SchedulingScheme.SOFT_RESERVATION:
+        t_pg = radio.t_pg_ns
+        grants = ceil_div(t_b, t_pg)
+        flush_grant = ((ceil_div(t_b, t_ib) - 1) * t_ib // t_pg + 1) * t_pg
+        flush = int(t_b <= flush_grant < t_p)
+        return grants + flush + _gated(to_ns(ds_grant_latency(radio)), t_p - t_b, t_nb), grants
+    if scheme is SchedulingScheme.DYNAMIC:
+        gate = to_ns(ds_grant_latency(radio))
+    elif scheme is SchedulingScheme.FAST_UPLINK:
+        gate = to_ns(fa_grant_latency(radio))
+    else:
+        raise ConfigError(f"unknown scheme {scheme!r}")
+    burst = _gated(gate, t_b, t_ib)
+    return burst + _gated(gate, t_p - t_b, t_nb), burst
 
 
 def _grant_delays(ticks: np.ndarray, period: int, extra: int, tick_ns: int) -> np.ndarray:
@@ -169,7 +192,7 @@ def drop_walk(
             k_sr = None if fast else _in_slots(radio.t_sr_ns, tti, "radio.t_sr")
             delays = _gate_delays(offs // tti, k_sr, tti)
         else:
-            delays = np.full(_demand_sent(scheme, radio, haptic), haptic_access_delay(scheme, radio))
+            delays = np.full(period_charge(scheme, radio, haptic)[0], haptic_access_delay(scheme, radio))
         return _make_report(scheme, arrivals, delays)
 
     if scheme is SchedulingScheme.SEMI_PERSISTENT:
@@ -190,39 +213,21 @@ def drop_walk(
             s_delays = _gate_delays(sa[n_burst:], _in_slots(radio.t_sr_ns, tti, "radio.t_sr"), tti)
         else:
             b_delays = _grant_delays(offs[:n_burst], radio.t_pg_ns, 4 * tti, 1)
-            sent = ceil_div(arrivals - n_burst, _gate_stride(to_ns(ds_grant_latency(radio)), haptic.t_nb_ns))
+            sent = _gated(to_ns(ds_grant_latency(radio)), haptic.t_p_ns - haptic.t_b_ns, haptic.t_nb_ns)
             s_delays = np.full(sent, haptic_access_delay(scheme, radio, in_burst=False))
         return _make_report(scheme, arrivals, np.concatenate([b_delays, s_delays]))
 
     raise ConfigError(f"unknown scheme {scheme!r}")
 
 
-def effective_burst_count(gate_ns: int, haptic: HapticTrafficModel) -> int:
-    """Closed-form transmissions per burst when a pre-transmission wait of
-    gate_ns gates acceptance: only every k-th arrival gets through, with the
-    boundary spacing == gate counting as schedulable."""
-    k = _gate_stride(gate_ns, haptic.t_ib_ns)
-    return int(haptic.t_b_ns // (k * haptic.t_ib_ns))
-
-
 def remainder_of_service(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel) -> float:
-    """Capacity left to background traffic in one traffic period, bits.
+    """Capacity left to background traffic in one traffic period, bits: the
+    full capacity less the slots period_charge counts.
 
     Demand-driven schemes consume one slot per transmitted packet.  A
     standing grant consumes every reserved slot whether used or not; soft
     reservation reserves only inside bursts and pays per transmission in
     the sparse stretch.
     """
-    m = haptic_blocks(radio)
-    _, _, r_nb, _ = period_counters(haptic, 0.0)
-    if scheme in (SchedulingScheme.DYNAMIC, SchedulingScheme.FAST_UPLINK):
-        consumed = _demand_sent(scheme, radio, haptic)
-    elif scheme is SchedulingScheme.SEMI_PERSISTENT:
-        consumed = haptic.t_p_ns // radio.t_pg_ns
-    elif scheme is SchedulingScheme.SOFT_RESERVATION:
-        consumed = haptic.t_b_ns // radio.t_pg_ns + r_nb
-    else:
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    slot_bits = m * radio.channel_rate * radio.tti
-    return radio.total_rate * haptic.t_p - slot_bits * consumed
-
+    slot_bits = haptic_blocks(radio) * radio.channel_rate * radio.tti
+    return radio.total_rate * haptic.t_p - slot_bits * period_charge(scheme, radio, haptic)[0]

@@ -66,7 +66,7 @@ class SimConfig:
         tti = self.radio.tti_ns
         if not math.isfinite(self.horizon):
             problems.append(f"horizon: must be finite, got {self.horizon!r}")
-        elif self.haptic.t_p_ns == 0 or self.n_periods < 10:
+        elif self.n_periods < 10:
             problems.append(
                 f"horizon: must cover at least 10 traffic periods, got {self.horizon!r} s "
                 f"with t_p={self.haptic.t_p!r} s"

@@ -10,7 +10,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
-from .units import to_ns
+from .units import positive_ns, to_ns
 
 
 @dataclass(frozen=True)
@@ -18,20 +18,19 @@ class HapticTrafficModel:
     """Periodic bursty arrivals: each period of length t_p opens with a
     burst of duration t_b (spacing t_ib inside it) and continues with
     sparse arrivals every t_nb until the period ends.
-
-    worst_case_excess_burst controls whether analysis timelines append one
-    extra burst at the right edge, the adversarial alignment used when
-    constructing service envelopes.
     """
 
     t_p: float
     t_b: float
     t_ib: float
     t_nb: float
-    worst_case_excess_burst: bool = True
 
     def __post_init__(self):
         problems = []
+        for name in ("t_p", "t_b", "t_ib", "t_nb"):
+            value = getattr(self, name)
+            if value > 0 and not positive_ns(value):
+                problems.append(f"haptic.{name}: must be at least 1 ns, got {value!r}")
         if not (0 < self.t_b < self.t_p):
             problems.append(f"haptic.t_b: must satisfy 0 < t_b < haptic.t_p, got t_b={self.t_b!r}, t_p={self.t_p!r}")
         if not (0 < self.t_ib <= self.t_b):
@@ -130,28 +129,6 @@ def period_arrival_offsets_ns(model: HapticTrafficModel) -> np.ndarray:
     return np.concatenate([burst, sparse])
 
 
-def haptic_arrivals(model: HapticTrafficModel, horizon: float) -> ArrivalTimeline:
-    """Deterministic latency-critical timeline over [0, horizon).
-
-    Sizes are symbolic (one resource-block group per packet, recorded as 1).
-    When worst_case_excess_burst is set, one extra burst is laid over the
-    final t_b of the horizon and merged with the periodic arrivals.
-    """
-    if horizon <= 0:
-        raise ConfigError(f"horizon must be > 0, got {horizon!r}")
-    horizon_ns = to_ns(horizon)
-    offs = period_arrival_offsets_ns(model)
-    starts = np.arange(0, horizon_ns, model.t_p_ns, dtype=np.int64)
-    times = (starts[:, None] + offs[None, :]).ravel()
-    times = times[times < horizon_ns]
-    if model.worst_case_excess_burst:
-        eb_start = max(horizon_ns - model.t_b_ns, 0)
-        extra = eb_start + np.arange(0, model.t_b_ns, model.t_ib_ns, dtype=np.int64)
-        times = np.concatenate([times, extra[extra < horizon_ns]])
-    times = np.unique(times)
-    return ArrivalTimeline(times / 1e9, np.ones(len(times)), horizon)
-
-
 def leftover_arrivals(model: LeftoverTrafficModel, horizon: float, seed: int) -> ArrivalTimeline:
     """Seeded Poisson background timeline on [0, horizon].
 
@@ -183,18 +160,3 @@ def leftover_arrivals(model: LeftoverTrafficModel, horizon: float, seed: int) ->
         sizes = rng.exponential(model.sigma, len(times))
         sizes = np.maximum(sizes, np.finfo(float).tiny)
     return ArrivalTimeline(times, sizes, horizon)
-
-
-def period_counters(model: HapticTrafficModel, duration: float) -> tuple[int, int, int, int]:
-    """Whole-period and per-period arrival counts over a duration.
-
-    Returns (full periods, burst arrivals per period, sparse arrivals per
-    period, total arrivals per period), all by exact floor division on the
-    ns lattice.
-    """
-    if duration < 0:
-        raise ConfigError(f"duration must be >= 0, got {duration!r}")
-    n_p = to_ns(duration) // model.t_p_ns
-    r_b = model.t_b_ns // model.t_ib_ns
-    r_nb = (model.t_p_ns - model.t_b_ns) // model.t_nb_ns
-    return int(n_p), int(r_b), int(r_nb), int(r_b + r_nb)

@@ -19,9 +19,6 @@ from hapticsched import (
     effective_bandwidth,
     horizontal_distance,
     leftover_delay_bound,
-    leftover_delay_bound_details,
-    leftover_service,
-    long_run_rate,
     max_stable_theta,
 )
 
@@ -51,8 +48,8 @@ class TestCurveShape:
 
     def test_demand_schemes_identical_above_both_gates(self):
         u = np.linspace(0.0, 3.0, 1000)
-        ds = leftover_service(S.DYNAMIC, radio(), haptic(2.5e-3), u)
-        fa = leftover_service(S.FAST_UPLINK, radio(), haptic(2.5e-3), u)
+        ds = LeftoverServiceCurve(S.DYNAMIC, radio(), haptic(2.5e-3)).value(u)
+        fa = LeftoverServiceCurve(S.FAST_UPLINK, radio(), haptic(2.5e-3)).value(u)
         assert np.allclose(ds, fa, rtol=1e-12)
 
     @pytest.mark.parametrize("scheme", list(S))
@@ -89,7 +86,7 @@ class TestLongRunRate:
 
     def test_standing_grant_rate_matches_secant_slope(self):
         curve = LeftoverServiceCurve(S.SEMI_PERSISTENT, radio(), haptic())
-        rate = long_run_rate(curve)
+        rate = curve.long_run_rate()
         assert rate == pytest.approx(980000.0, rel=1e-12)
         u = 1000.0
         secant = (curve.value(u + 1.0) - curve.value(u)) / 1.0
@@ -206,14 +203,6 @@ class TestDelayBound:
             for d in (0.5e-4, 1e-4, 2e-4)
         ]
         assert bounds == sorted(bounds)
-
-    def test_complement_convention_is_reproducible_and_smaller(self):
-        details = leftover_delay_bound_details(S.DYNAMIC, radio(), haptic(), LEFTOVER, 1e-5)
-        literal = leftover_delay_bound_details(
-            S.DYNAMIC, radio(), haptic(), LEFTOVER, 1e-5, convention="complement"
-        )
-        assert literal.x_bits == pytest.approx(math.log(1 / (1 - 1e-5)) / literal.theta)
-        assert literal.d0_s < details.d0_s
 
     def test_near_certain_outage_approaches_zero_level_crossing(self):
         curve = LeftoverServiceCurve(S.DYNAMIC, radio(), haptic())

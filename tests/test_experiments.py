@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from hapticsched import (
@@ -86,6 +89,14 @@ class TestConfigLoading:
         tracking = load_config(None).at_point(tti=0.25e-3)
         assert tracking.radio.t_pg == 2.5e-3
         assert tracking.radio.t_sr == 0.25e-3
+
+    def test_readme_ini_block_loads_as_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 1
+        path = tmp_path / "documented.ini"
+        path.write_text(blocks[0])
+        assert load_config(path).config_hash() == load_config(None).config_hash()
 
     def test_parse_time_errors(self):
         with pytest.raises(ConfigError, match="horizon"):
@@ -214,6 +225,17 @@ class TestCli:
     def test_non_finite_horizon_exit_code(self, capsys, horizon):
         assert main(["simulate", "--horizon", horizon]) == 1
         assert "configuration error: --horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["bound", "drop", "remainder", "simulate", "sweep"])
+    @pytest.mark.parametrize("field", ["radio.tti", "radio.t_sr", "haptic.t_ib", "haptic.t_nb"])
+    def test_time_rounding_to_zero_ns_exit_code(self, tmp_path, capsys, verb, field):
+        section, key = field.split(".")
+        cfg = tmp_path / "tiny.ini"
+        cfg.write_text(f"[{section}]\n{key} = 0.0000001 ms\n")
+        args = ["--param", "t_ib", "--values", "1ms,2ms"] if verb == "sweep" else []
+        assert main([verb, "--config", str(cfg), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and f"{field}: must be at least 1 ns" in err
 
     def test_compare_passes_on_safe_config(self, tmp_path):
         cfg = tmp_path / "c.ini"

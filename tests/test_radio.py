@@ -109,6 +109,13 @@ class TestValidation:
         cfg = radio(0.5e-3, t_sr=0.25e-3)
         assert cfg.t_sr == 0.25e-3
 
+    @pytest.mark.parametrize("kw", [dict(tti=1e-10), dict(tti=0.5e-3, t_sr=1e-10), dict(tti=0.5e-9)])
+    def test_time_rounding_to_zero_ns_rejected(self, kw):
+        # 0.5 ns rounds half to even, to 0 ns
+        field = "t_sr" if "t_sr" in kw else "tti"
+        with pytest.raises(ConfigError, match=f"radio.{field}: must be at least 1 ns"):
+            radio(**kw)
+
     def test_all_violations_reported(self):
         with pytest.raises(ConfigError) as err:
             RadioConfig(0, -1.0, 0.5e-3, 0.5e-3, 5e-3, 1e-4)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from test_event_oracle import configs, naive_outcome
+from test_traffic import enumerate_expected
 
 from hapticsched import (
     ConfigError,
@@ -12,13 +13,12 @@ from hapticsched import (
     SchedulingScheme,
     drop_walk,
     ds_grant_latency,
-    effective_burst_count,
     fa_grant_latency,
     haptic_access_delay,
-    haptic_arrivals,
     haptic_blocks,
     remainder_of_service,
 )
+from hapticsched.scheduling import period_charge
 from hapticsched.traffic import period_arrival_offsets_ns
 from hapticsched.units import ceil_div, to_ns, to_s
 
@@ -130,9 +130,9 @@ class TestDropWalkSoftReservation:
 class TestWalkConsistency:
     @pytest.mark.parametrize("scheme", list(S))
     def test_arrival_count_matches_timeline(self, scheme):
-        h = haptic(2e-3, worst_case_excess_burst=False)
+        h = haptic(2e-3)
         report = drop_walk(scheme, radio(0.5e-3), h)
-        assert report.arrivals == len(haptic_arrivals(h, h.t_p))
+        assert report.arrivals == len(enumerate_expected(h))
 
     def test_report_identity(self):
         report = drop_walk(S.SEMI_PERSISTENT, radio(0.5e-3), haptic(2e-3))
@@ -147,34 +147,40 @@ class TestWalkConsistency:
 
 
 class TestEffectiveBurstCount:
+    """The burst share of the per-period charge: the excess-burst allowance
+    of the DS and FA envelopes."""
+
     def test_boundary_spacing_counts_as_schedulable(self):
-        assert effective_burst_count(ds_gate(radio(0.5e-3)), haptic(2e-3)) == 100
+        assert ds_gate(radio(0.5e-3)) == 2_000_000
+        assert period_charge(S.DYNAMIC, radio(0.5e-3), haptic(2e-3))[1] == 100
 
     def test_every_second_packet_served(self):
-        assert effective_burst_count(ds_gate(radio(0.5e-3)), haptic(1.5e-3)) == 66
+        # 134 burst arrivals 1.5 ms apart behind a 2 ms gate
+        assert period_charge(S.DYNAMIC, radio(0.5e-3), haptic(1.5e-3))[1] == 67
 
     def test_every_third_packet_served(self):
-        assert effective_burst_count(2_000_000, haptic(0.9e-3)) == 74
+        # 223 burst arrivals 0.9 ms apart behind a 2 ms gate
+        assert period_charge(S.DYNAMIC, radio(0.5e-3), haptic(0.9e-3))[1] == 75
 
-    def test_tracks_walk_within_one_packet(self):
+    def test_equals_walk_burst_share(self):
+        # against the plain-loop walk below, over the burst arrivals alone
         cfg = radio(0.5e-3)
-        for t_ib in grid(1.0, 3.0):
-            h = haptic(t_ib)
-            closed = effective_burst_count(ds_gate(cfg), h)
-            walk_burst = drop_walk(S.DYNAMIC, cfg, h).transmitted - 16
-            assert abs(closed - walk_burst) <= 1, t_ib
-            k = max(1, -(-2_000_000 // h.t_ib_ns))
-            if h.t_b_ns % (k * h.t_ib_ns) == 0:
-                assert closed == walk_burst, t_ib
+        for scheme, gate in ((S.DYNAMIC, ds_gate(cfg)), (S.FAST_UPLINK, to_ns(fa_grant_latency(cfg)))):
+            for t_ib in grid(1.0, 3.0):
+                h = haptic(t_ib)
+                offs = period_arrival_offsets_ns(h)
+                sent, _ = ref_walk_demand(offs[offs < h.t_b_ns], gate, 0.0)
+                assert period_charge(scheme, cfg, h)[1] == len(sent), (scheme, t_ib)
 
 
 class TestRemainder:
     def test_standing_grant_versus_soft_reservation(self):
-        # 200 reserved slots against 40 burst grants + 16 sparse sends
+        # 200 reserved slots against 40 burst grants, the flush grant at the
+        # burst end (the 198 ms arrival's) and 16 sparse sends
         sps = remainder_of_service(S.SEMI_PERSISTENT, radio(0.5e-3), haptic(2e-3))
         srr = remainder_of_service(S.SOFT_RESERVATION, radio(0.5e-3), haptic(2e-3))
         assert sps == pytest.approx(980000.0, rel=1e-12)
-        assert srr == pytest.approx(994400.0, rel=1e-12)
+        assert srr == pytest.approx(994300.0, rel=1e-12)
         assert srr > sps
 
     def test_reserved_schemes_ignore_burst_spacing(self):

@@ -12,99 +12,69 @@ from hapticsched import (
     HapticTrafficModel,
     LeftoverTrafficModel,
     SizeDistribution,
-    haptic_arrivals,
     leftover_arrivals,
-    period_counters,
 )
+from hapticsched.traffic import period_arrival_offsets_ns
 
 TABLE = dict(t_p=1.0, t_b=0.2, t_ib=2e-3, t_nb=50e-3)
 
 
-def enumerate_expected(model, horizon):
-    """Independent oracle: build the timeline with plain while-loops."""
-    times = set()
-    k = 0
-    while k * model.t_p_ns < round(horizon * 1e9):
-        base = k * model.t_p_ns
-        t = 0
-        while t < model.t_b_ns:
-            times.add(base + t)
-            t += model.t_ib_ns
-        t = model.t_b_ns
-        while t < model.t_p_ns:
-            times.add(base + t)
-            t += model.t_nb_ns
-        k += 1
-    if model.worst_case_excess_burst:
-        start = max(round(horizon * 1e9) - model.t_b_ns, 0)
-        t = 0
-        while t < model.t_b_ns:
-            times.add(start + t)
-            t += model.t_ib_ns
-    return sorted(t for t in times if t < round(horizon * 1e9))
+def enumerate_expected(model):
+    """Independent oracle: one period's arrival offsets in ns, built with
+    plain while-loops."""
+    times = []
+    t = 0
+    while t < model.t_b_ns:
+        times.append(t)
+        t += model.t_ib_ns
+    t = model.t_b_ns
+    while t < model.t_p_ns:
+        times.append(t)
+        t += model.t_nb_ns
+    return times
+
+
+def burst_and_sparse(model):
+    offs = period_arrival_offsets_ns(model)
+    n_burst = int(np.searchsorted(offs, model.t_b_ns))
+    return n_burst, len(offs) - n_burst
 
 
 class TestHapticArrivals:
     def test_one_period_counts(self):
-        model = HapticTrafficModel(**TABLE, worst_case_excess_burst=False)
-        tl = haptic_arrivals(model, 1.0)
-        assert len(tl) == 116  # 100 burst + 16 sparse, from the enumeration oracle
-        assert np.array_equal(np.round(tl.times_s * 1e9).astype(int), enumerate_expected(model, 1.0))
+        model = HapticTrafficModel(**TABLE)
+        offs = period_arrival_offsets_ns(model)
+        assert len(offs) == 116  # 100 burst + 16 sparse, from the enumeration oracle
+        assert offs.tolist() == enumerate_expected(model)
 
     def test_single_arrival_burst(self):
-        model = HapticTrafficModel(t_p=1.0, t_b=0.2, t_ib=0.2, t_nb=50e-3, worst_case_excess_burst=False)
-        tl = haptic_arrivals(model, 1.0)
-        burst_times = tl.times_s[tl.times_s < 0.2]
-        assert list(burst_times) == [0.0]
+        model = HapticTrafficModel(t_p=1.0, t_b=0.2, t_ib=0.2, t_nb=50e-3)
+        offs = period_arrival_offsets_ns(model)
+        assert offs[offs < model.t_b_ns].tolist() == [0]
 
     def test_partial_horizon(self):
-        model = HapticTrafficModel(**TABLE, worst_case_excess_burst=False)
-        assert len(haptic_arrivals(model, 0.1)) == 50
-
-    def test_excess_burst_merges_with_periodic_arrivals(self):
-        model = HapticTrafficModel(**TABLE, worst_case_excess_burst=True)
-        tl = haptic_arrivals(model, 1.0)
-        expected = enumerate_expected(model, 1.0)
-        assert len(tl) == len(expected)
-        assert np.array_equal(np.round(tl.times_s * 1e9).astype(int), expected)
-        assert np.all(np.diff(tl.times_s) > 0)
-
-    def test_invariant_whole_periods(self):
-        model = HapticTrafficModel(**TABLE, worst_case_excess_burst=False)
-        _, _, _, r_p = period_counters(model, 0.0)
-        for k in (1, 2, 5):
-            assert len(haptic_arrivals(model, k * model.t_p)) == k * r_p
+        # the first 0.1 s of a period holds 50 burst arrivals
+        offs = period_arrival_offsets_ns(HapticTrafficModel(**TABLE))
+        assert np.searchsorted(offs, 100_000_000) == 50
 
     def test_invariant_non_integral_spacings_bounded(self):
-        # ceil-vs-floor slack: at most two extra arrivals per period
-        model = HapticTrafficModel(t_p=1.0, t_b=0.2, t_ib=2.3e-3, t_nb=49e-3, worst_case_excess_burst=False)
-        _, _, _, r_p = period_counters(model, 0.0)
-        for k in (1, 3):
-            count = len(haptic_arrivals(model, k * model.t_p))
-            assert k * r_p <= count <= k * (r_p + 2)
+        # ceil-vs-floor slack: at most two more arrivals than the floor counts
+        model = HapticTrafficModel(t_p=1.0, t_b=0.2, t_ib=2.3e-3, t_nb=49e-3)
+        floor = model.t_b_ns // model.t_ib_ns + (model.t_p_ns - model.t_b_ns) // model.t_nb_ns
+        offs = period_arrival_offsets_ns(model)
+        assert floor <= len(offs) <= floor + 2
+        assert offs.tolist() == enumerate_expected(model)
 
 
 class TestCounters:
     def test_table_defaults(self):
-        model = HapticTrafficModel(**TABLE)
-        assert period_counters(model, 2.5) == (2, 100, 16, 116)
-
-    def test_short_duration_has_no_whole_period(self):
-        model = HapticTrafficModel(**TABLE)
-        assert period_counters(model, 0.5)[0] == 0
+        assert burst_and_sparse(HapticTrafficModel(**TABLE)) == (100, 16)
 
     def test_faster_burst_spacing(self):
         model = HapticTrafficModel(t_p=1.0, t_b=0.2, t_ib=1e-3, t_nb=50e-3)
-        assert period_counters(model, 1.0)[1] == 200
-
-    def test_monotone_in_duration_antitone_in_spacing(self):
-        model = HapticTrafficModel(**TABLE)
-        n = [period_counters(model, d)[0] for d in (0.0, 1.0, 2.0, 3.5)]
-        assert n == sorted(n)
-        r = [
-            period_counters(HapticTrafficModel(t_p=1.0, t_b=0.2, t_ib=t, t_nb=50e-3), 1.0)[1]
-            for t in (1e-3, 1.5e-3, 2e-3, 3e-3)
-        ]
+        assert burst_and_sparse(model)[0] == 200
+        r = [burst_and_sparse(HapticTrafficModel(t_p=1.0, t_b=0.2, t_ib=t, t_nb=50e-3))[0]
+             for t in (1e-3, 1.5e-3, 2e-3, 3e-3)]
         assert r == sorted(r, reverse=True)
 
 
@@ -231,6 +201,11 @@ class TestModelValidation:
     def test_burst_spacing_above_burst_rejected(self):
         with pytest.raises(ConfigError, match="t_ib"):
             HapticTrafficModel(t_p=1.0, t_b=0.2, t_ib=0.3, t_nb=50e-3)
+
+    @pytest.mark.parametrize("field", ["t_p", "t_b", "t_ib", "t_nb"])
+    def test_time_rounding_to_zero_ns_rejected(self, field):
+        with pytest.raises(ConfigError, match=f"haptic.{field}: must be at least 1 ns"):
+            HapticTrafficModel(**dict(TABLE, **{field: 1e-10}))
 
     def test_leftover_requires_positive_rate(self):
         with pytest.raises(ConfigError):
