@@ -110,6 +110,24 @@ def _gated(gate_ns: int, window_ns: int, spacing_ns: int) -> int:
     return ceil_div(ceil_div(window_ns, spacing_ns), max(1, ceil_div(gate_ns, spacing_ns)))
 
 
+def _sparse_send_at(t_ns: int, radio: RadioConfig, haptic: HapticTrafficModel) -> bool:
+    """Whether an SRR sparse arrival accepted by the DS gate transmits in the
+    slot at t_ns (t_b <= t_ns < t_b + t_pg).  Sends sit 4 TTIs past an SR
+    opportunity, so most instants are ruled out by one modulo; otherwise
+    the gate is stepped from the first sparse arrival, one accepted arrival
+    at a time, exactly as the slotted DS rule runs it."""
+    tti, t_sr, t_b, t_nb = radio.tti_ns, radio.t_sr_ns, haptic.t_b_ns, haptic.t_nb_ns
+    if (t_ns - 4 * tti) % t_sr:
+        return False
+    j, send = 0, -1
+    while t_b + j * t_nb < haptic.t_p_ns and send < t_ns:
+        sr = ceil_div((t_b + j * t_nb) // tti * tti, t_sr) * t_sr
+        send = sr + 4 * tti
+        # the next arrival in a slot at or past sr + 3 TTIs reopens the gate
+        j = ceil_div(ceil_div(sr + 3 * tti, tti) * tti - t_b, t_nb)
+    return send == t_ns
+
+
 def period_charge(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel) -> tuple[int, int]:
     """Slots the latency-critical flow claims in one traffic period, and the
     share of them one extra burst adds: (slots_per_period, slots_excess).
@@ -126,9 +144,10 @@ def period_charge(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTr
     t_b // t_pg in a burst.  SRR claims every
     grant inside the burst, the flush grant when the last burst arrival's
     grant lands at or past the burst end (one at the period end is the
-    next period's first reserved grant), and one slot per sparse arrival
-    the DS gate accepts.  Its excess is the reserved burst grants only:
-    the envelope's two edge slots cover the flush grant.
+    next period's first reserved grant, one on a sparse send's slot shares
+    that slot), and one slot per sparse arrival the DS gate accepts.  Its
+    excess is the reserved burst grants only: the envelope's two edge slots
+    cover the flush grant.
     """
     t_p, t_b = haptic.t_p_ns, haptic.t_b_ns
     if scheme is SchedulingScheme.SEMI_PERSISTENT:
@@ -139,7 +158,7 @@ def period_charge(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTr
         t_pg = radio.t_pg_ns
         grants = ceil_div(t_b, t_pg)
         flush_grant = ((ceil_div(t_b, t_ib) - 1) * t_ib // t_pg + 1) * t_pg
-        flush = int(t_b <= flush_grant < t_p)
+        flush = int(t_b <= flush_grant < t_p and not _sparse_send_at(flush_grant, radio, haptic))
         return grants + flush + _gated(to_ns(ds_grant_latency(radio)), t_p - t_b, t_nb), grants
     if scheme is SchedulingScheme.DYNAMIC:
         gate = to_ns(ds_grant_latency(radio))

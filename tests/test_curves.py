@@ -73,11 +73,22 @@ class TestCurveShape:
         assert np.all(srr.value(u) >= sps.value(u))
 
     def test_reserved_schemes_independent_of_burst_spacing(self):
+        # SPS at any spacing; SRR only where the last burst arrival's grant
+        # lands in the same place, here the 200 ms burst end (see below)
         u = np.linspace(0.0, 3.0, 501)
-        for scheme in (S.SEMI_PERSISTENT, S.SOFT_RESERVATION):
-            curves = [LeftoverServiceCurve(scheme, radio(), haptic(t)).value(u) for t in (1e-3, 2e-3, 3e-3)]
-            assert np.array_equal(curves[0], curves[1])
-            assert np.array_equal(curves[1], curves[2])
+        for scheme, spacings in ((S.SEMI_PERSISTENT, (1e-3, 2e-3, 3e-3, 97e-3)), (S.SOFT_RESERVATION, (1e-3, 2e-3, 3e-3))):
+            curves = [LeftoverServiceCurve(scheme, radio(), haptic(t)).value(u) for t in spacings]
+            for other in curves[1:]:
+                assert np.array_equal(curves[0], other)
+
+    def test_soft_reservation_charges_the_flush_grant_only_past_the_burst(self):
+        # at 2 ms the last burst arrival (198 ms) waits for the grant at the
+        # 200 ms burst end; at 97 ms it is at 194 ms, served at 195 ms
+        flushed = LeftoverServiceCurve(S.SOFT_RESERVATION, radio(), haptic(2e-3))
+        inside = LeftoverServiceCurve(S.SOFT_RESERVATION, radio(), haptic(97e-3))
+        assert flushed.slots_per_period - inside.slots_per_period == 1
+        assert flushed.slots_excess == inside.slots_excess
+        assert flushed.period_bits - inside.period_bits == inside.slot_bits
 
 
 class TestLongRunRate:

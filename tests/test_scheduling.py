@@ -184,6 +184,8 @@ class TestRemainder:
         assert srr > sps
 
     def test_reserved_schemes_ignore_burst_spacing(self):
+        # SRR's flush grant is charged at all three spacings: the last burst
+        # arrival waits for the grant at the burst end
         for scheme in (S.SEMI_PERSISTENT, S.SOFT_RESERVATION):
             values = {remainder_of_service(scheme, radio(0.5e-3), haptic(t)) for t in (1e-3, 2e-3, 3e-3)}
             assert len(values) == 1

@@ -150,10 +150,12 @@ class TestLeftoverSide:
     # about one draw in seven qualifies, and about one SRR draw in a hundred
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(cfg=configs())
-    # SRR with the flush grant at the burst end, and with the last burst
-    # arrival served by a grant inside the burst
+    # SRR with the flush grant at the burst end, with the last burst
+    # arrival served by a grant inside the burst, and with the flush grant
+    # (slot 24) on the slot the first sparse arrival (slot 20) sends in
     @example(cfg=make_config(S.SOFT_RESERVATION, 500_000, 20, 8, 4, 24, 1, 4, 10, 0))
     @example(cfg=make_config(S.SOFT_RESERVATION, 500_000, 20, 6, 12, 28, 1, 4, 10, 0))
+    @example(cfg=make_config(S.SOFT_RESERVATION, 500_000, 40, 20, 4, 40, 1, 8, 10, 0))
     def test_remainder_and_envelope_charge_the_simulated_slots(self, cfg):
         """Where one period repeats verbatim and the slotted walk sends what
         the unslotted one does, the per-period charge is what the simulator
