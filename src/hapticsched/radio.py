@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import ConfigError
 from .units import ceil_div, positive_ns, to_ns, to_s
@@ -74,15 +75,15 @@ class RadioConfig:
                 f"{self.n_channels} channels exist (demand too large for this TTI)"
             )
 
-    @property
+    @cached_property
     def tti_ns(self) -> int:
         return to_ns(self.tti)
 
-    @property
+    @cached_property
     def t_sr_ns(self) -> int:
         return to_ns(self.t_sr)
 
-    @property
+    @cached_property
     def t_pg_ns(self) -> int:
         return to_ns(self.t_pg)
 

@@ -113,11 +113,11 @@ def _gated(gate_ns: int, window_ns: int, spacing_ns: int) -> int:
 def _sparse_send_at(t_ns: int, radio: RadioConfig, haptic: HapticTrafficModel) -> bool:
     """Whether an SRR sparse arrival accepted by the DS gate transmits in the
     slot at t_ns (t_b <= t_ns < t_b + t_pg).  Sends sit 4 TTIs past an SR
-    opportunity, so most instants are ruled out by one modulo; otherwise
-    the gate is stepped from the first sparse arrival, one accepted arrival
-    at a time, exactly as the slotted DS rule runs it."""
+    opportunity and past the burst end, so most instants are ruled out at
+    once; otherwise the gate is stepped from the first sparse arrival, one
+    accepted arrival at a time, exactly as the slotted DS rule runs it."""
     tti, t_sr, t_b, t_nb = radio.tti_ns, radio.t_sr_ns, haptic.t_b_ns, haptic.t_nb_ns
-    if (t_ns - 4 * tti) % t_sr:
+    if t_ns < t_b + 4 * tti or (t_ns - 4 * tti) % t_sr:
         return False
     j, send = 0, -1
     while t_b + j * t_nb < haptic.t_p_ns and send < t_ns:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -43,19 +44,19 @@ class HapticTrafficModel:
         if problems:
             raise ConfigError(problems)
 
-    @property
+    @cached_property
     def t_p_ns(self) -> int:
         return to_ns(self.t_p)
 
-    @property
+    @cached_property
     def t_b_ns(self) -> int:
         return to_ns(self.t_b)
 
-    @property
+    @cached_property
     def t_ib_ns(self) -> int:
         return to_ns(self.t_ib)
 
-    @property
+    @cached_property
     def t_nb_ns(self) -> int:
         return to_ns(self.t_nb)
 
