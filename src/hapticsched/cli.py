@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .errors import ConfigError, InfeasibleError
 from .experiments import ExperimentSpec, linear_grid, load_config, parse_time, run_experiment
@@ -55,21 +56,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         loaded = load_config(args.config)
-        schemes = loaded.schemes
+        overrides = {}
         if args.scheme is not None:
-            schemes = tuple(
+            overrides["schemes"] = tuple(
                 SchedulingScheme.parse(token) for token in args.scheme.split(",") if token.strip()
             )
-        seeds = loaded.seeds
         if args.seed is not None:
             try:
-                seeds = tuple(int(s) for s in args.seed.split(",") if s.strip())
+                overrides["seeds"] = tuple(int(s) for s in args.seed.split(",") if s.strip())
             except ValueError:
                 raise ConfigError(f"--seed: must be a comma-separated integer list, got {args.seed!r}") from None
-        epsilon = args.epsilon if args.epsilon is not None else loaded.epsilon
-        horizon = loaded.horizon
+        if args.epsilon is not None:
+            overrides["epsilon"] = args.epsilon
         if getattr(args, "horizon", None) is not None:
-            horizon = parse_time(args.horizon, "--horizon")
+            overrides["horizon"] = parse_time(args.horizon, "--horizon")
+        loaded = replace(loaded, **overrides)
 
         sweep_param = None
         sweep_values = None
@@ -87,16 +88,7 @@ def main(argv=None) -> int:
                 raise ConfigError("sweep: provide --param with --values or --from/--to/--steps")
 
         spec = ExperimentSpec(
-            mode=args.mode,
-            loaded=loaded,
-            schemes=schemes,
-            epsilon=epsilon,
-            seeds=seeds,
-            horizon=horizon,
-            out=args.out,
-            sweep_param=sweep_param,
-            sweep_values=sweep_values,
-            workers=loaded.workers,
+            mode=args.mode, loaded=loaded, out=args.out, sweep_param=sweep_param, sweep_values=sweep_values
         )
         return run_experiment(spec)
     except ConfigError as exc:

@@ -173,14 +173,6 @@ class DelayBoundResult:
     d0_s: float
     long_run_rate_bps: float
 
-    CSV_HEADER = "scheme,tti_s,t_ib_s,epsilon,theta,x_bits,d0_s,long_run_rate_bps"
-
-    def csv_row(self, radio: RadioConfig, haptic: HapticTrafficModel) -> str:
-        return (
-            f"{self.scheme.value},{radio.tti!r},{haptic.t_ib!r},{self.epsilon!r},"
-            f"{self.theta!r},{self.x_bits!r},{self.d0_s!r},{self.long_run_rate_bps!r}"
-        )
-
 
 def leftover_delay_bound_details(
     scheme: SchedulingScheme,

@@ -22,8 +22,8 @@ from pathlib import Path
 from .curves import leftover_delay_bound_details
 from .errors import ConfigError, InfeasibleError
 from .radio import RadioConfig, SchedulingScheme
-from .scheduling import DropReport, drop_walk, remainder_of_service
-from .simulate import SimConfig, SimReport, empirical_quantile, run as run_simulation
+from .scheduling import drop_walk, remainder_of_service
+from .simulate import SimConfig, empirical_quantile, run as run_simulation
 from .traffic import HapticTrafficModel, LeftoverTrafficModel, SizeDistribution
 
 DEFAULT_TTI = 0.5e-3
@@ -47,9 +47,6 @@ _SECTIONS = {
     "snc": {"epsilon"},
     "experiment": {"horizon", "seeds", "schemes", "workers"},
 }
-
-COMPARE_EPSILONS = (1e-1, 1e-2)   # statistically checkable targets for compare mode
-
 
 def parse_time(text: str, field: str) -> float:
     """Parse a time value with an optional ms/s suffix into seconds."""
@@ -87,13 +84,11 @@ class LoadedConfig:
         radio = self.radio
         haptic = self.haptic
         if tti is not None:
-            radio = RadioConfig(
-                n_channels=radio.n_channels,
-                total_rate=radio.total_rate,
+            radio = replace(
+                radio,
                 tti=tti,
                 t_sr=tti if self.t_sr_tracks_tti else radio.t_sr,
                 t_pg=10 * tti if self.t_pg_tracks_tti else radio.t_pg,
-                haptic_demand_norm=radio.haptic_demand_norm,
             )
         if t_ib is not None:
             haptic = replace(haptic, t_ib=t_ib)
@@ -231,24 +226,36 @@ def load_config(path=None) -> LoadedConfig:
     )
 
 
+# Each verb's columns between scheme,tti_s,t_ib_s and config_hash: the whole
+# CSV contract.  simulate's remainder_bits is the simulated one.
+_ANALYTIC = ("epsilon", "drop_rate", "remainder_bits", "theta", "x_bits", "d0_s", "long_run_rate_bps", "status")
+COLUMNS = {
+    "bound": ("epsilon", "theta", "x_bits", "d0_s", "long_run_rate_bps", "status"),
+    "drop": ("arrivals", "transmitted", "dropped", "drop_rate", "max_access_delay_s"),
+    "remainder": ("remainder_bits",),
+    "simulate": ("seed", "haptic_drop_rate", "haptic_delay_max_s", "leftover_p99_s", "remainder_bits"),
+    "sweep": _ANALYTIC,
+    "compare": _ANALYTIC + ("seed", "sim_drop_rate", "walk_drop_rate_slotted", "sim_p90_s", "d0_eps0.1_s",
+                            "sim_p99_s", "d0_eps0.01_s", "verdict"),
+}
+_BOUND = ("theta", "x_bits", "d0_s", "long_run_rate_bps")
+# compare's statistically checkable outage targets and the columns they fill
+_COMPARE_CHECKS = ((1e-1, "sim_p90_s", "d0_eps0.1_s"), (1e-2, "sim_p99_s", "d0_eps0.01_s"))
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     mode: str
     loaded: LoadedConfig
-    schemes: tuple[SchedulingScheme, ...]
-    epsilon: float
-    seeds: tuple[int, ...]
-    horizon: float
     out: str | None = None
     sweep_param: str | None = None
     sweep_values: tuple[float, ...] | None = None
-    workers: int = 1
 
     def __post_init__(self):
         problems = []
-        if self.mode not in ("bound", "drop", "remainder", "simulate", "sweep", "compare"):
+        if self.mode not in COLUMNS:
             problems.append(f"mode: unknown mode {self.mode!r}")
-        if not self.schemes:
+        if not self.loaded.schemes:
             problems.append("schemes: at least one scheduling scheme is required")
         if self.mode in ("sweep", "compare"):
             if self.sweep_param not in ("t_ib", "tti"):
@@ -281,6 +288,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _largest(delays) -> float:
+    return float(delays.max()) if len(delays) else 0.0
+
+
+def _quantile(delays, p: float) -> float:
+    return empirical_quantile(delays, p) if len(delays) else float("nan")
+
+
 def _bound_fields(point: LoadedConfig, scheme: SchedulingScheme, epsilon: float) -> tuple[list, str]:
     try:
         details = leftover_delay_bound_details(scheme, point.radio, point.haptic, point.leftover, epsilon)
@@ -289,111 +304,72 @@ def _bound_fields(point: LoadedConfig, scheme: SchedulingScheme, epsilon: float)
         return ["", "", "", ""], "infeasible"
 
 
-def _sweep_point_rows(args) -> list[str]:
-    point, schemes, epsilon, mode, seeds, horizon = args
+def _point_rows(args) -> list[dict]:
+    """A verb's rows at one grid point, each a dict keyed by column.  Each
+    verb computes only what its columns show."""
+    point, mode = args
     rows = []
-    for scheme in schemes:
-        walk = drop_walk(scheme, point.radio, point.haptic)
-        remainder = remainder_of_service(scheme, point.radio, point.haptic)
-        bound, status = _bound_fields(point, scheme, epsilon)
-        base = [
-            scheme.value, point.radio.tti, point.haptic.t_ib, epsilon,
-            walk.drop_rate, remainder, *bound, status,
-        ]
-        if mode == "sweep":
-            rows.append(",".join(_fmt(v) for v in base) + f",{point.config_hash(scheme)}")
+    for scheme in point.schemes:
+        row = {"scheme": scheme.value, "tti_s": point.radio.tti, "t_ib_s": point.haptic.t_ib,
+               "epsilon": point.epsilon}
+        if mode in ("drop", "sweep", "compare"):
+            walk = drop_walk(scheme, point.radio, point.haptic)
+            row["drop_rate"] = walk.drop_rate
+        if mode == "drop":
+            row.update(arrivals=walk.arrivals, transmitted=walk.transmitted, dropped=walk.dropped,
+                       max_access_delay_s=_largest(walk.per_packet_delays))
+        if mode in ("remainder", "sweep", "compare"):
+            row["remainder_bits"] = remainder_of_service(scheme, point.radio, point.haptic)
+        if mode in ("bound", "sweep", "compare"):
+            bound, row["status"] = _bound_fields(point, scheme, point.epsilon)
+            row.update(zip(_BOUND, bound))
+        if mode not in ("simulate", "compare"):
+            row["config_hash"] = point.config_hash(scheme)
+            rows.append(row)
             continue
-        walk_slotted = drop_walk(scheme, point.radio, point.haptic, slotted=True)
-        for seed in seeds:
-            sim = run_simulation(SimConfig(point.radio, point.haptic, point.leftover, scheme, horizon, seed))
-            checks = []
-            sim_cols = [seed, sim.haptic_drop_rate, walk_slotted.drop_rate]
-            checks.append(sim.haptic_drop_rate == walk_slotted.drop_rate)
-            for eps in COMPARE_EPSILONS:
-                b, b_status = _bound_fields(point, scheme, eps)
-                if len(sim.leftover_delays):
-                    q = empirical_quantile(sim.leftover_delays, 1 - eps)
-                else:
-                    q = float("nan")
-                sim_cols.extend([q, b[2] if b_status == "ok" else ""])
-                if b_status == "ok" and len(sim.leftover_delays):
-                    checks.append(q <= b[2])
-            verdict = "pass" if all(checks) else "fail"
-            if status == "infeasible":
-                verdict = "infeasible"
-            row = base + sim_cols + [verdict]
-            rows.append(",".join(_fmt(v) for v in row) + f",{point.config_hash(scheme, seed)}")
+        if mode == "compare":
+            walk_slotted = drop_walk(scheme, point.radio, point.haptic, slotted=True)
+        for seed in point.seeds:
+            sim = run_simulation(SimConfig(point.radio, point.haptic, point.leftover, scheme, point.horizon, seed))
+            delays = sim.leftover_delays
+            sim_row = dict(row, seed=seed, config_hash=point.config_hash(scheme, seed))
+            if mode == "simulate":
+                sim_row.update(haptic_drop_rate=sim.haptic_drop_rate, haptic_delay_max_s=_largest(sim.haptic_delays),
+                               leftover_p99_s=_quantile(delays, 0.99), remainder_bits=sim.remainder_bits_per_period)
+            else:
+                sim_row.update(sim_drop_rate=sim.haptic_drop_rate, walk_drop_rate_slotted=walk_slotted.drop_rate)
+                checks = [sim.haptic_drop_rate == walk_slotted.drop_rate]
+                for eps, q_column, d0_column in _COMPARE_CHECKS:
+                    bound, status = _bound_fields(point, scheme, eps)
+                    sim_row[q_column], sim_row[d0_column] = _quantile(delays, 1 - eps), bound[2]
+                    if status == "ok" and len(delays):
+                        checks.append(sim_row[q_column] <= bound[2])
+                verdict = "pass" if all(checks) else "fail"
+                sim_row["verdict"] = "infeasible" if row["status"] == "infeasible" else verdict
+            rows.append(sim_row)
     return rows
-
-
-SWEEP_HEADER = (
-    "scheme,tti_s,t_ib_s,epsilon,drop_rate,remainder_bits,theta,x_bits,d0_s,"
-    "long_run_rate_bps,status"
-)
-COMPARE_HEADER = (
-    SWEEP_HEADER
-    + ",seed,sim_drop_rate,walk_drop_rate_slotted,sim_p90_s,d0_eps0.1_s,sim_p99_s,d0_eps0.01_s,verdict"
-)
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
     """Execute one experiment and write its CSV.  Returns the exit status:
-    0 on success, 2 when compare mode found a violated check."""
+    0 on success, 2 when compare mode found a violated check.  A verb
+    without a grid runs at one point, the loaded configuration itself."""
     loaded = spec.loaded
-    lines = []
-    failures = False
-
-    if spec.mode == "bound":
-        lines.append("scheme,tti_s,t_ib_s,epsilon,theta,x_bits,d0_s,long_run_rate_bps,status,config_hash")
-        for scheme in spec.schemes:
-            fields, status = _bound_fields(loaded, scheme, spec.epsilon)
-            row = [scheme.value, loaded.radio.tti, loaded.haptic.t_ib, spec.epsilon, *fields, status]
-            lines.append(",".join(_fmt(v) for v in row) + f",{loaded.config_hash(scheme)}")
-
-    elif spec.mode == "drop":
-        lines.append(DropReport.CSV_HEADER + ",config_hash")
-        for scheme in spec.schemes:
-            report = drop_walk(scheme, loaded.radio, loaded.haptic)
-            lines.append(report.csv_row(loaded.radio, loaded.haptic) + f",{loaded.config_hash(scheme)}")
-
-    elif spec.mode == "remainder":
-        lines.append("scheme,tti_s,t_ib_s,remainder_bits,config_hash")
-        for scheme in spec.schemes:
-            remainder = remainder_of_service(scheme, loaded.radio, loaded.haptic)
-            row = [scheme.value, loaded.radio.tti, loaded.haptic.t_ib, remainder]
-            lines.append(",".join(_fmt(v) for v in row) + f",{loaded.config_hash(scheme)}")
-
-    elif spec.mode == "simulate":
-        lines.append(SimReport.CSV_HEADER + ",config_hash")
-        for scheme in spec.schemes:
-            for seed in spec.seeds:
-                sim = run_simulation(
-                    SimConfig(loaded.radio, loaded.haptic, loaded.leftover, scheme, spec.horizon, seed)
-                )
-                lines.append(
-                    sim.csv_row(loaded.radio, loaded.haptic) + f",{loaded.config_hash(scheme, seed)}"
-                )
-
-    else:  # sweep / compare
-        header = SWEEP_HEADER if spec.mode == "sweep" else COMPARE_HEADER
-        lines.append(header + ",config_hash")
-        tasks = []
-        for value in spec.sweep_values:
-            point = loaded.at_point(tti=value) if spec.sweep_param == "tti" else loaded.at_point(t_ib=value)
-            tasks.append((point, spec.schemes, spec.epsilon, spec.mode, spec.seeds, spec.horizon))
-        if spec.workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                results = list(pool.map(_sweep_point_rows, tasks))
-        else:
-            results = [_sweep_point_rows(task) for task in tasks]
-        for rows in results:
-            lines.extend(rows)
-        if spec.mode == "compare":
-            failures = any(line.split(",")[-2] == "fail" for line in lines[1:])
-
+    points = [loaded]
+    if spec.sweep_values:
+        points = [loaded.at_point(**{spec.sweep_param: value}) for value in spec.sweep_values]
+    tasks = [(point, spec.mode) for point in points]
+    if loaded.workers > 1 and len(tasks) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=loaded.workers) as pool:
+            results = list(pool.map(_point_rows, tasks))
+    else:
+        results = [_point_rows(task) for task in tasks]
+    rows = [row for point_rows in results for row in point_rows]
+    columns = ("scheme", "tti_s", "t_ib_s", *COLUMNS[spec.mode], "config_hash")
+    lines = [",".join(columns)] + [",".join(_fmt(row[column]) for column in columns) for row in rows]
     text = "\n".join(lines) + "\n"
     if spec.out in (None, "-"):
         sys.stdout.write(text)
     else:
         Path(spec.out).write_text(text)
-    return 2 if failures else 0
+    return 2 if any(row.get("verdict") == "fail" for row in rows) else 0

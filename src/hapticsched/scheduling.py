@@ -39,17 +39,6 @@ class DropReport:
     drop_rate: float
     per_packet_delays: np.ndarray
 
-    CSV_HEADER = "scheme,tti_s,t_ib_s,arrivals,transmitted,dropped,drop_rate,max_access_delay_s"
-
-    def max_access_delay(self) -> float:
-        return float(self.per_packet_delays.max()) if len(self.per_packet_delays) else 0.0
-
-    def csv_row(self, radio: RadioConfig, haptic: HapticTrafficModel) -> str:
-        return (
-            f"{self.scheme.value},{radio.tti!r},{haptic.t_ib!r},{self.arrivals},"
-            f"{self.transmitted},{self.dropped},{self.drop_rate!r},{self.max_access_delay()!r}"
-        )
-
 
 def _make_report(scheme, arrivals: int, delays: np.ndarray) -> DropReport:
     transmitted = len(delays)

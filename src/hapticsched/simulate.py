@@ -105,16 +105,6 @@ class SimReport:
     haptic_period_counts: np.ndarray  # (n_periods, 2): transmitted, dropped per arrival period
     horizon_s: float
 
-    CSV_HEADER = "scheme,tti_s,t_ib_s,seed,haptic_drop_rate,haptic_delay_max_s,leftover_p99_s,remainder_bits"
-
-    def csv_row(self, radio: RadioConfig, haptic: HapticTrafficModel) -> str:
-        dmax = float(self.haptic_delays.max()) if len(self.haptic_delays) else 0.0
-        p99 = empirical_quantile(self.leftover_delays, 0.99) if len(self.leftover_delays) else float("nan")
-        return (
-            f"{self.scheme.value},{radio.tti!r},{haptic.t_ib!r},{self.seed},"
-            f"{self.haptic_drop_rate!r},{dmax!r},{p99!r},{self.remainder_bits_per_period!r}"
-        )
-
 
 @dataclass
 class _HapticEvents:

@@ -1,4 +1,6 @@
+import concurrent.futures
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,10 @@ from hapticsched.cli import main
 from hapticsched.experiments import parse_time
 
 S = SchedulingScheme
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+# the haptic period of bench/configs/compare_offgrid.ini: 2001 slots, off the grant grid
+OFFGRID_INI = "[haptic]\nt_p = 1000.5 ms\n"
 
 
 class TestConfigLoading:
@@ -91,7 +97,7 @@ class TestConfigLoading:
         assert tracking.radio.t_sr == 0.25e-3
 
     def test_readme_ini_block_loads_as_the_defaults(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = (ROOT / "README.md").read_text()
         blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
         assert len(blocks) == 1
         path = tmp_path / "documented.ini"
@@ -109,13 +115,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="steps"):
             linear_grid(1e-3, 3e-3, 1)
         with pytest.raises(ConfigError):
-            ExperimentSpec("sweep", loaded, loaded.schemes, 1e-5, (1,), 100.0,
-                           sweep_param="t_ib", sweep_values=(1e-3,))
+            ExperimentSpec("sweep", loaded, sweep_param="t_ib", sweep_values=(1e-3,))
 
     def test_empty_schemes_rejected(self):
         loaded = load_config(None)
         with pytest.raises(ConfigError, match="scheme"):
-            ExperimentSpec("drop", loaded, (), 1e-5, (1,), 100.0)
+            ExperimentSpec("drop", replace(loaded, schemes=()))
 
     def test_grid_is_lattice_snapped(self):
         values = linear_grid(1e-3, 3e-3, 41)
@@ -128,8 +133,8 @@ class TestRunExperiment:
     def test_sweep_row_count_and_order(self, tmp_path):
         loaded = load_config(None)
         out = tmp_path / "sweep.csv"
-        spec = ExperimentSpec("sweep", loaded, loaded.schemes, loaded.epsilon, (1,), 100.0,
-                              out=str(out), sweep_param="t_ib", sweep_values=linear_grid(1e-3, 3e-3, 41))
+        spec = ExperimentSpec("sweep", loaded, out=str(out), sweep_param="t_ib",
+                              sweep_values=linear_grid(1e-3, 3e-3, 41))
         assert run_experiment(spec) == 0
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 1 + 41 * 4
@@ -141,8 +146,8 @@ class TestRunExperiment:
         outs = []
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
-            spec = ExperimentSpec("sweep", loaded, (S.DYNAMIC, S.FAST_UPLINK), loaded.epsilon, (1,), 100.0,
-                                  out=str(out), sweep_param="t_ib", sweep_values=linear_grid(1e-3, 3e-3, 11))
+            spec = ExperimentSpec("sweep", replace(loaded, schemes=(S.DYNAMIC, S.FAST_UPLINK)), out=str(out),
+                                  sweep_param="t_ib", sweep_values=linear_grid(1e-3, 3e-3, 11))
             run_experiment(spec)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
@@ -150,8 +155,8 @@ class TestRunExperiment:
     def test_tti_sweep_scales_tracked_periods(self, tmp_path):
         loaded = load_config(None)
         out = tmp_path / "tti.csv"
-        spec = ExperimentSpec("sweep", loaded, (S.SEMI_PERSISTENT,), loaded.epsilon, (1,), 100.0,
-                              out=str(out), sweep_param="tti", sweep_values=(0.125e-3, 0.25e-3, 0.5e-3, 1e-3))
+        spec = ExperimentSpec("sweep", replace(loaded, schemes=(S.SEMI_PERSISTENT,)), out=str(out),
+                              sweep_param="tti", sweep_values=(0.125e-3, 0.25e-3, 0.5e-3, 1e-3))
         assert run_experiment(spec) == 0
         rows = out.read_text().strip().splitlines()[1:]
         assert len(rows) == 4
@@ -161,11 +166,69 @@ class TestRunExperiment:
         loaded = load_config(None)
         heavy = tmp_path / "heavy.ini"
         heavy.write_text("[leftover]\nsigma = 5e5\n")
-        spec = ExperimentSpec("bound", load_config(heavy), (S.DYNAMIC,), 1e-5, (1,), 100.0,
+        spec = ExperimentSpec("bound", replace(load_config(heavy), schemes=(S.DYNAMIC,)),
                               out=str(tmp_path / "b.csv"))
         assert run_experiment(spec) == 0
         row = (tmp_path / "b.csv").read_text().strip().splitlines()[1]
         assert ",infeasible," in row
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--param", "t_ib", "--from", "1ms", "--to", "3ms", "--steps", "5"],
+        ["compare", "--scheme", "FA", "--param", "t_ib", "--values", "2ms,3ms", "--horizon", "60s", "--seed", "1,2"],
+    ])
+    def test_worker_pool_writes_the_serial_bytes(self, tmp_path, argv):
+        results = []
+        for workers in (1, 2):
+            cfg = tmp_path / f"w{workers}.ini"
+            cfg.write_text(f"[experiment]\nworkers = {workers}\n")
+            out = tmp_path / f"w{workers}.csv"
+            results.append((main([*argv, "--config", str(cfg), "--out", str(out)]), out.read_bytes()))
+        assert results[0] == results[1]
+
+    def test_single_point_verb_starts_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single-point verb started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = tmp_path / "w2.ini"
+        cfg.write_text("[experiment]\nworkers = 2\n")
+        assert main(["bound", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 0
+
+
+class TestCsvContract:
+    """The files in tests/golden hold CLI stdout byte for byte; a deliberate
+    CSV change updates them and the README headers together."""
+
+    def test_readme_headers_are_the_emitted_headers(self, capsys):
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("## CSV contracts", 1)[1].split("\n## ", 1)[0]
+        documented = dict(re.findall(r"^- `(\w+)`: `([^`]+)`$", section, flags=re.M))
+        assert sorted(documented) == sorted(["bound", "drop", "remainder", "simulate", "sweep", "compare"])
+        grid = ["--param", "t_ib", "--values", "1ms,2ms"]
+        argv = {"simulate": ["--horizon", "10s"], "sweep": grid, "compare": [*grid, "--horizon", "10s"]}
+        for verb, header in documented.items():
+            assert main([verb, *argv.get(verb, [])]) in (0, 2)
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0] == header
+            assert len(lines) > 1
+            assert all(len(line.split(",")) == len(header.split(",")) for line in lines[1:])
+
+    @pytest.mark.parametrize("name, argv, ini", [
+        ("bound", ["bound"], None),
+        ("drop", ["drop"], None),
+        ("remainder", ["remainder"], None),
+        ("bound_offgrid", ["bound"], OFFGRID_INI),
+        ("drop_offgrid", ["drop"], OFFGRID_INI),
+        ("remainder_offgrid", ["remainder"], OFFGRID_INI),
+        ("simulate_30s_seed3", ["simulate", "--horizon", "30s", "--seed", "3"], None),
+    ])
+    def test_stdout_is_pinned(self, tmp_path, capsys, name, argv, ini):
+        if ini is not None:
+            cfg = tmp_path / "config.ini"
+            cfg.write_text(ini)
+            argv = [*argv, "--config", str(cfg)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.csv").read_text()
 
 
 class TestCli:
@@ -186,6 +249,14 @@ class TestCli:
         assert main(["bound", "--scheme", "FA", "--epsilon", "1e-2"]) == 0
         line = capsys.readouterr().out.strip().splitlines()[1]
         assert line.split(",")[3] == "0.01"
+
+    def test_epsilon_flag_enters_config_hash(self, capsys):
+        hashes = []
+        for extra in ([], ["--epsilon", "1e-3"]):
+            assert main(["bound", "--scheme", "DS", *extra]) == 0
+            hashes.append(capsys.readouterr().out.splitlines()[1].rsplit(",", 1)[1])
+        assert hashes[0] != hashes[1]
+        assert hashes[0] == load_config(None).config_hash(S.DYNAMIC)
 
     def test_simulate_verb_deterministic_files(self, tmp_path):
         args = ["simulate", "--scheme", "DS", "--seed", "4", "--horizon", "12s"]

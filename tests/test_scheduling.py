@@ -139,12 +139,6 @@ class TestWalkConsistency:
         assert report.arrivals == report.transmitted + report.dropped
         assert report.drop_rate == report.dropped / report.arrivals
 
-    def test_csv_row_shape(self):
-        report = drop_walk(S.DYNAMIC, radio(0.5e-3), haptic(2e-3))
-        row = report.csv_row(radio(0.5e-3), haptic(2e-3))
-        assert row.split(",")[0] == "DS"
-        assert len(row.split(",")) == len(report.CSV_HEADER.split(","))
-
 
 class TestEffectiveBurstCount:
     """The burst share of the per-period charge: the excess-burst allowance

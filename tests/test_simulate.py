@@ -589,9 +589,3 @@ class TestQuantile:
         rank = min(max(math.ceil(p * len(data)), 1), len(data))
         assert empirical_quantile(data, p) == float(np.sort(data)[rank - 1])
 
-
-class TestReportSerialization:
-    def test_csv_row_matches_header(self):
-        report = run(sim(S.DYNAMIC))
-        row = report.csv_row(radio(), haptic())
-        assert len(row.split(",")) == len(report.CSV_HEADER.split(","))
