@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigError, InfeasibleError
-from .experiments import ExperimentSpec, linear_grid, load_config, parse_time, run_experiment
+from .experiments import ExperimentSpec, epsilon_problems, linear_grid, load_config, parse_time, run_experiment
 from .radio import SchedulingScheme
 
 
@@ -67,6 +67,8 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ConfigError(f"--seed: must be a comma-separated integer list, got {args.seed!r}") from None
         if args.epsilon is not None:
+            if problems := epsilon_problems(args.epsilon):
+                raise ConfigError(problems)
             overrides["epsilon"] = args.epsilon
         if getattr(args, "horizon", None) is not None:
             overrides["horizon"] = parse_time(args.horizon, "--horizon")

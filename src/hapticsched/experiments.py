@@ -110,6 +110,11 @@ class LoadedConfig:
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
 
 
+def epsilon_problems(epsilon: float) -> list[str]:
+    """The outage target's range check, for the INI key and --epsilon alike."""
+    return [] if 0 < epsilon < 1 else [f"snc.epsilon: must be in (0, 1), got {epsilon!r}"]
+
+
 def load_config(path=None) -> LoadedConfig:
     """Load and validate a configuration file; None or an empty file yields
     the full defaults.  All violations are reported together."""
@@ -180,8 +185,7 @@ def load_config(path=None) -> LoadedConfig:
     except ValueError:
         problems.append(f"snc.epsilon: cannot parse {get('snc', 'epsilon')!r}")
         epsilon = DEFAULT_EPSILON
-    if not (0 < epsilon < 1):
-        problems.append(f"snc.epsilon: must be in (0, 1), got {epsilon!r}")
+    problems.extend(epsilon_problems(epsilon))
 
     horizon = DEFAULT_HORIZON
     try:
@@ -265,8 +269,8 @@ class ExperimentSpec:
                 problems.append("sweep: at least two grid values are required (steps >= 2)")
             if any(v <= 0 for v in values):
                 problems.append("sweep: grid values must be positive")
-            if list(values) != sorted(values):
-                problems.append("sweep: grid values must be ascending")
+            if any(b <= a for a, b in zip(values, values[1:])):
+                problems.append("sweep: grid values must be strictly ascending, each value once")
         if problems:
             raise ConfigError(problems)
 

@@ -45,7 +45,7 @@ log = logging.getLogger(__name__)
 
 _PATH_RECORD = "%s: chunks of %d periods, prefix %d + cycle %d chunks, %d chunks walked (%s)"
 _BACKGROUND_RECORD = ("%s: background %d packets arrived, %d finished, %d unfinished, "
-                      "%d kept after warm-up, %d blocks walked")
+                      "%d kept after warm-up, %d blocks walked, %s lookup (%d packets vs %d profile slots)")
 
 # background packets per block of the queue walk: the block's temporaries
 # stay in cache, and the per-block overhead is small next to its work
@@ -211,6 +211,7 @@ class _CapacityProfile:
         bounds = _sorted_unique(np.concatenate([[0, prefix_slots, end], occ, occ + 1]))
         self.seg_rate = np.full(len(bounds) - 1, float(total_rate))
         self.seg_rate[np.searchsorted(bounds, occ)] = reduced_rate
+        self.slots, self.tti_ns, self._seg_slots = end, tti_ns, np.diff(bounds)
         bounds = bounds * tti_ns
         self.seg_t = bounds[:-1]
         seg_bits = self.seg_rate * (np.diff(bounds) / 1e9)
@@ -219,13 +220,44 @@ class _CapacityProfile:
         self.prefix_bits, self.cycle_bits = float(self.seg_S[cut]), float(np.sum(seg_bits[cut:]))
         rising = self.seg_rate > 0
         self.ris_t, self.ris_S, self.ris_rate = self.seg_t[rising], self.seg_S[rising], self.seg_rate[rising]
+        self.slot_seg = self.bucket_seg = None  # lookup tables, see build_lookup_tables
         self.total_bits = float(self.supply_at(horizon_slots * tti_ns))
+
+    def build_lookup_tables(self) -> None:
+        """Replace the binary searches of supply_at and time_of_supply by
+        O(1) table lookups with the same results, at O(slots) to build.
+
+        Segment bounds lie on slot bounds, so each slot's segment is a table
+        entry.  Bit targets fall into one bucket per slot.  Each bucket
+        holds the last rising segment that starts in an earlier bucket (0
+        if none); the bucket map is nondecreasing, so that segment starts at
+        or before every target in the bucket, and a forward walk over the
+        segments that start inside the bucket finishes the lookup."""
+        self.slot_seg = np.repeat(np.arange(len(self.seg_t)), self._seg_slots)
+        if len(self.ris_S):
+            self._buckets_per_bit = self.slots / (self.prefix_bits + self.cycle_bits)
+            own = self._bucket(self.ris_S)
+            # buckets 0..own[0] hold segment 0, and own[j]+1..own[j+1] hold j
+            self.bucket_seg = np.repeat(np.maximum(np.arange(-1, len(own)), 0),
+                                        np.diff(own, prepend=-1, append=self.slots - 1))
+            self._next_S = np.append(self.ris_S[1:], np.nan)  # NaN: the walk stops at the last segment
+
+    def _bucket(self, bits: np.ndarray) -> np.ndarray:
+        """Bucket of each bit target, nondecreasing in the target; NaN and
+        targets outside the profile go to the first or the last bucket."""
+        b = np.multiply(bits, self._buckets_per_bit)
+        np.fmax(b, 0, out=b)
+        np.fmin(b, self.slots - 1, out=b)
+        return b.astype(np.intp)
 
     def supply_at(self, t_ns) -> np.ndarray:
         t = np.asarray(t_ns, dtype=np.int64)
         k = np.maximum(t - self.prefix_ns, 0) // self.cycle_ns  # times inside the prefix do not fold
         r = t - k * self.cycle_ns
-        j = np.searchsorted(self.seg_t, r, side="right") - 1
+        if self.slot_seg is None:
+            j = np.searchsorted(self.seg_t, r, side="right") - 1
+        else:
+            j = self.slot_seg[r // self.tti_ns]
         return k * self.cycle_bits + self.seg_S[j] + self.seg_rate[j] * (r - self.seg_t[j]) / 1e9
 
     def time_of_supply(self, bits) -> np.ndarray:
@@ -246,8 +278,15 @@ class _CapacityProfile:
             high = res >= self.prefix_bits + self.cycle_bits
             k[high] += 1
             res[high] -= self.cycle_bits
-        # searchsorted returns at most len(ris_S), so only 0 can be undershot
-        j = np.maximum(np.searchsorted(self.ris_S, res, side="right") - 1, 0)
+        if self.bucket_seg is None:
+            # searchsorted returns at most len(ris_S), so only 0 can be undershot
+            j = np.maximum(np.searchsorted(self.ris_S, res, side="right") - 1, 0)
+        else:  # the last rising segment that starts at or before res, or 0
+            j = self.bucket_seg[self._bucket(res)]
+            walk = np.flatnonzero(self._next_S[j] <= res)
+            while len(walk):
+                j[walk] += 1
+                walk = walk[self._next_S[j[walk]] <= res[walk]]
         dt_ns = (res - self.ris_S[j]) / self.ris_rate[j] * 1e9
         t_ns = k * float(self.cycle_ns) + self.ris_t[j] + dt_ns
         out = t_ns / 1e9
@@ -340,6 +379,12 @@ def _haptic_layer(config: SimConfig):
     return profile, counts, delays, occupancy
 
 
+def _tables_pay(n_packets: int, profile_slots: int) -> bool:
+    """Whether the profile's lookup tables repay their O(slots) build: each
+    packet makes one lookup in supply_at and one in time_of_supply."""
+    return n_packets >= profile_slots
+
+
 def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: float,
                       warmup_s: float) -> np.ndarray:
     """Drain the background FIFO queue through the leftover capacity and
@@ -354,13 +399,17 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: f
     an unblocked pass.  Completion times are nondecreasing and a target
     past the horizon is unreachable, so the unfinished packets are a
     suffix: a binary search for inf finds the first of them, and the walk
-    stops at the block that holds it.
+    stops at the block that holds it.  With at least as many packets as
+    the profile has slots, the profile's lookup tables are built first.
 
     Raises InfeasibleError when the queue grows superlinearly.
     """
     timeline = leftover_arrivals(config.leftover, horizon_s, config.seed)
     arrivals, sizes = timeline.times_s, timeline.sizes_bits
     n = len(arrivals)
+    tables = _tables_pay(n, profile.slots)
+    if tables:
+        profile.build_lookup_tables()
     cum = np.cumsum(sizes)
     t_mid = 0.5 * horizon_s
     first_kept = int(np.searchsorted(arrivals, warmup_s, side="left"))
@@ -387,7 +436,8 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: f
         kept += done - start
         if done < hi - lo:
             break
-    log.debug(_BACKGROUND_RECORD, config.scheme.value, n, finished, n - finished, kept, blocks)
+    log.debug(_BACKGROUND_RECORD, config.scheme.value, n, finished, n - finished, kept, blocks,
+              "table" if tables else "search", n, profile.slots)
 
     q_mid = int(np.searchsorted(arrivals, t_mid, side="right")) - finished_mid
     q_end = n - finished

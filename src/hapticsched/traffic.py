@@ -144,7 +144,7 @@ def leftover_arrivals(model: LeftoverTrafficModel, horizon: float, seed: int) ->
     expected = model.lambda_rate * horizon
     chunk = int(expected + 10 * math.sqrt(expected) + 16)
     gaps = rng.exponential(mean_gap, chunk)
-    times = np.cumsum(gaps)
+    times = np.cumsum(gaps, out=gaps)
     while len(times) and times[-1] <= horizon:
         more = np.cumsum(rng.exponential(mean_gap, chunk)) + times[-1]
         times = np.concatenate([times, more])
@@ -159,5 +159,5 @@ def leftover_arrivals(model: LeftoverTrafficModel, horizon: float, seed: int) ->
         sizes = np.full(len(times), float(model.sigma))
     else:
         sizes = rng.exponential(model.sigma, len(times))
-        sizes = np.maximum(sizes, np.finfo(float).tiny)
+        np.maximum(sizes, np.finfo(float).tiny, out=sizes)
     return ArrivalTimeline(times, sizes, horizon)

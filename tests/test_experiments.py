@@ -122,6 +122,17 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="scheme"):
             ExperimentSpec("drop", replace(loaded, schemes=()))
 
+    def test_grid_values_strictly_ascending(self, capsys):
+        loaded = load_config(None)
+        # a repeat, a descent, and three linear-grid points that snap to one ns
+        for values in [(2e-3, 2e-3), (1e-3, 3e-3, 2e-3), linear_grid(2e-3, 2e-3 + 1e-10, 3)]:
+            with pytest.raises(ConfigError, match="strictly ascending"):
+                ExperimentSpec("sweep", loaded, sweep_param="t_ib", sweep_values=values)
+        assert main(["sweep", "--scheme", "DS", "--param", "t_ib", "--values", "2ms,2ms"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: sweep: grid values must be strictly ascending, each value once\n"
+
     def test_grid_is_lattice_snapped(self):
         values = linear_grid(1e-3, 3e-3, 41)
         assert len(values) == 41
@@ -257,6 +268,17 @@ class TestCli:
             hashes.append(capsys.readouterr().out.splitlines()[1].rsplit(",", 1)[1])
         assert hashes[0] != hashes[1]
         assert hashes[0] == load_config(None).config_hash(S.DYNAMIC)
+
+    @pytest.mark.parametrize("epsilon", ["3", "0", "1", "nan"])
+    def test_epsilon_flag_range_checked_as_the_ini_key(self, tmp_path, capsys, epsilon):
+        assert main(["drop", "--scheme", "DS", "--epsilon", epsilon]) == 1
+        flag = capsys.readouterr()
+        ini = tmp_path / "eps.ini"
+        ini.write_text(f"[snc]\nepsilon = {epsilon}\n")
+        assert main(["drop", "--scheme", "DS", "--config", str(ini)]) == 1
+        assert flag.out == ""
+        assert flag.err == capsys.readouterr().err == (
+            f"configuration error: snc.epsilon: must be in (0, 1), got {float(epsilon)!r}\n")
 
     def test_simulate_verb_deterministic_files(self, tmp_path):
         args = ["simulate", "--scheme", "DS", "--seed", "4", "--horizon", "12s"]

@@ -301,6 +301,53 @@ class TestCapacityProfile:
         assert np.isinf(profile.time_of_supply(np.array([2000.5]))[0])
 
 
+@st.composite
+def profile_lookups(draw):
+    """A capacity profile's arguments, with or without a prefix, with
+    zero-rate plateaus and with the horizon ending mid-cycle; times in ns,
+    every slot bound and random instants; and one time for 0-d input."""
+    tti = draw(st.sampled_from([125_000, 500_000, 1_000_000]))
+    prefix = draw(st.sampled_from([0, 0, 1, 2, 7, 40]))
+    cycle = draw(st.integers(1, 60))
+    horizon = prefix + cycle * draw(st.integers(1, 4)) + draw(st.integers(0, cycle - 1))
+    occupied = draw(st.lists(st.integers(0, prefix + cycle - 1), max_size=prefix + cycle))
+    reduced = draw(st.sampled_from([0.0, 0.0, 1e4, 0.25e6, 1e6]))
+    args = (np.array(occupied, dtype=np.int64), prefix, cycle, horizon, tti, 1e6, reduced)
+    times = np.concatenate([np.arange(horizon + 1) * tti,
+                            draw(st.lists(st.integers(0, horizon * tti), max_size=50))]).astype(np.int64)
+    return args, times, draw(st.integers(0, horizon * tti))
+
+
+class TestLookupTablesEqualSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(case=profile_lookups(), seed=st.integers(0, 2**32 - 1))
+    # two full slots, then zero-rate plateaus
+    @example(case=((np.arange(2, 30), 0, 30, 60, 500_000, 1e6, 0.0), np.arange(0, 60 * 500_000, 250_000), 7),
+             seed=0)
+    # 30 slots at 1% of the rate after a prefix: each bucket holds a dozen segment starts
+    @example(case=((np.arange(5, 35), 5, 30, 95, 500_000, 1e6, 1e4), np.arange(0, 95 * 500_000, 125_000), 3),
+             seed=1)
+    def test_identical_arrays(self, case, seed):
+        args, times, scalar = case
+        search, tables = simulate_mod._CapacityProfile(*args), simulate_mod._CapacityProfile(*args)
+        tables.build_lookup_tables()
+        assert search.slot_seg is None and tables.slot_seg is not None
+        for t in (times, np.int64(scalar), np.array(scalar)):
+            got, want = tables.supply_at(t), search.supply_at(t)
+            assert type(got) is type(want) and got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        rng = np.random.default_rng(seed)
+        supply = search.supply_at(times)
+        total = search.total_bits
+        targets = np.concatenate([
+            supply, np.nextafter(supply, -np.inf), np.nextafter(supply, np.inf), search.ris_S,
+            search.ris_S + search.cycle_bits, rng.uniform(-0.1, 1.5, 200) * total,
+            [0.0, -1.0, total, total * (1 + 1e-12), total * 1.001, 1e300, np.inf, -np.inf, np.nan]])
+        with np.errstate(invalid="ignore"):
+            got, want = tables.time_of_supply(targets), search.time_of_supply(targets)
+        assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+
+
 def tile_gather(parts: list[np.ndarray], order: list[int], span: int) -> np.ndarray:
     """parts[order[c]] + c * span for every chunk c, laid end to end."""
     sizes = np.array([len(p) for p in parts], dtype=np.int64)
@@ -517,11 +564,18 @@ def loaded_configs(draw):
     return dataclasses.replace(cfg, leftover=leftover, seed=draw(st.integers(0, 2**31)))
 
 
+def lookup(tables: bool):
+    """Force the background layer's choice between lookup tables and binary
+    search; the whole-array pass always searches."""
+    return mock.patch.object(simulate_mod, "_tables_pay", lambda n_packets, profile_slots: tables)
+
+
 class TestBlockWalkEqualsWholeArrayPass:
     @settings(max_examples=80, deadline=None)
-    @given(cfg=loaded_configs(), block=st.sampled_from([1, 2, 7, simulate_mod._BLOCK]), reference=st.booleans())
-    def test_every_field_identical(self, cfg, block, reference):
-        with mock.patch.object(simulate_mod, "_BLOCK", block):
+    @given(cfg=loaded_configs(), block=st.sampled_from([1, 2, 7, simulate_mod._BLOCK]), reference=st.booleans(),
+           tables=st.booleans())
+    def test_every_field_identical(self, cfg, block, reference, tables):
+        with mock.patch.object(simulate_mod, "_BLOCK", block), lookup(tables):
             got = run(cfg)
         if reference:  # against the flat profile over the horizon, equal to float rounding:
             # a quarter of the channels at most carries the latency-critical flow, so a
@@ -545,23 +599,30 @@ class TestBlockWalkEqualsWholeArrayPass:
         with mock.patch.object(simulate_mod, "leftover_arrivals", lambda *a: timeline):
             with pytest.raises(InfeasibleError) as want:
                 whole_array_run(cfg)
-            with mock.patch.object(simulate_mod, "_BLOCK", block), pytest.raises(InfeasibleError) as got:
-                run(cfg)
-        assert str(got.value) == str(want.value)
-        assert "(190 packets at mid-horizon, 2680 at the end)" in str(got.value)
+            for tables in (False, True):
+                with mock.patch.object(simulate_mod, "_BLOCK", block), lookup(tables), \
+                        pytest.raises(InfeasibleError) as got:
+                    run(cfg)
+                assert str(got.value) == str(want.value)
+        assert "(190 packets at mid-horizon, 2680 at the end)" in str(want.value)
 
     def test_run_record_counts_background_packets(self, caplog):
-        cfg = sim(S.DYNAMIC, horizon=20.0, leftover=LeftoverTrafficModel(4.0, 5e5))
-        with mock.patch.object(simulate_mod, "_BLOCK", 16), caplog.at_level(logging.DEBUG, "hapticsched.simulate"):
-            report = run(cfg)
-        records = [r for r in caplog.records if r.msg is simulate_mod._BACKGROUND_RECORD]
-        assert len(records) == 1
-        _, arrived, finished, unfinished, kept, blocks = records[0].args
-        timeline = simulate_mod.leftover_arrivals(cfg.leftover, report.horizon_s, cfg.seed)
-        assert arrived == len(timeline) and finished + unfinished == arrived
-        assert unfinished > 0  # 2 Mb/s offered against less than 1 Mb/s
-        assert kept == len(report.leftover_delays)
-        assert blocks == finished // 16 + 1  # the walk stops at the first unfinished packet
+        # 2 Mb/s offered against less than 1 Mb/s, as about 80 or 8,000 packets
+        # against a profile of one 2,000-slot period
+        for leftover, path in [(LeftoverTrafficModel(4.0, 5e5), "search"), (LeftoverTrafficModel(400.0, 5e3), "table")]:
+            cfg = sim(S.DYNAMIC, horizon=20.0, leftover=leftover)
+            caplog.clear()
+            with mock.patch.object(simulate_mod, "_BLOCK", 16), caplog.at_level(logging.DEBUG, "hapticsched.simulate"):
+                report = run(cfg)
+            records = [r for r in caplog.records if r.msg is simulate_mod._BACKGROUND_RECORD]
+            assert len(records) == 1
+            _, arrived, finished, unfinished, kept, blocks, lookup_path, packets, slots = records[0].args
+            timeline = simulate_mod.leftover_arrivals(cfg.leftover, report.horizon_s, cfg.seed)
+            assert arrived == len(timeline) and finished + unfinished == arrived
+            assert unfinished > 0
+            assert kept == len(report.leftover_delays)
+            assert blocks == finished // 16 + 1  # the walk stops at the first unfinished packet
+            assert lookup_path == path and packets == arrived and slots == cfg.slots_per_period
 
 
 class TestQuantile:
