@@ -11,7 +11,8 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigError, InfeasibleError
-from .experiments import ExperimentSpec, epsilon_problems, linear_grid, load_config, parse_time, run_experiment
+from .experiments import (ExperimentSpec, epsilon_problems, linear_grid, load_config, parse_seeds,
+                          parse_time, run_experiment)
 from .radio import SchedulingScheme
 
 
@@ -62,10 +63,7 @@ def main(argv=None) -> int:
                 SchedulingScheme.parse(token) for token in args.scheme.split(",") if token.strip()
             )
         if args.seed is not None:
-            try:
-                overrides["seeds"] = tuple(int(s) for s in args.seed.split(",") if s.strip())
-            except ValueError:
-                raise ConfigError(f"--seed: must be a comma-separated integer list, got {args.seed!r}") from None
+            overrides["seeds"] = parse_seeds(args.seed, "--seed")
         if args.epsilon is not None:
             if problems := epsilon_problems(args.epsilon):
                 raise ConfigError(problems)

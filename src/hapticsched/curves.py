@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError
-from .radio import RadioConfig, SchedulingScheme, haptic_blocks
+from .radio import RadioConfig, SchedulingScheme
 from .scheduling import period_charge
 from .traffic import HapticTrafficModel, LeftoverTrafficModel
 
@@ -64,7 +64,7 @@ class LeftoverServiceCurve:
         self.haptic = haptic
         self.slots_per_period, self.slots_excess = period_charge(scheme, radio, haptic)
         # bits lost per claimed slot, and the two fixed charges
-        self.slot_bits = haptic_blocks(radio) * radio.channel_rate * radio.tti
+        self.slot_bits = radio.slot_bits
         self.period_bits = self.slot_bits * self.slots_per_period
         self.offset_bits = self.slot_bits * (self.slots_excess + 2)
         self.t_p = haptic.t_p

@@ -115,6 +115,20 @@ def epsilon_problems(epsilon: float) -> list[str]:
     return [] if 0 < epsilon < 1 else [f"snc.epsilon: must be in (0, 1), got {epsilon!r}"]
 
 
+def parse_seeds(text: str, field: str) -> tuple[int, ...]:
+    """Parse simulation seeds, for the INI key and --seed alike: a
+    comma-separated list of at least one non-negative integer."""
+    try:
+        seeds = tuple(int(s) for s in str(text).split(",") if s.strip())
+    except ValueError:
+        raise ConfigError(f"{field}: must be a comma-separated integer list, got {text!r}") from None
+    if not seeds:
+        raise ConfigError(f"{field}: at least one seed is required")
+    if min(seeds) < 0:
+        raise ConfigError(f"{field}: seeds must be >= 0, got {text!r}")
+    return seeds
+
+
 def load_config(path=None) -> LoadedConfig:
     """Load and validate a configuration file; None or an empty file yields
     the full defaults.  All violations are reported together."""
@@ -193,9 +207,9 @@ def load_config(path=None) -> LoadedConfig:
     except ConfigError as exc:
         problems.extend(exc.problems)
     try:
-        seeds = tuple(int(s) for s in str(get("experiment", "seeds", "1")).split(",") if s.strip())
-    except ValueError:
-        problems.append(f"experiment.seeds: must be a comma-separated integer list")
+        seeds = parse_seeds(get("experiment", "seeds", "1"), "experiment.seeds")
+    except ConfigError as exc:
+        problems.extend(exc.problems)
         seeds = DEFAULT_SEEDS
     schemes_raw = get("experiment", "schemes", "DS,SPS,SRR,FA")
     schemes = []
@@ -211,8 +225,6 @@ def load_config(path=None) -> LoadedConfig:
     except ValueError:
         problems.append(f"experiment.workers: must be an integer, got {get('experiment', 'workers')!r}")
         workers = 1
-    if not seeds:
-        problems.append("experiment.seeds: at least one seed is required")
 
     if problems:
         raise ConfigError(problems)

@@ -68,12 +68,7 @@ class RadioConfig:
             problems.append(f"radio.haptic_demand_norm: must be >= 0, got {self.haptic_demand_norm!r}")
         if problems:
             raise ConfigError(problems)
-        m = haptic_blocks(self)
-        if m > self.n_channels:
-            raise ConfigError(
-                f"radio: a packet needs {m} channel blocks in one TTI but only "
-                f"{self.n_channels} channels exist (demand too large for this TTI)"
-            )
+        haptic_blocks(self)  # raises when one packet needs more blocks than there are channels
 
     @cached_property
     def tti_ns(self) -> int:
@@ -90,6 +85,12 @@ class RadioConfig:
     @property
     def channel_rate(self) -> float:
         return self.total_rate / self.n_channels
+
+    @property
+    def slot_bits(self) -> float:
+        """Background bits lost in each slot that carries or reserves a
+        latency-critical transmission."""
+        return haptic_blocks(self) * self.channel_rate * self.tti
 
 
 def haptic_blocks(config: RadioConfig) -> int:

@@ -1,6 +1,7 @@
-"""Per-scheme grant mechanics at the analytic level: the two grant rules
-as integer-tick kernels (shared with the simulator), the exact one-period
-drop walk, the per-period slot charge and the remainder of service.
+"""Per-scheme grant mechanics: the two grant rules as integer-tick
+kernels, the per-scheme machine that composes them on slots (the slotted
+drop walk and the simulator both run it), the exact one-period drop walk,
+the per-period slot charge and the remainder of service.
 
 Drop semantics follow the latest-data rule: at each transmission
 opportunity only the freshest pending packet is sent and every packet it
@@ -21,7 +22,6 @@ from .radio import (
     ds_grant_latency,
     fa_grant_latency,
     haptic_access_delay,
-    haptic_blocks,
 )
 from .traffic import HapticTrafficModel, period_arrival_offsets_ns
 from .units import ceil_div, to_ns
@@ -164,14 +164,83 @@ def _grant_delays(ticks: np.ndarray, period: int, extra: int, tick_ns: int) -> n
     return (grant[served] - ticks[served] + extra) * tick_ns / 1e9
 
 
-def _gate_delays(slots: np.ndarray, k_sr: int | None, tti_ns: int) -> np.ndarray:
-    return demand_gate(slots, k_sr)[2] * tti_ns / 1e9
+def slot_periods(scheme: SchedulingScheme, radio: RadioConfig) -> dict[str, int]:
+    """The SR and standing-grant periods, ns, that the scheme's slotted
+    machine follows, keyed by radio field: the SR gate for DS and SRR's
+    sparse stretch, standing grants for SPS and SRR's burst."""
+    periods = {}
+    if scheme in (SchedulingScheme.DYNAMIC, SchedulingScheme.SOFT_RESERVATION):
+        periods["t_sr"] = radio.t_sr_ns
+    if scheme in (SchedulingScheme.SEMI_PERSISTENT, SchedulingScheme.SOFT_RESERVATION):
+        periods["t_pg"] = radio.t_pg_ns
+    return periods
 
 
-def _in_slots(ns: int, tti_ns: int, name: str, walk: str = "walk") -> int:
-    if ns % tti_ns:
-        raise ConfigError(f"{name}: must be a whole number of TTIs for the slotted {walk}")
-    return ns // tti_ns
+def slot_grid_problems(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel) -> list[str]:
+    """The slot-grid check of the simulator and the slotted walk alike: the
+    times that must be whole TTIs for the scheme's slotted machine, its
+    slot_periods and SRR's burst end, sorted by field."""
+    on_grid = {f"radio.{name}": ns for name, ns in slot_periods(scheme, radio).items()}
+    if scheme is SchedulingScheme.SOFT_RESERVATION:
+        on_grid["haptic.t_b"] = haptic.t_b_ns
+    return [f"{name}: must be a whole number of TTIs for slotted scheduling"
+            for name in sorted(on_grid) if on_grid[name] % radio.tti_ns]
+
+
+@dataclass
+class SlotEvents:
+    """Resolved outcome of a scheme's slotted machine over one span of slots."""
+
+    data_slots: np.ndarray       # slots carrying a latency-critical transmission
+    reserved_slots: np.ndarray   # slots claimed by standing grants whether used or not
+    tx_arrival_slots: np.ndarray
+    delays_s: np.ndarray
+    dropped_arrival_slots: np.ndarray
+    busy_end: int                # first slot at which a new SR procedure could start
+
+
+def slotted_machine(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel,
+                    sa: np.ndarray, n_slots: int, busy: int = 0) -> SlotEvents:
+    """Run the scheme's grant machine over n_slots slots that start on a
+    period boundary that is also an SR opportunity and a grant instant.  sa
+    are the sorted arrival slots relative to that start; busy is the demand
+    gate carried in, relative to the same start.  The slotted drop walk is
+    one call over one period from an idle gate; the simulator calls it once
+    per distinct hyperperiod chunk.
+
+    Standing grants serve SPS arrivals (up to the grant at n_slots) and SRR
+    burst arrivals (through the flush grant, wherever it lands); the demand
+    gate takes DS and FA arrivals and SRR sparse ones.  The two arrival sets
+    never interact, so their events are concatenated: burst first for SRR.
+    An SRR arrival is in a burst when its slot within its period, ceil(t_p
+    / TTI) slots long, lies before the burst end.
+    """
+    tti = radio.tti_ns
+    k_pg = radio.t_pg_ns // tti
+    no_slots = np.array([], dtype=np.int64)
+    granted, gated, reserved, last_grant = no_slots, sa, no_slots, None
+    if scheme is SchedulingScheme.SEMI_PERSISTENT:
+        granted, gated, last_grant = sa, no_slots, n_slots
+        reserved = np.arange(0, n_slots, k_pg, dtype=np.int64)
+    elif scheme is SchedulingScheme.SOFT_RESERVATION:
+        k_p, k_b = ceil_div(haptic.t_p_ns, tti), haptic.t_b_ns // tti
+        in_burst = (sa % k_p) < k_b
+        granted, gated = sa[in_burst], sa[~in_burst]
+        reserved = np.arange(0, n_slots, k_pg, dtype=np.int64)
+        reserved = reserved[reserved % k_p < k_b]
+    k_sr = None if scheme is SchedulingScheme.FAST_UPLINK else radio.t_sr_ns // tti
+    grant, served, superseded = standing_grants(granted, k_pg, last_grant)
+    acc, data, delay, busy = demand_gate(gated, k_sr, busy)
+    rejected = np.ones(len(gated), dtype=bool)
+    rejected[acc] = False
+    return SlotEvents(
+        np.concatenate([grant[served], data]),
+        reserved,
+        np.concatenate([granted[served], gated[acc]]),
+        np.concatenate([grant[served] - granted[served] + 4, delay]) * tti / 1e9,
+        np.concatenate([granted[superseded], gated[rejected]]),
+        busy,
+    )
 
 
 def drop_walk(
@@ -182,50 +251,37 @@ def drop_walk(
 ) -> DropReport:
     """Exact deterministic walk over one traffic period (no excess burst).
 
-    With slotted=True the walk is re-run at slot granularity (arrival times
-    rounded down to slot boundaries, SR waits rounded up to the next
-    opportunity), matching the simulator's clock.  Every arrival of the
-    period is resolved, so whatever is not transmitted is dropped.
+    With slotted=True the walk is slotted_machine over one period from an
+    idle gate (arrival times rounded down to slot boundaries, SR waits
+    rounded up to the next opportunity), the simulator's own machine.  Its
+    span runs to the first grant at or past t_p, so every arrival of the
+    period is resolved and whatever is not transmitted is dropped.
     """
     offs = period_arrival_offsets_ns(haptic)
     arrivals = len(offs)
-    n_burst = int(np.searchsorted(offs, haptic.t_b_ns))
     tti = radio.tti_ns
 
+    if slotted:
+        if problems := slot_grid_problems(scheme, radio, haptic):
+            raise ConfigError(problems[0])
+        span = ceil_div(haptic.t_p_ns, radio.t_pg_ns) * (radio.t_pg_ns // tti)
+        return _make_report(scheme, arrivals, slotted_machine(scheme, radio, haptic, offs // tti, span).delays_s)
+
     if scheme in (SchedulingScheme.DYNAMIC, SchedulingScheme.FAST_UPLINK):
-        fast = scheme is SchedulingScheme.FAST_UPLINK
-        if slotted:
-            # one physical pipeline, busy state carried across the burst edge,
-            # exactly as the simulator runs it
-            k_sr = None if fast else _in_slots(radio.t_sr_ns, tti, "radio.t_sr")
-            delays = _gate_delays(offs // tti, k_sr, tti)
-        else:
-            delays = np.full(period_charge(scheme, radio, haptic)[0], haptic_access_delay(scheme, radio))
-        return _make_report(scheme, arrivals, delays)
-
-    if scheme is SchedulingScheme.SEMI_PERSISTENT:
-        if slotted:
-            delays = _grant_delays(offs // tti, _in_slots(radio.t_pg_ns, tti, "radio.t_pg"), 4, tti)
-        else:
-            delays = _grant_delays(offs, radio.t_pg_ns, 4 * tti, 1)
-        return _make_report(scheme, arrivals, delays)
-
-    if scheme is SchedulingScheme.SOFT_RESERVATION:
+        delays = np.full(period_charge(scheme, radio, haptic)[0], haptic_access_delay(scheme, radio))
+    elif scheme is SchedulingScheme.SEMI_PERSISTENT:
+        delays = _grant_delays(offs, radio.t_pg_ns, 4 * tti, 1)
+    elif scheme is SchedulingScheme.SOFT_RESERVATION:
         # The standing grant is held through the first instant at or past the
         # burst end, so burst-tail data still rides the reserved grant and
         # every burst arrival is resolved.
-        if slotted:
-            _in_slots(haptic.t_b_ns, tti, "haptic.t_b", "SRR walk")
-            sa = offs // tti
-            b_delays = _grant_delays(sa[:n_burst], _in_slots(radio.t_pg_ns, tti, "radio.t_pg"), 4, tti)
-            s_delays = _gate_delays(sa[n_burst:], _in_slots(radio.t_sr_ns, tti, "radio.t_sr"), tti)
-        else:
-            b_delays = _grant_delays(offs[:n_burst], radio.t_pg_ns, 4 * tti, 1)
-            sent = _gated(to_ns(ds_grant_latency(radio)), haptic.t_p_ns - haptic.t_b_ns, haptic.t_nb_ns)
-            s_delays = np.full(sent, haptic_access_delay(scheme, radio, in_burst=False))
-        return _make_report(scheme, arrivals, np.concatenate([b_delays, s_delays]))
-
-    raise ConfigError(f"unknown scheme {scheme!r}")
+        n_burst = int(np.searchsorted(offs, haptic.t_b_ns))
+        b_delays = _grant_delays(offs[:n_burst], radio.t_pg_ns, 4 * tti, 1)
+        sent = _gated(to_ns(ds_grant_latency(radio)), haptic.t_p_ns - haptic.t_b_ns, haptic.t_nb_ns)
+        delays = np.concatenate([b_delays, np.full(sent, haptic_access_delay(scheme, radio, in_burst=False))])
+    else:
+        raise ConfigError(f"unknown scheme {scheme!r}")
+    return _make_report(scheme, arrivals, delays)
 
 
 def remainder_of_service(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel) -> float:
@@ -237,5 +293,4 @@ def remainder_of_service(scheme: SchedulingScheme, radio: RadioConfig, haptic: H
     reservation reserves only inside bursts and pays per transmission in
     the sparse stretch.
     """
-    slot_bits = haptic_blocks(radio) * radio.channel_rate * radio.tti
-    return radio.total_rate * haptic.t_p - slot_bits * period_charge(scheme, radio, haptic)[0]
+    return radio.total_rate * haptic.t_p - radio.slot_bits * period_charge(scheme, radio, haptic)[0]

@@ -1,21 +1,23 @@
 """Slot-accurate discrete-event oracle.
 
 Time advances in integer slots.  The latency-critical flow runs its grant
-state machine on the slot grid and claims its channel blocks in the slot
-where each transmission lands; reserved-but-unused standing grants still
-claim their slots.  Whatever capacity is left in each slot drains the
-background FIFO queue as fluid, so a background packet may finish mid-slot
-with its completion time interpolated linearly.
+machine, scheduling.slotted_machine (the slotted drop walk's too), on the
+slot grid and claims its channel blocks in the slot where each
+transmission lands; reserved-but-unused standing grants still claim their
+slots.  Whatever capacity is left in each slot drains the background FIFO
+queue as fluid, so a background packet may finish mid-slot with its
+completion time interpolated linearly.
 
-The machines walk hyperperiod chunks: lcm of the traffic period and the
-SR and grant periods the scheme follows, so every chunk starts on an SR
-opportunity and a grant instant with the same arrivals.  Only the demand
-gate's busy slot crosses a chunk boundary, carried relative to the chunk
-start and clamped at 0; standing-grant data never does, because the grant
-at the boundary serves the freshest arrival before it.  A full chunk's
-events thus depend only on that entry state, so from the first entry state
-seen twice the chunks repeat: the horizon is a prefix of chunks and a
-cycle repeated to the end, and only the distinct chunks are walked.  On
+The machine walks hyperperiod chunks: lcm of the traffic period and the
+SR and grant periods the scheme follows (scheduling.slot_periods), so
+every chunk starts on an SR opportunity and a grant instant with the same
+arrivals.  Only the demand gate's busy slot crosses a chunk boundary,
+carried relative to the chunk start and clamped at 0; standing-grant data
+never does, because the grant at the boundary serves the freshest arrival
+before it.  A full chunk's events thus depend only on that entry state,
+so from the first entry state seen twice the chunks repeat: the horizon
+is a prefix of chunks and a cycle repeated to the end, and only the
+distinct chunks are walked.  On
 the grant grid, with no state crossing a period boundary, the chunk and
 the cycle are one period and the prefix is empty.  The partial final
 chunk is walked explicitly, since a grant past the horizon leaves its
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleError
 from .radio import RadioConfig, SchedulingScheme, haptic_blocks
-from .scheduling import demand_gate, drop_walk, standing_grants
+from .scheduling import SlotEvents, drop_walk, slot_grid_problems, slot_periods, slotted_machine
 from .traffic import (
     HapticTrafficModel,
     LeftoverTrafficModel,
@@ -63,7 +65,6 @@ class SimConfig:
 
     def __post_init__(self):
         problems = []
-        tti = self.radio.tti_ns
         if not math.isfinite(self.horizon):
             problems.append(f"horizon: must be finite, got {self.horizon!r}")
         elif self.n_periods < 10:
@@ -71,16 +72,9 @@ class SimConfig:
                 f"horizon: must cover at least 10 traffic periods, got {self.horizon!r} s "
                 f"with t_p={self.haptic.t_p!r} s"
             )
-        if self.haptic.t_p_ns % tti:
+        if self.haptic.t_p_ns % self.radio.tti_ns:
             problems.append("haptic.t_p: must be a whole number of TTIs for simulation")
-        if self.scheme in (SchedulingScheme.DYNAMIC, SchedulingScheme.SOFT_RESERVATION):
-            if self.radio.t_sr_ns % tti:
-                problems.append("radio.t_sr: SR opportunities must fall on slot boundaries")
-        if self.scheme in (SchedulingScheme.SEMI_PERSISTENT, SchedulingScheme.SOFT_RESERVATION):
-            if self.radio.t_pg_ns % tti:
-                problems.append("radio.t_pg: standing grants must fall on slot boundaries")
-        if self.scheme is SchedulingScheme.SOFT_RESERVATION and self.haptic.t_b_ns % tti:
-            problems.append("haptic.t_b: burst windows must end on a slot boundary for SRR")
+        problems.extend(slot_grid_problems(self.scheme, self.radio, self.haptic))
         if problems:
             raise ConfigError(problems)
 
@@ -106,18 +100,6 @@ class SimReport:
     horizon_s: float
 
 
-@dataclass
-class _HapticEvents:
-    """Resolved outcome of a scheduler machine over one span of slots."""
-
-    data_slots: np.ndarray       # slots carrying a latency-critical transmission
-    reserved_slots: np.ndarray   # slots claimed by standing grants whether used or not
-    tx_arrival_slots: np.ndarray
-    delays_s: np.ndarray
-    dropped_arrival_slots: np.ndarray
-    busy_end: int                # first slot at which a new SR procedure could start
-
-
 def _sorted_unique(slots: np.ndarray) -> np.ndarray:
     """np.unique for integer slots: a sort and an adjacent-difference mask."""
     slots = np.sort(slots)
@@ -126,64 +108,13 @@ def _sorted_unique(slots: np.ndarray) -> np.ndarray:
     return slots[keep]
 
 
-def _chunk_events(config: SimConfig, sa: np.ndarray, n_slots: int, busy: int) -> _HapticEvents:
-    """Run the scheme's machine over n_slots slots that start on a period
-    boundary that is also an SR opportunity and a grant instant.  sa are the
-    arrival slots relative to that start; busy is the demand gate carried
-    in, relative to the same start.
-
-    Standing grants serve SPS arrivals (up to the grant at n_slots) and SRR
-    burst arrivals (through the flush grant, wherever it lands); the demand
-    gate takes DS and FA arrivals and SRR sparse ones.  The two arrival sets
-    never interact, so their events are concatenated: burst first for SRR.
-    """
-    radio, haptic, scheme = config.radio, config.haptic, config.scheme
-    tti = radio.tti_ns
-    k_pg = radio.t_pg_ns // tti
-    no_slots = np.array([], dtype=np.int64)
-    granted, gated, reserved, last_grant = no_slots, sa, no_slots, None
-    if scheme is SchedulingScheme.SEMI_PERSISTENT:
-        granted, gated, last_grant = sa, no_slots, n_slots
-        reserved = np.arange(0, n_slots, k_pg, dtype=np.int64)
-    elif scheme is SchedulingScheme.SOFT_RESERVATION:
-        k_p, k_b = haptic.t_p_ns // tti, haptic.t_b_ns // tti
-        in_burst = (sa % k_p) < k_b
-        granted, gated = sa[in_burst], sa[~in_burst]
-        reserved = np.arange(0, n_slots, k_pg, dtype=np.int64)
-        reserved = reserved[reserved % k_p < k_b]
-    k_sr = None if scheme is SchedulingScheme.FAST_UPLINK else radio.t_sr_ns // tti
-    grant, served, superseded = standing_grants(granted, k_pg, last_grant)
-    acc, data, delay, busy = demand_gate(gated, k_sr, busy)
-    rejected = np.ones(len(gated), dtype=bool)
-    rejected[acc] = False
-    return _HapticEvents(
-        np.concatenate([grant[served], data]),
-        reserved,
-        np.concatenate([granted[served], gated[acc]]),
-        np.concatenate([grant[served] - granted[served] + 4, delay]) * tti / 1e9,
-        np.concatenate([granted[superseded], gated[rejected]]),
-        busy,
-    )
-
-
-def _grid_periods(config: SimConfig) -> dict[str, int]:
-    """The SR and standing-grant periods, in slots, that the scheme follows."""
-    radio, scheme = config.radio, config.scheme
-    grids = {}
-    if scheme in (SchedulingScheme.DYNAMIC, SchedulingScheme.SOFT_RESERVATION):
-        grids["t_sr"] = radio.t_sr_ns // radio.tti_ns
-    if scheme in (SchedulingScheme.SEMI_PERSISTENT, SchedulingScheme.SOFT_RESERVATION):
-        grids["t_pg"] = radio.t_pg_ns // radio.tti_ns
-    return grids
-
-
-def _replication_blocker(config: SimConfig, events: _HapticEvents) -> str | None:
+def _replication_blocker(config: SimConfig, events: SlotEvents) -> str | None:
     """For the path record: why one period's events do not repeat verbatim
     (grant and SR phases must realign at the period end and no state may
     cross it; an SPS grant on the boundary rides a reserved slot), or None."""
     k_p = config.slots_per_period
-    for name, k in _grid_periods(config).items():
-        if k_p % k:
+    for name, ns in slot_periods(config.scheme, config.radio).items():
+        if k_p % (ns // config.radio.tti_ns):
             return f"t_p is not a multiple of {name}"
     if events.busy_end > k_p:
         return "the SR pipeline is busy past the period end"
@@ -263,10 +194,12 @@ class _CapacityProfile:
     def time_of_supply(self, bits) -> np.ndarray:
         """Earliest time (seconds) at which cumulative capacity reaches each
         target; inf when the target lies past the horizon.  Targets that
-        fall on a zero-rate plateau resolve at the next rising segment."""
+        fall on a zero-rate plateau resolve at the next rising segment.
+        A 0-d target gives a scalar, as in supply_at."""
         bits = np.asarray(bits, dtype=float)
+        shape, bits = bits.shape, bits.ravel()  # 0-d too: the fold and the walk below assign into arrays
         if len(self.ris_S) == 0:
-            return np.full(bits.shape, np.inf)
+            return np.full(shape, np.inf)[()]
         if self.cycle_bits <= 0:  # nothing accrues after the prefix
             k, res = np.zeros(bits.shape), bits
         else:  # targets inside the prefix do not fold
@@ -291,7 +224,7 @@ class _CapacityProfile:
         t_ns = k * float(self.cycle_ns) + self.ris_t[j] + dt_ns
         out = t_ns / 1e9
         out[bits > self.total_bits * (1 + 1e-12)] = np.inf
-        return out
+        return out.reshape(shape)[()]
 
 
 def _haptic_layer(config: SimConfig):
@@ -305,10 +238,10 @@ def _haptic_layer(config: SimConfig):
     Returns (capacity profile, per-period counts, post-warm-up access
     delays, mean occupied slots per period after warm-up).
     """
-    radio, haptic = config.radio, config.haptic
+    radio, haptic, scheme = config.radio, config.haptic, config.scheme
     tti, k_p, n_periods = radio.tti_ns, config.slots_per_period, config.n_periods
     n_slots = n_periods * k_p
-    span = math.lcm(k_p, *_grid_periods(config).values())
+    span = math.lcm(k_p, *(ns // tti for ns in slot_periods(scheme, radio).values()))
     n_full, rest = divmod(n_slots, span)
     period_sa = period_arrival_offsets_ns(haptic) // tti
     chunk_sa = (np.arange(min(span, n_slots) // k_p, dtype=np.int64)[:, None] * k_p + period_sa).ravel()
@@ -316,7 +249,7 @@ def _haptic_layer(config: SimConfig):
     walked, seen, busy = [], {}, 0  # seen: entry busy -> index into walked
     while len(walked) < n_full and busy not in seen:
         seen[busy] = len(walked)
-        walked.append(_chunk_events(config, chunk_sa, span, busy))
+        walked.append(slotted_machine(scheme, radio, haptic, chunk_sa, span, busy))
         busy = max(walked[-1].busy_end - span, 0)
     start = seen.get(busy, len(walked))  # the cycle is walked[start:], empty if the horizon came first
     cycle = len(walked) - start
@@ -325,7 +258,8 @@ def _haptic_layer(config: SimConfig):
         return c if c < start else start + (c - start) % cycle
 
     if rest:  # the partial chunk joins walked last
-        walked.append(_chunk_events(config, chunk_sa[chunk_sa < rest], rest, list(seen)[at(n_full)] if cycle else busy))
+        entry = list(seen)[at(n_full)] if cycle else busy
+        walked.append(slotted_machine(scheme, radio, haptic, chunk_sa[chunk_sa < rest], rest, entry))
     # chunk 0 on its own (its first period is warm-up), the rest of the prefix,
     # the cycle repeated, its first few chunks again and the partial chunk
     head = max(start, 1)
@@ -374,7 +308,7 @@ def _haptic_layer(config: SimConfig):
     occupancy = int(occupied - occ.searchsorted(k_p)) / (n_periods - 1)
 
     if log.isEnabledFor(logging.DEBUG):
-        log.debug(_PATH_RECORD, config.scheme.value, span // k_p, prefix if cycle else n_full, cycle,
+        log.debug(_PATH_RECORD, scheme.value, span // k_p, prefix if cycle else n_full, cycle,
                   len(walked), _replication_blocker(config, walked[0]) or "clean")
     return profile, counts, delays, occupancy
 
@@ -466,8 +400,7 @@ def run(config: SimConfig) -> SimReport:
 
     tx_total, dr_total = (int(x) for x in counts[1:].sum(axis=0))
     drop_rate = dr_total / (tx_total + dr_total) if (tx_total + dr_total) else 0.0
-    slot_bits = haptic_blocks(radio) * radio.channel_rate * radio.tti
-    remainder = radio.total_rate * haptic.t_p - slot_bits * occupancy
+    remainder = radio.total_rate * haptic.t_p - radio.slot_bits * occupancy
 
     return SimReport(
         scheme=scheme,
@@ -504,9 +437,9 @@ def validate_against_walk(config: SimConfig) -> bool:
     """Cross-check the simulator against the analytic walk re-run at slot
     granularity: per-period transmitted/dropped counts must match exactly
     on every full period after warm-up (the final period is skipped because
-    its tail may still be in flight at the horizon).  Both run the grant
-    kernels of `scheduling`, so this checks the simulator's chunking and
-    per-period bookkeeping, not the grant rules."""
+    its tail may still be in flight at the horizon).  Both run
+    scheduling.slotted_machine, so this checks the simulator's chunking and
+    per-period bookkeeping, not the grant machine."""
     report = run(config)
     walk = drop_walk(config.scheme, config.radio, config.haptic, slotted=True)
     expected = (walk.transmitted, walk.dropped)

@@ -280,6 +280,28 @@ class TestCli:
         assert flag.err == capsys.readouterr().err == (
             f"configuration error: snc.epsilon: must be in (0, 1), got {float(epsilon)!r}\n")
 
+    @pytest.mark.parametrize("seeds, problem", [
+        (",", "at least one seed is required"),
+        ("-1", "seeds must be >= 0, got '-1'"),
+        ("3,-2", "seeds must be >= 0, got '3,-2'"),
+    ])
+    def test_seed_list_checked_as_the_ini_key(self, tmp_path, capsys, seeds, problem):
+        args = ["simulate", "--scheme", "DS", "--horizon", "12s"]
+        assert main([*args, "--seed", seeds]) == 1
+        flag = capsys.readouterr()
+        ini = tmp_path / "seeds.ini"
+        ini.write_text(f"[experiment]\nseeds = {seeds}\n")
+        assert main([*args, "--config", str(ini)]) == 1
+        assert flag.out == ""
+        assert flag.err == f"configuration error: --seed: {problem}\n"
+        assert capsys.readouterr().err == f"configuration error: experiment.seeds: {problem}\n"
+
+    def test_empty_seed_list_stops_compare(self, capsys):
+        assert main(["compare", "--scheme", "DS", "--seed", ",", "--param", "t_ib", "--values", "1ms,2ms"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: --seed: at least one seed is required\n"
+
     def test_simulate_verb_deterministic_files(self, tmp_path):
         args = ["simulate", "--scheme", "DS", "--seed", "4", "--horizon", "12s"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -229,7 +229,7 @@ def ref_walk_demand_slotted(offsets_ns, radio, fast):
     has been received (three slots after the SR slot)."""
     tti = radio.tti_ns
     if not fast and radio.t_sr_ns % tti:
-        raise ConfigError("radio.t_sr: must be a whole number of TTIs for the slotted walk")
+        raise ConfigError("radio.t_sr: must be a whole number of TTIs for slotted scheduling")
     k_sr = radio.t_sr_ns // tti
     busy = None
     delays, dropped = [], 0
@@ -279,7 +279,7 @@ def ref_walk_granted(offsets_ns, t_pg_ns, extra_delay_ns, last_grant_ns=None):
 def ref_walk_granted_slotted(offsets_ns, radio, last_grant_slot=None):
     tti = radio.tti_ns
     if radio.t_pg_ns % tti:
-        raise ConfigError("radio.t_pg: must be a whole number of TTIs for the slotted walk")
+        raise ConfigError("radio.t_pg: must be a whole number of TTIs for slotted scheduling")
     k_pg = radio.t_pg_ns // tti
     slots = offsets_ns // tti
     delays, dropped = [], 0
@@ -328,7 +328,7 @@ def reference_walk(scheme, radio, haptic, slotted=False):
     else:
         if slotted:
             if t_b % tti:
-                raise ConfigError("haptic.t_b: must be a whole number of TTIs for the slotted SRR walk")
+                raise ConfigError("haptic.t_b: must be a whole number of TTIs for slotted scheduling")
             k_pg = radio.t_pg_ns // tti
             flush_slot = ceil_div(t_b // tti, k_pg) * k_pg
             b_delays, b_dropped = ref_walk_granted_slotted(burst, radio, last_grant_slot=flush_slot)

@@ -30,6 +30,7 @@ from hapticsched import (
     validate_against_walk,
 )
 from hapticsched import simulate as simulate_mod
+from hapticsched.scheduling import slot_periods, slotted_machine
 
 S = SchedulingScheme
 LEFTOVER = LeftoverTrafficModel(4.0, 12000.0)
@@ -82,7 +83,7 @@ class TestHapticSide:
     def test_at_most_one_transmission_per_slot(self, scheme):
         cfg = sim(scheme, tti=0.125e-3, t_ib=1.3e-3)
         sa = simulate_mod.period_arrival_offsets_ns(cfg.haptic) // cfg.radio.tti_ns
-        events = simulate_mod._chunk_events(cfg, sa, cfg.slots_per_period, 0)
+        events = slotted_machine(cfg.scheme, cfg.radio, cfg.haptic, sa, cfg.slots_per_period, 0)
         assert len(np.unique(events.data_slots)) == len(events.data_slots)
 
 
@@ -97,6 +98,16 @@ class TestOracleEquivalence:
         bad = RadioConfig(10, 1e6, 0.5e-3, 0.5e-3, 5.25e-3, 1e-4)  # grant period off the slot grid
         with pytest.raises(ConfigError, match="t_pg"):
             SimConfig(bad, haptic(), LEFTOVER, S.SEMI_PERSISTENT, 15.0, 1)
+
+    def test_simulator_and_slotted_walk_reject_off_grid_alike(self):
+        bad = RadioConfig(10, 1e6, 0.5e-3, 0.7e-3, 5.25e-3, 1e-4)  # SR and grant periods off the slot grid
+        for scheme in (S.DYNAMIC, S.SEMI_PERSISTENT, S.SOFT_RESERVATION):
+            with pytest.raises(ConfigError) as walk:
+                drop_walk(scheme, bad, haptic(), slotted=True)
+            with pytest.raises(ConfigError) as simulated:
+                SimConfig(bad, haptic(), LEFTOVER, scheme, 15.0, 1)
+            assert simulated.value.problems[0] == str(walk.value), scheme
+        assert drop_walk(S.FAST_UPLINK, bad, haptic(), slotted=True).dropped == 0
 
     def test_short_horizon_rejected(self):
         with pytest.raises(ConfigError, match="horizon"):
@@ -161,7 +172,7 @@ class TestLeftoverSide:
         the unslotted one does, the per-period charge is what the simulator
         occupies."""
         sa = simulate_mod.period_arrival_offsets_ns(cfg.haptic) // cfg.radio.tti_ns
-        events = simulate_mod._chunk_events(cfg, sa, cfg.slots_per_period, 0)
+        events = slotted_machine(cfg.scheme, cfg.radio, cfg.haptic, sa, cfg.slots_per_period, 0)
         assume(simulate_mod._replication_blocker(cfg, events) is None)
         slotted = drop_walk(cfg.scheme, cfg.radio, cfg.haptic, slotted=True)
         assume(slotted.transmitted == drop_walk(cfg.scheme, cfg.radio, cfg.haptic).transmitted)
@@ -346,6 +357,12 @@ class TestLookupTablesEqualSearch:
         with np.errstate(invalid="ignore"):
             got, want = tables.time_of_supply(targets), search.time_of_supply(targets)
         assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+        # a 0-d or scalar target gives the scalar a 1-d call gives for it
+        for target in (search.supply_at(np.int64(scalar)), total * 1.001, -1.0):
+            for bits in (target, np.array(target)):
+                got, want = tables.time_of_supply(bits), search.time_of_supply(bits)
+                assert type(got) is type(want) is np.float64
+                assert got == want == search.time_of_supply(np.array([target]))[0]
 
 
 def tile_gather(parts: list[np.ndarray], order: list[int], span: int) -> np.ndarray:
@@ -417,20 +434,20 @@ def reference_haptic_layer(config):
     k_p = config.slots_per_period
     n_periods = config.n_periods
     n_slots = n_periods * k_p
-    span = math.lcm(k_p, *simulate_mod._grid_periods(config).values())
+    span = math.lcm(k_p, *(ns // tti for ns in slot_periods(config.scheme, radio).values()))
     period_sa = simulate_mod.period_arrival_offsets_ns(haptic) // tti
     chunk_sa = (np.arange(min(span, n_slots) // k_p, dtype=np.int64)[:, None] * k_p + period_sa).ravel()
     walked, seen, order, busy = [], {}, [], 0
     for _ in range(n_slots // span):
         if busy not in seen:
             seen[busy] = len(walked)
-            walked.append(simulate_mod._chunk_events(config, chunk_sa, span, busy))
+            walked.append(slotted_machine(config.scheme, config.radio, config.haptic, chunk_sa, span, busy))
         order.append(seen[busy])
         busy = max(walked[order[-1]].busy_end - span, 0)
     rest = n_slots % span
     if rest:
         order.append(len(walked))
-        walked.append(simulate_mod._chunk_events(config, chunk_sa[chunk_sa < rest], rest, busy))
+        walked.append(slotted_machine(config.scheme, config.radio, config.haptic, chunk_sa[chunk_sa < rest], rest, busy))
 
     def tiled(field, shift=span):
         return tile_gather([getattr(e, field) for e in walked], order, shift)
@@ -480,7 +497,7 @@ class TestPrefixCycleLayoutEqualsFlatReference:
         # boundary: that slot is reserved in the next period anyway
         late = HapticTrafficModel(1.0, 0.2, 2e-3, 0.7995)
         cfg = SimConfig(radio(), late, LEFTOVER, S.SEMI_PERSISTENT, 20.0, 1)
-        events = simulate_mod._chunk_events(cfg, simulate_mod.period_arrival_offsets_ns(late) // 500_000, 2000, 0)
+        events = slotted_machine(cfg.scheme, cfg.radio, cfg.haptic, simulate_mod.period_arrival_offsets_ns(late) // 500_000, 2000, 0)
         assert events.data_slots.max() == 2000
         profile = simulate_mod._haptic_layer(cfg)[0]
         assert (profile.prefix_ns, profile.cycle_ns) == (0, late.t_p_ns)
