@@ -11,9 +11,11 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigError, InfeasibleError
-from .experiments import (ExperimentSpec, epsilon_problems, linear_grid, load_config, parse_seeds,
-                          parse_time, run_experiment)
-from .radio import SchedulingScheme
+from .experiments import KEYS, ExperimentSpec, linear_grid, load_config, parse_time, run_experiment
+
+# the INI key each flag overrides; the flag's text is parsed as that key's is
+_FLAG_KEYS = {"scheme": ("experiment", "schemes"), "seed": ("experiment", "seeds"),
+              "epsilon": ("snc", "epsilon"), "horizon": ("experiment", "horizon")}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", default="-", help="output CSV path, '-' for stdout")
     common.add_argument("--scheme", metavar="LIST", help="comma list of DS,SPS,SRR,FA (default: from config)")
     common.add_argument("--seed", metavar="N[,N...]", help="comma list of simulation seeds")
-    common.add_argument("--epsilon", type=float, help="outage probability target")
+    common.add_argument("--epsilon", help="outage probability target")
 
     sim = argparse.ArgumentParser(add_help=False)
     sim.add_argument("--horizon", metavar="T", help="simulation horizon (accepts ms/s suffix)")
@@ -57,20 +59,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         loaded = load_config(args.config)
-        overrides = {}
-        if args.scheme is not None:
-            overrides["schemes"] = tuple(
-                SchedulingScheme.parse(token) for token in args.scheme.split(",") if token.strip()
-            )
-        if args.seed is not None:
-            overrides["seeds"] = parse_seeds(args.seed, "--seed")
-        if args.epsilon is not None:
-            if problems := epsilon_problems(args.epsilon):
-                raise ConfigError(problems)
-            overrides["epsilon"] = args.epsilon
-        if getattr(args, "horizon", None) is not None:
-            overrides["horizon"] = parse_time(args.horizon, "--horizon")
-        loaded = replace(loaded, **overrides)
+        for flag, (section, key) in _FLAG_KEYS.items():
+            text = getattr(args, flag, None)  # only simulate and compare take --horizon
+            if text is not None:
+                parse, _ = KEYS[section][key]
+                loaded = replace(loaded, **{key: parse(text, f"--{flag}")})
 
         sweep_param = None
         sweep_values = None

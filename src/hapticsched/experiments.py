@@ -10,7 +10,6 @@ configuration so result files are self-describing.
 
 from __future__ import annotations
 
-import concurrent.futures
 import configparser
 import hashlib
 import json
@@ -26,27 +25,6 @@ from .scheduling import drop_walk, remainder_of_service
 from .simulate import SimConfig, empirical_quantile, run as run_simulation
 from .traffic import HapticTrafficModel, LeftoverTrafficModel, SizeDistribution
 
-DEFAULT_TTI = 0.5e-3
-DEFAULT_N_CHANNELS = 10
-DEFAULT_TOTAL_RATE = 1e6          # documented default; a free model parameter
-DEFAULT_DEMAND_NORM = 1e-4        # documented default; keeps every TTI feasible
-DEFAULT_T_P = 1.0
-DEFAULT_T_B = 0.2
-DEFAULT_T_IB = 2e-3
-DEFAULT_T_NB = 50e-3
-DEFAULT_LAMBDA = 4.0
-DEFAULT_SIGMA = 12000.0           # 1500 bytes
-DEFAULT_EPSILON = 1e-5
-DEFAULT_HORIZON = 2000.0
-DEFAULT_SEEDS = (1,)
-
-_SECTIONS = {
-    "radio": {"n_channels", "total_rate", "tti", "t_sr", "t_pg", "haptic_demand_norm"},
-    "haptic": {"t_p", "t_b", "t_ib", "t_nb"},
-    "leftover": {"lambda_rate", "sigma", "size_distribution"},
-    "snc": {"epsilon"},
-    "experiment": {"horizon", "seeds", "schemes", "workers"},
-}
 
 def parse_time(text: str, field: str) -> float:
     """Parse a time value with an optional ms/s suffix into seconds."""
@@ -65,6 +43,105 @@ def parse_time(text: str, field: str) -> float:
     return value
 
 
+def _parse_int(text: str, field: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{field}: must be an integer, got {text!r}") from None
+
+
+def _parse_float(text: str, field: str) -> float:
+    """A number; its range is the model's to check, nan and inf included."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{field}: cannot parse {text!r}") from None
+
+
+def _parse_size_law(text: str, field: str) -> SizeDistribution:
+    try:
+        return SizeDistribution(text.strip().lower())
+    except ValueError:
+        raise ConfigError(
+            f"{field}: unknown size distribution {text!r} (expected deterministic or exponential_mean)"
+        ) from None
+
+
+def parse_seeds(text: str, field: str) -> tuple[int, ...]:
+    """Parse simulation seeds: a comma-separated list of at least one
+    non-negative integer, each once."""
+    try:
+        seeds = tuple(int(s) for s in str(text).split(",") if s.strip())
+    except ValueError:
+        raise ConfigError(f"{field}: must be a comma-separated integer list, got {text!r}") from None
+    if not seeds:
+        raise ConfigError(f"{field}: at least one seed is required")
+    if min(seeds) < 0:
+        raise ConfigError(f"{field}: seeds must be >= 0, got {text!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"{field}: each seed at most once, got {text!r}")
+    return seeds
+
+
+def _parse_schemes(text: str, field: str) -> tuple[SchedulingScheme, ...]:
+    """A comma-separated list of DS, SPS, SRR and FA, each at most once."""
+    schemes, problems = [], []
+    for token in text.split(","):
+        if token.strip():
+            try:
+                schemes.append(SchedulingScheme.parse(token))
+            except ConfigError as exc:
+                problems.append(f"{field}: {exc}")
+    if not problems and len(set(schemes)) < len(schemes):
+        problems.append(f"{field}: each scheme at most once, got {text!r}")
+    if problems:
+        raise ConfigError(problems)
+    return tuple(schemes)
+
+
+def _parse_workers(text: str, field: str) -> None:
+    """The process pool is gone and every run is serial; the key stays so
+    that files which set it to 1 still load."""
+    if text.strip() != "1":
+        raise ConfigError(f"{field}: must be 1 (runs are serial), got {text!r}")
+
+
+# Every INI key: section -> key -> (parser, default text).  Each parser
+# takes (text, field path) and names the path in its messages; a flag that
+# overrides a key parses with the key's parser and the flag as the path.
+# The radio, haptic and leftover keys are their models' field names.  t_sr
+# and t_pg have no default text: unless set, they track the TTI (1x and 10x).
+KEYS = {
+    "radio": {
+        "n_channels": (_parse_int, "10"),
+        "total_rate": (_parse_float, "1000000.0"),    # documented default; a free model parameter
+        "tti": (parse_time, "0.0005"),
+        "t_sr": (parse_time, None),
+        "t_pg": (parse_time, None),
+        "haptic_demand_norm": (parse_time, "0.0001"),  # documented default; keeps every TTI feasible
+    },
+    "haptic": {
+        "t_p": (parse_time, "1.0"),
+        "t_b": (parse_time, "0.2"),
+        "t_ib": (parse_time, "0.002"),
+        "t_nb": (parse_time, "0.05"),
+    },
+    "leftover": {
+        "lambda_rate": (_parse_float, "4.0"),
+        "sigma": (_parse_float, "12000.0"),           # 1500 bytes
+        "size_distribution": (_parse_size_law, "deterministic"),
+    },
+    "snc": {"epsilon": (_parse_float, "1e-05")},
+    "experiment": {
+        "horizon": (parse_time, "2000.0"),
+        "seeds": (parse_seeds, "1"),
+        "schemes": (_parse_schemes, "DS,SPS,SRR,FA"),
+        "workers": (_parse_workers, "1"),
+    },
+}
+_MODELS = {"radio": RadioConfig, "haptic": HapticTrafficModel, "leftover": LeftoverTrafficModel}
+
+
 @dataclass(frozen=True)
 class LoadedConfig:
     radio: RadioConfig
@@ -74,9 +151,14 @@ class LoadedConfig:
     horizon: float
     seeds: tuple[int, ...]
     schemes: tuple[SchedulingScheme, ...]
-    workers: int
     t_sr_tracks_tti: bool
     t_pg_tracks_tti: bool
+
+    def __post_init__(self):
+        # checked here, not by its parser, so that --epsilon, snc.epsilon and
+        # library callers get one check and one message
+        if not 0 < self.epsilon < 1:
+            raise ConfigError(f"snc.epsilon: must be in (0, 1), got {self.epsilon!r}")
 
     def at_point(self, tti: float | None = None, t_ib: float | None = None) -> "LoadedConfig":
         """Re-derive the configuration at a sweep grid point.  When the SR
@@ -110,29 +192,12 @@ class LoadedConfig:
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
 
 
-def epsilon_problems(epsilon: float) -> list[str]:
-    """The outage target's range check, for the INI key and --epsilon alike."""
-    return [] if 0 < epsilon < 1 else [f"snc.epsilon: must be in (0, 1), got {epsilon!r}"]
-
-
-def parse_seeds(text: str, field: str) -> tuple[int, ...]:
-    """Parse simulation seeds, for the INI key and --seed alike: a
-    comma-separated list of at least one non-negative integer."""
-    try:
-        seeds = tuple(int(s) for s in str(text).split(",") if s.strip())
-    except ValueError:
-        raise ConfigError(f"{field}: must be a comma-separated integer list, got {text!r}") from None
-    if not seeds:
-        raise ConfigError(f"{field}: at least one seed is required")
-    if min(seeds) < 0:
-        raise ConfigError(f"{field}: seeds must be >= 0, got {text!r}")
-    return seeds
-
-
 def load_config(path=None) -> LoadedConfig:
     """Load and validate a configuration file; None or an empty file yields
-    the full defaults.  All violations are reported together."""
-    parser = configparser.ConfigParser()
+    the full defaults.  Every key is parsed, the model of every section
+    whose keys all parsed is built, and their problems are reported
+    together.  The range of snc.epsilon is checked once the rest is valid."""
+    parser = configparser.ConfigParser(interpolation=None)  # a '%' is part of the value
     if path is not None:
         target = Path(path)
         if not target.exists():
@@ -144,101 +209,45 @@ def load_config(path=None) -> LoadedConfig:
 
     problems = []
     for section in parser.sections():
-        if section not in _SECTIONS:
-            problems.append(f"{section}: unknown section (expected one of {sorted(_SECTIONS)})")
+        if section not in KEYS:
+            problems.append(f"{section}: unknown section (expected one of {sorted(KEYS)})")
             continue
-        for key in parser[section]:
-            if key not in _SECTIONS[section]:
-                problems.append(f"{section}.{key}: unknown key")
+        problems.extend(f"{section}.{key}: unknown key" for key in parser[section] if key not in KEYS[section])
 
-    def get(section, key, default=None):
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return default
-
-    tti = parse_time(get("radio", "tti", repr(DEFAULT_TTI)), "radio.tti")
-    t_sr_raw = get("radio", "t_sr")
-    t_pg_raw = get("radio", "t_pg")
-    t_sr = parse_time(t_sr_raw, "radio.t_sr") if t_sr_raw is not None else tti
-    t_pg = parse_time(t_pg_raw, "radio.t_pg") if t_pg_raw is not None else 10 * tti
-
-    radio = haptic = leftover = None
-    try:
-        radio = RadioConfig(
-            n_channels=int(get("radio", "n_channels", DEFAULT_N_CHANNELS)),
-            total_rate=float(get("radio", "total_rate", DEFAULT_TOTAL_RATE)),
-            tti=tti,
-            t_sr=t_sr,
-            t_pg=t_pg,
-            haptic_demand_norm=parse_time(
-                get("radio", "haptic_demand_norm", repr(DEFAULT_DEMAND_NORM)), "radio.haptic_demand_norm"
-            ),
-        )
-    except (ConfigError, ValueError) as exc:
-        problems.extend(getattr(exc, "problems", [str(exc)]))
-    try:
-        haptic = HapticTrafficModel(
-            t_p=parse_time(get("haptic", "t_p", repr(DEFAULT_T_P)), "haptic.t_p"),
-            t_b=parse_time(get("haptic", "t_b", repr(DEFAULT_T_B)), "haptic.t_b"),
-            t_ib=parse_time(get("haptic", "t_ib", repr(DEFAULT_T_IB)), "haptic.t_ib"),
-            t_nb=parse_time(get("haptic", "t_nb", repr(DEFAULT_T_NB)), "haptic.t_nb"),
-        )
-    except (ConfigError, ValueError) as exc:
-        problems.extend(getattr(exc, "problems", [str(exc)]))
-    try:
-        leftover = LeftoverTrafficModel(
-            lambda_rate=float(get("leftover", "lambda_rate", DEFAULT_LAMBDA)),
-            sigma=float(get("leftover", "sigma", DEFAULT_SIGMA)),
-            size_distribution=SizeDistribution.parse(get("leftover", "size_distribution", "deterministic")),
-        )
-    except (ConfigError, ValueError) as exc:
-        problems.extend(getattr(exc, "problems", [str(exc)]))
-
-    try:
-        epsilon = float(get("snc", "epsilon", DEFAULT_EPSILON))
-    except ValueError:
-        problems.append(f"snc.epsilon: cannot parse {get('snc', 'epsilon')!r}")
-        epsilon = DEFAULT_EPSILON
-    problems.extend(epsilon_problems(epsilon))
-
-    horizon = DEFAULT_HORIZON
-    try:
-        horizon = parse_time(get("experiment", "horizon", repr(DEFAULT_HORIZON)), "experiment.horizon")
-    except ConfigError as exc:
-        problems.extend(exc.problems)
-    try:
-        seeds = parse_seeds(get("experiment", "seeds", "1"), "experiment.seeds")
-    except ConfigError as exc:
-        problems.extend(exc.problems)
-        seeds = DEFAULT_SEEDS
-    schemes_raw = get("experiment", "schemes", "DS,SPS,SRR,FA")
-    schemes = []
-    for token in str(schemes_raw).split(","):
-        if not token.strip():
-            continue
-        try:
-            schemes.append(SchedulingScheme.parse(token))
-        except ConfigError as exc:
-            problems.extend(exc.problems)
-    try:
-        workers = int(get("experiment", "workers", 1))
-    except ValueError:
-        problems.append(f"experiment.workers: must be an integer, got {get('experiment', 'workers')!r}")
-        workers = 1
+    values = {section: {} for section in KEYS}
+    failed = set()
+    for section, keys in KEYS.items():
+        given = dict(parser.items(section)) if parser.has_section(section) else {}
+        for key, (parse, default) in keys.items():
+            text = given.get(key, default)
+            if text is None:
+                continue
+            try:
+                values[section][key] = parse(text, f"{section}.{key}")
+            except ConfigError as exc:
+                problems.extend(exc.problems)
+                failed.add(section)
+    radio = values["radio"]
+    if "radio" not in failed:
+        radio.setdefault("t_sr", radio["tti"])
+        radio.setdefault("t_pg", 10 * radio["tti"])
+    models = {}
+    for section, model in _MODELS.items():
+        if section not in failed:
+            try:
+                models[section] = model(**values[section])
+            except ConfigError as exc:
+                problems.extend(exc.problems)
+    values["experiment"].pop("workers", None)  # parsed only to reject values other than 1
 
     if problems:
         raise ConfigError(problems)
     return LoadedConfig(
-        radio=radio,
-        haptic=haptic,
-        leftover=leftover,
-        epsilon=epsilon,
-        horizon=horizon,
-        seeds=seeds,
-        schemes=tuple(schemes),
-        workers=max(1, workers),
-        t_sr_tracks_tti=t_sr_raw is None,
-        t_pg_tracks_tti=t_pg_raw is None,
+        **models,
+        **values["snc"],
+        **values["experiment"],
+        t_sr_tracks_tti=not parser.has_option("radio", "t_sr"),
+        t_pg_tracks_tti=not parser.has_option("radio", "t_pg"),
     )
 
 
@@ -320,10 +329,9 @@ def _bound_fields(point: LoadedConfig, scheme: SchedulingScheme, epsilon: float)
         return ["", "", "", ""], "infeasible"
 
 
-def _point_rows(args) -> list[dict]:
+def _point_rows(point: LoadedConfig, mode: str) -> list[dict]:
     """A verb's rows at one grid point, each a dict keyed by column.  Each
     verb computes only what its columns show."""
-    point, mode = args
     rows = []
     for scheme in point.schemes:
         row = {"scheme": scheme.value, "tti_s": point.radio.tti, "t_ib_s": point.haptic.t_ib,
@@ -374,13 +382,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
     points = [loaded]
     if spec.sweep_values:
         points = [loaded.at_point(**{spec.sweep_param: value}) for value in spec.sweep_values]
-    tasks = [(point, spec.mode) for point in points]
-    if loaded.workers > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=loaded.workers) as pool:
-            results = list(pool.map(_point_rows, tasks))
-    else:
-        results = [_point_rows(task) for task in tasks]
-    rows = [row for point_rows in results for row in point_rows]
+    rows = [row for point in points for row in _point_rows(point, spec.mode)]
     columns = ("scheme", "tti_s", "t_ib_s", *COLUMNS[spec.mode], "config_hash")
     lines = [",".join(columns)] + [",".join(_fmt(row[column]) for column in columns) for row in rows]
     text = "\n".join(lines) + "\n"

@@ -7,6 +7,7 @@ spreads over as many channels as its resource demand requires.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -56,8 +57,8 @@ class RadioConfig:
         problems = []
         if not isinstance(self.n_channels, int) or self.n_channels < 1:
             problems.append(f"radio.n_channels: must be an integer >= 1, got {self.n_channels!r}")
-        if self.total_rate <= 0:
-            problems.append(f"radio.total_rate: must be > 0, got {self.total_rate!r}")
+        if not 0 < self.total_rate < math.inf:
+            problems.append(f"radio.total_rate: must be > 0 and finite, got {self.total_rate!r}")
         for name in ("tti", "t_sr"):
             value = getattr(self, name)
             if not positive_ns(value):

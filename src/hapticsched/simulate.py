@@ -65,6 +65,8 @@ class SimConfig:
 
     def __post_init__(self):
         problems = []
+        if not isinstance(self.seed, int) or self.seed < 0:
+            problems.append(f"seed: must be an integer >= 0, got {self.seed!r}")
         if not math.isfinite(self.horizon):
             problems.append(f"horizon: must be finite, got {self.horizon!r}")
         elif self.n_periods < 10:

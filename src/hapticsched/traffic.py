@@ -65,14 +65,6 @@ class SizeDistribution(Enum):
     DETERMINISTIC = "deterministic"
     EXPONENTIAL_MEAN = "exponential_mean"
 
-    @classmethod
-    def parse(cls, name: str) -> "SizeDistribution":
-        key = name.strip().lower()
-        for member in cls:
-            if key in (member.value, member.name.lower()):
-                return member
-        raise ConfigError(f"unknown size distribution {name!r}")
-
 
 @dataclass(frozen=True)
 class LeftoverTrafficModel:
@@ -86,10 +78,10 @@ class LeftoverTrafficModel:
 
     def __post_init__(self):
         problems = []
-        if self.lambda_rate <= 0:
-            problems.append(f"leftover.lambda_rate: must be > 0, got {self.lambda_rate!r}")
-        if self.sigma <= 0:
-            problems.append(f"leftover.sigma: must be > 0, got {self.sigma!r}")
+        for name in ("lambda_rate", "sigma"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                problems.append(f"leftover.{name}: must be > 0 and finite, got {value!r}")
         if problems:
             raise ConfigError(problems)
 

@@ -1,5 +1,5 @@
-import concurrent.futures
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,8 +14,8 @@ from hapticsched import (
     load_config,
     run_experiment,
 )
-from hapticsched.cli import main
-from hapticsched.experiments import parse_time
+from hapticsched.cli import entry, main
+from hapticsched.experiments import KEYS, parse_time
 
 S = SchedulingScheme
 ROOT = Path(__file__).resolve().parents[1]
@@ -108,6 +108,44 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="horizon"):
             parse_time("fast", "horizon")
 
+    @pytest.mark.parametrize("value", ["garbage", "1%"])
+    @pytest.mark.parametrize("field", [f"{section}.{key}" for section, keys in KEYS.items() for key in keys])
+    def test_every_problem_names_its_key(self, tmp_path, capsys, field, value):
+        section, key = field.split(".")
+        cfg = tmp_path / "garbage.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(cfg)
+        assert err.value.problems and all(p.startswith(f"{field}: ") for p in err.value.problems)
+        assert main(["bound", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"configuration error: {err.value}\n"
+
+    @pytest.mark.parametrize("field, value", [
+        ("radio.total_rate", "nan"), ("radio.total_rate", "inf"),
+        ("leftover.lambda_rate", "nan"), ("leftover.sigma", "inf"),
+    ])
+    @pytest.mark.parametrize("argv", [["bound"], ["simulate", "--horizon", "12s"]])
+    def test_non_finite_rates_rejected(self, tmp_path, capsys, field, value, argv):
+        section, key = field.split(".")
+        cfg = tmp_path / "rate.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main([*argv, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {field}: must be > 0 and finite, got {float(value)!r}\n"
+
+    def test_workers_accepts_only_one(self, tmp_path, capsys):
+        cfg = tmp_path / "w2.ini"
+        cfg.write_text("[experiment]\nworkers = 2\n")
+        assert main(["sweep", "--config", str(cfg), "--param", "t_ib", "--values", "1ms,2ms"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: experiment.workers: must be 1 (runs are serial), got '2'\n"
+
+    @pytest.mark.parametrize("ini", sorted((ROOT / "bench" / "configs").glob("*.ini")), ids=lambda p: p.name)
+    def test_benchmark_configs_load(self, ini):
+        assert load_config(ini).schemes
+
 
 class TestSpecValidation:
     def test_sweep_needs_two_points(self):
@@ -182,28 +220,6 @@ class TestRunExperiment:
         assert run_experiment(spec) == 0
         row = (tmp_path / "b.csv").read_text().strip().splitlines()[1]
         assert ",infeasible," in row
-
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--param", "t_ib", "--from", "1ms", "--to", "3ms", "--steps", "5"],
-        ["compare", "--scheme", "FA", "--param", "t_ib", "--values", "2ms,3ms", "--horizon", "60s", "--seed", "1,2"],
-    ])
-    def test_worker_pool_writes_the_serial_bytes(self, tmp_path, argv):
-        results = []
-        for workers in (1, 2):
-            cfg = tmp_path / f"w{workers}.ini"
-            cfg.write_text(f"[experiment]\nworkers = {workers}\n")
-            out = tmp_path / f"w{workers}.csv"
-            results.append((main([*argv, "--config", str(cfg), "--out", str(out)]), out.read_bytes()))
-        assert results[0] == results[1]
-
-    def test_single_point_verb_starts_no_pool(self, tmp_path, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a single-point verb started a process pool")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        cfg = tmp_path / "w2.ini"
-        cfg.write_text("[experiment]\nworkers = 2\n")
-        assert main(["bound", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 0
 
 
 class TestCsvContract:
@@ -284,6 +300,7 @@ class TestCli:
         (",", "at least one seed is required"),
         ("-1", "seeds must be >= 0, got '-1'"),
         ("3,-2", "seeds must be >= 0, got '3,-2'"),
+        ("1,1", "each seed at most once, got '1,1'"),
     ])
     def test_seed_list_checked_as_the_ini_key(self, tmp_path, capsys, seeds, problem):
         args = ["simulate", "--scheme", "DS", "--horizon", "12s"]
@@ -295,6 +312,37 @@ class TestCli:
         assert flag.out == ""
         assert flag.err == f"configuration error: --seed: {problem}\n"
         assert capsys.readouterr().err == f"configuration error: experiment.seeds: {problem}\n"
+
+    @pytest.mark.parametrize("schemes, problem", [
+        ("DS,DS", "each scheme at most once, got 'DS,DS'"),
+        ("FA,fa", "each scheme at most once, got 'FA,fa'"),
+        ("XX", "unknown scheduling scheme 'XX' (expected one of DS, SPS, SRR, FA)"),
+    ])
+    def test_scheme_list_checked_as_the_ini_key(self, tmp_path, capsys, schemes, problem):
+        assert main(["bound", "--scheme", schemes]) == 1
+        flag = capsys.readouterr()
+        ini = tmp_path / "schemes.ini"
+        ini.write_text(f"[experiment]\nschemes = {schemes}\n")
+        assert main(["bound", "--config", str(ini)]) == 1
+        assert flag.out == ""
+        assert flag.err == f"configuration error: --scheme: {problem}\n"
+        assert capsys.readouterr().err == f"configuration error: experiment.schemes: {problem}\n"
+
+    @pytest.mark.parametrize("flag", ["--scheme", "--seed", "--epsilon", "--horizon"])
+    def test_every_flag_names_itself(self, capsys, flag):
+        assert main(["simulate", flag, "garbage"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: {flag}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, code", [(["bound", "--scheme", "DS"], 0), (["bound", "--epsilon", "3"], 1)])
+    def test_console_entry_exit_status(self, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr(sys, "argv", ["hapticsched", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            entry()
+        assert exit_.value.code == code
+        assert (capsys.readouterr().out != "") == (code == 0)
 
     def test_empty_seed_list_stops_compare(self, capsys):
         assert main(["compare", "--scheme", "DS", "--seed", ",", "--param", "t_ib", "--values", "1ms,2ms"]) == 1

@@ -116,6 +116,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"radio.{field}: must be at least 1 ns"):
             radio(**kw)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ConfigError, match=r"radio.total_rate: must be > 0 and finite"):
+            radio(0.5e-3, rate=rate)
+
     def test_all_violations_reported(self):
         with pytest.raises(ConfigError) as err:
             RadioConfig(0, -1.0, 0.5e-3, 0.5e-3, 5e-3, 1e-4)

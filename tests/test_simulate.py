@@ -123,6 +123,11 @@ class TestOracleEquivalence:
             SimConfig(r, h, LEFTOVER, S.DYNAMIC, 10 * h.t_p, 1)
         assert SimConfig(r, h, LEFTOVER, S.DYNAMIC, 10 * 1_000_002e-9, 1).n_periods == 10
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match=f"seed: must be an integer >= 0, got {seed!r}"):
+            SimConfig(radio(), haptic(), LEFTOVER, S.DYNAMIC, 15.0, seed)
+
     @pytest.mark.parametrize("horizon", [float("inf"), float("nan")])
     def test_non_finite_horizon_rejected(self, horizon):
         with pytest.raises(ConfigError, match="horizon: must be finite"):

@@ -210,3 +210,13 @@ class TestModelValidation:
     def test_leftover_requires_positive_rate(self):
         with pytest.raises(ConfigError):
             LeftoverTrafficModel(0.0, 12000.0)
+
+    @pytest.mark.parametrize("kw, field", [
+        (dict(lambda_rate=float("nan")), "lambda_rate"),
+        (dict(lambda_rate=float("inf")), "lambda_rate"),
+        (dict(sigma=float("nan")), "sigma"),
+        (dict(sigma=float("inf")), "sigma"),
+    ])
+    def test_leftover_requires_finite_values(self, kw, field):
+        with pytest.raises(ConfigError, match=f"leftover.{field}: must be > 0 and finite"):
+            LeftoverTrafficModel(**dict(dict(lambda_rate=4.0, sigma=12000.0), **kw))
