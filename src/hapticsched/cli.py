@@ -93,6 +93,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy refuses an array the configuration's sizes imply
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

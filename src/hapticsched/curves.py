@@ -47,7 +47,12 @@ class ArrivalCurve:
 
 
 def effective_bandwidth(lambda_rate: float, sigma: float, theta: float) -> float:
-    return lambda_rate * math.expm1(theta * sigma) / theta
+    """lambda * (e^(theta sigma) - 1) / theta, bits/s; infinite where
+    e^(theta sigma) overflows, which is above any finite rate."""
+    try:
+        return lambda_rate * math.expm1(theta * sigma) / theta
+    except OverflowError:
+        return math.inf
 
 
 class LeftoverServiceCurve:
@@ -186,6 +191,8 @@ def leftover_delay_bound_details(
     the time the envelope takes to clear it."""
     if not (0 < epsilon < 1):
         raise ConfigError(f"epsilon must be in (0, 1), got {epsilon!r}")
+    if not math.isfinite(1.0 / epsilon):
+        raise ConfigError(f"1/epsilon must be finite, got {epsilon!r}")
     curve = LeftoverServiceCurve(scheme, radio, haptic)
     rate = curve.long_run_rate()
     theta = max_stable_theta(leftover, rate)

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from .curves import leftover_delay_bound_details
@@ -156,9 +157,12 @@ class LoadedConfig:
 
     def __post_init__(self):
         # checked here, not by its parser, so that --epsilon, snc.epsilon and
-        # library callers get one check and one message
+        # library callers get the same checks and messages; the bound takes
+        # log(1 / epsilon), which overflows for the smallest subnormals
         if not 0 < self.epsilon < 1:
             raise ConfigError(f"snc.epsilon: must be in (0, 1), got {self.epsilon!r}")
+        if not math.isfinite(1.0 / self.epsilon):
+            raise ConfigError(f"snc.epsilon: 1/epsilon must be finite, got {self.epsilon!r}")
 
     def at_point(self, tti: float | None = None, t_ib: float | None = None) -> "LoadedConfig":
         """Re-derive the configuration at a sweep grid point.  When the SR
@@ -176,9 +180,11 @@ class LoadedConfig:
             haptic = replace(haptic, t_ib=t_ib)
         return replace(self, radio=radio, haptic=haptic)
 
-    def config_hash(self, scheme: SchedulingScheme | None = None, seed: int | None = None) -> str:
-        # True and "violation" fill the slots of two removed settings, so
-        # existing result files keep matching their configurations
+    @cached_property
+    def _hash_text(self) -> tuple[str, str]:
+        """The hash payload's JSON, sorted by key, split around its scheme and
+        seed entries.  True and "violation" fill the slots of two removed
+        settings, so existing result files keep matching their configurations."""
         payload = {
             "radio": [self.radio.n_channels, self.radio.total_rate, self.radio.tti,
                       self.radio.t_sr, self.radio.t_pg, self.radio.haptic_demand_norm],
@@ -186,10 +192,20 @@ class LoadedConfig:
             "leftover": [self.leftover.lambda_rate, self.leftover.sigma,
                          self.leftover.size_distribution.value],
             "snc": [self.epsilon, "violation"],
-            "scheme": scheme.value if scheme else None,
-            "seed": seed,
+            "scheme": None,
+            "seed": None,
         }
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
+        head, tail = json.dumps(payload, sort_keys=True).split('"scheme": null, "seed": null')
+        return head, tail
+
+    def config_hash(self, scheme: SchedulingScheme | None = None, seed: int | None = None) -> str:
+        """The first 12 hex digits of the SHA-256 of the configuration's JSON
+        payload with this scheme and seed."""
+        head, tail = self._hash_text
+        scheme_text = json.dumps(scheme.value) if scheme else "null"
+        seed_text = "null" if seed is None else json.dumps(seed)
+        text = f'{head}"scheme": {scheme_text}, "seed": {seed_text}{tail}'
+        return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def load_config(path=None) -> LoadedConfig:
@@ -381,7 +397,9 @@ def run_experiment(spec: ExperimentSpec) -> int:
     loaded = spec.loaded
     points = [loaded]
     if spec.sweep_values:
-        points = [loaded.at_point(**{spec.sweep_param: value}) for value in spec.sweep_values]
+        # a generator, so that each point, with the values cached on its
+        # models, is freed once its rows are built
+        points = (loaded.at_point(**{spec.sweep_param: value}) for value in spec.sweep_values)
     rows = [row for point in points for row in _point_rows(point, spec.mode)]
     columns = ("scheme", "tti_s", "t_ib_s", *COLUMNS[spec.mode], "config_hash")
     lines = [",".join(columns)] + [",".join(_fmt(row[column]) for column in columns) for row in rows]

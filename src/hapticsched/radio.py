@@ -83,11 +83,11 @@ class RadioConfig:
     def t_pg_ns(self) -> int:
         return to_ns(self.t_pg)
 
-    @property
+    @cached_property
     def channel_rate(self) -> float:
         return self.total_rate / self.n_channels
 
-    @property
+    @cached_property
     def slot_bits(self) -> float:
         """Background bits lost in each slot that carries or reserves a
         latency-critical transmission."""

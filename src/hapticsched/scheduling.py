@@ -11,6 +11,7 @@ opportunities.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,7 @@ def _sparse_send_at(t_ns: int, radio: RadioConfig, haptic: HapticTrafficModel) -
     return send == t_ns
 
 
+@functools.lru_cache(maxsize=8)
 def period_charge(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel) -> tuple[int, int]:
     """Slots the latency-critical flow claims in one traffic period, and the
     share of them one extra burst adds: (slots_per_period, slots_excess).
@@ -137,6 +139,11 @@ def period_charge(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTr
     that slot), and one slot per sparse arrival the DS gate accepts.  Its
     excess is the reserved burst grants only: the envelope's two edge slots
     cover the flush grant.
+
+    Results are memoised, because the walk, the remainder and the envelope
+    of one row each ask for the same count.  An entry keeps its models
+    alive, with the arrival offsets cached on them, so the cache holds two
+    grid points of four schemes, not a whole sweep.
     """
     t_p, t_b = haptic.t_p_ns, haptic.t_b_ns
     if scheme is SchedulingScheme.SEMI_PERSISTENT:
@@ -211,9 +218,10 @@ def slotted_machine(scheme: SchedulingScheme, radio: RadioConfig, haptic: Haptic
     Standing grants serve SPS arrivals (up to the grant at n_slots) and SRR
     burst arrivals (through the flush grant, wherever it lands); the demand
     gate takes DS and FA arrivals and SRR sparse ones.  The two arrival sets
-    never interact, so their events are concatenated: burst first for SRR.
-    An SRR arrival is in a burst when its slot within its period, ceil(t_p
-    / TTI) slots long, lies before the burst end.
+    never interact, so their events are concatenated: burst first for SRR;
+    a rule runs only on a non-empty set.  An SRR arrival is in a burst when
+    its slot within its period, ceil(t_p / TTI) slots long, lies before the
+    burst end.
     """
     tti = radio.tti_ns
     k_pg = radio.t_pg_ns // tti
@@ -229,8 +237,13 @@ def slotted_machine(scheme: SchedulingScheme, radio: RadioConfig, haptic: Haptic
         reserved = np.arange(0, n_slots, k_pg, dtype=np.int64)
         reserved = reserved[reserved % k_p < k_b]
     k_sr = None if scheme is SchedulingScheme.FAST_UPLINK else radio.t_sr_ns // tti
-    grant, served, superseded = standing_grants(granted, k_pg, last_grant)
-    acc, data, delay, busy = demand_gate(gated, k_sr, busy)
+    # an empty set resolves to the empty results each rule would return
+    grant, served, superseded = granted, np.array([], dtype=bool), np.array([], dtype=bool)
+    if len(granted):
+        grant, served, superseded = standing_grants(granted, k_pg, last_grant)
+    acc, data, delay = no_slots, gated, gated
+    if len(gated):
+        acc, data, delay, busy = demand_gate(gated, k_sr, busy)
     rejected = np.ones(len(gated), dtype=bool)
     rejected[acc] = False
     return SlotEvents(

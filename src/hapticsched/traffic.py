@@ -60,6 +60,14 @@ class HapticTrafficModel:
     def t_nb_ns(self) -> int:
         return to_ns(self.t_nb)
 
+    @cached_property
+    def _period_offsets_ns(self) -> np.ndarray:
+        burst = np.arange(0, self.t_b_ns, self.t_ib_ns, dtype=np.int64)
+        sparse = np.arange(self.t_b_ns, self.t_p_ns, self.t_nb_ns, dtype=np.int64)
+        offsets = np.concatenate([burst, sparse])
+        offsets.flags.writeable = False  # shared by every caller of this model
+        return offsets
+
 
 class SizeDistribution(Enum):
     DETERMINISTIC = "deterministic"
@@ -116,10 +124,11 @@ def period_arrival_offsets_ns(model: HapticTrafficModel) -> np.ndarray:
 
     The burst occupies [0, t_b) with spacing t_ib; sparse arrivals run from
     t_b (inclusive) to the period end with spacing t_nb.
+
+    The array is built once per model and shared by every call on it, so
+    it is read-only: a caller that needs to write takes a copy.
     """
-    burst = np.arange(0, model.t_b_ns, model.t_ib_ns, dtype=np.int64)
-    sparse = np.arange(model.t_b_ns, model.t_p_ns, model.t_nb_ns, dtype=np.int64)
-    return np.concatenate([burst, sparse])
+    return model._period_offsets_ns
 
 
 def leftover_arrivals(model: LeftoverTrafficModel, horizon: float, seed: int) -> ArrivalTimeline:

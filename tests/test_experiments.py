@@ -1,21 +1,30 @@
+import hashlib
+import json
+import math
 import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from hapticsched import (
     ConfigError,
     ExperimentSpec,
+    HapticTrafficModel,
     InfeasibleError,
+    LeftoverTrafficModel,
+    RadioConfig,
     SchedulingScheme,
+    SizeDistribution,
     linear_grid,
     load_config,
     run_experiment,
 )
 from hapticsched.cli import entry, main
-from hapticsched.experiments import KEYS, parse_time
+from hapticsched.experiments import KEYS, LoadedConfig, parse_time
 
 S = SchedulingScheme
 ROOT = Path(__file__).resolve().parents[1]
@@ -176,6 +185,50 @@ class TestSpecValidation:
         assert len(values) == 41
         assert values[0] == 1e-3 and values[-1] == 3e-3
         assert 1.25e-3 in values and 2.5e-3 in values
+
+
+def reference_hash(loaded, scheme, seed):
+    """The configuration hash as the whole payload serialised per call."""
+    payload = {
+        "radio": [loaded.radio.n_channels, loaded.radio.total_rate, loaded.radio.tti,
+                  loaded.radio.t_sr, loaded.radio.t_pg, loaded.radio.haptic_demand_norm],
+        "haptic": [loaded.haptic.t_p, loaded.haptic.t_b, loaded.haptic.t_ib, loaded.haptic.t_nb, True],
+        "leftover": [loaded.leftover.lambda_rate, loaded.leftover.sigma, loaded.leftover.size_distribution.value],
+        "snc": [loaded.epsilon, "violation"],
+        "scheme": scheme.value if scheme else None,
+        "seed": seed,
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
+
+
+@st.composite
+def loaded_configs(draw):
+    """Valid configurations with floats of any magnitude and digit count."""
+    positive = st.floats(1e-300, 1e300)
+    tti = draw(st.floats(1e-6, 1e-2))
+    t_p = draw(st.floats(1e-3, 1e4))
+    t_b = t_p * draw(st.floats(0.01, 0.99))
+    try:
+        return LoadedConfig(
+            radio=RadioConfig(draw(st.integers(1, 64)), draw(positive), tti, tti * draw(st.integers(1, 20)),
+                              draw(st.floats(tti, 1.0)), tti * draw(st.floats(0.0, 1.0))),
+            haptic=HapticTrafficModel(t_p, t_b, t_b * draw(st.floats(1e-3, 1.0)),
+                                      (t_p - t_b) * draw(st.floats(1e-3, 1.0))),
+            leftover=LeftoverTrafficModel(draw(positive), draw(positive), draw(st.sampled_from(SizeDistribution))),
+            epsilon=draw(st.floats(1e-300, 1.0, exclude_max=True)),
+            horizon=1.0, seeds=(1,), schemes=tuple(S), t_sr_tracks_tti=True, t_pg_tracks_tti=True,
+        )
+    except ConfigError:
+        reject()
+
+
+class TestConfigHash:
+    @settings(max_examples=200, deadline=None)
+    @given(loaded=loaded_configs(), scheme=st.none() | st.sampled_from(S),
+           seed=st.none() | st.integers(0, 2**63))
+    def test_equals_the_hash_of_the_whole_payload(self, loaded, scheme, seed):
+        assert loaded.config_hash(scheme, seed) == reference_hash(loaded, scheme, seed)
+        assert loaded.config_hash() == reference_hash(loaded, None, None)
 
 
 class TestRunExperiment:
@@ -399,6 +452,50 @@ class TestCli:
         assert main([verb, "--config", str(cfg), *args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and f"{field}: must be at least 1 ns" in err
+
+    def test_subnormal_epsilon_exit_code(self, tmp_path, capsys):
+        # 1 / 1e-320 overflows, and the bound takes log(1 / epsilon)
+        ini = tmp_path / "eps.ini"
+        ini.write_text("[snc]\nepsilon = 1e-320\n")
+        for argv in (["bound"], ["sweep", "--param", "t_ib", "--values", "1ms,2ms"]):
+            assert main([*argv, "--config", str(ini)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "configuration error: snc.epsilon: 1/epsilon must be finite, got 1e-320\n"
+
+    @pytest.mark.parametrize("ini", ["[leftover]\nlambda_rate = 1e-300\n", "[radio]\ntotal_rate = 1e308\n"])
+    def test_extreme_rates_give_finite_bound_rows(self, tmp_path, capsys, ini):
+        """Either rate drives max_stable_theta's bracket past the range of
+        e^(theta sigma); the effective bandwidth there is above any rate."""
+        cfg = tmp_path / "rate.ini"
+        cfg.write_text(ini)
+        for argv in (["bound"], ["sweep", "--param", "t_ib", "--values", "1ms,2ms"]):
+            assert main([*argv, "--config", str(cfg)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            header = lines[0].split(",")
+            rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+            assert len(rows) == 4 * (2 if argv[0] == "sweep" else 1)
+            numeric = [column for column in header if column not in ("scheme", "status", "config_hash")]
+            assert all(row["status"] == "ok" for row in rows)
+            assert all(math.isfinite(float(row[column])) for row in rows for column in numeric)
+
+    @pytest.mark.parametrize("argv, ini", [
+        (["drop", "--scheme", "DS"], "[haptic]\nt_p = 1e16 s\n"),
+        (["simulate", "--scheme", "DS", "--horizon", "20s"], "[leftover]\nlambda_rate = 1e16\n"),
+    ])
+    def test_refused_allocation_exit_code(self, tmp_path, capsys, argv, ini):
+        """Safe to run: each configuration asks numpy for one array of 2e17
+        eight-byte entries (one period's arrival offsets; the background
+        gaps over 20 s), 1.6e18 bytes.  That is more than a 57-bit virtual
+        address space holds, so the request fails at once and nothing is
+        allocated."""
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text(ini)
+        assert main([*argv, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("out of memory: Unable to allocate")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     def test_compare_passes_on_safe_config(self, tmp_path):
         cfg = tmp_path / "c.ini"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
@@ -18,7 +20,7 @@ from hapticsched import (
     haptic_blocks,
     remainder_of_service,
 )
-from hapticsched.scheduling import period_charge
+from hapticsched.scheduling import SlotEvents, demand_gate, period_charge, slotted_machine, standing_grants
 from hapticsched.traffic import period_arrival_offsets_ns
 from hapticsched.units import ceil_div, to_ns, to_s
 
@@ -417,3 +419,68 @@ class TestSlottedWalkAgainstPerSlotOracle:
                 offs = offs[offs < cfg.haptic.t_b_ns]
             straddles = int((offs[-1] // tti // k_pg + 1) * k_pg > k_p)
         assert tuple(counts[0]) == (walk.transmitted - straddles, walk.dropped + straddles)
+
+
+class TestPeriodChargeCache:
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=walk_inputs(), scheme=st.sampled_from(list(S)))
+    def test_cached_charge_equals_the_computed_one(self, inputs, scheme):
+        """The cache lives across examples, so a hit on an equal key whose
+        configuration counts differently would show here."""
+        radio_cfg, h = inputs
+        expected = period_charge.__wrapped__(scheme, radio_cfg, h)
+        assert period_charge(scheme, radio_cfg, h) == expected
+        assert period_charge(scheme, replace(radio_cfg), replace(h)) == expected
+
+
+def machine_with_both_rules(scheme, radio, haptic, sa, n_slots, busy):
+    """slotted_machine with both rules called directly on every arrival
+    set, empty or not: the reference for skipping an empty set."""
+    tti = radio.tti_ns
+    k_pg = radio.t_pg_ns // tti
+    no_slots = np.array([], dtype=np.int64)
+    granted, gated, reserved, last_grant = no_slots, sa, no_slots, None
+    if scheme is S.SEMI_PERSISTENT:
+        granted, gated, last_grant = sa, no_slots, n_slots
+        reserved = np.arange(0, n_slots, k_pg, dtype=np.int64)
+    elif scheme is S.SOFT_RESERVATION:
+        k_p, k_b = ceil_div(haptic.t_p_ns, tti), haptic.t_b_ns // tti
+        in_burst = (sa % k_p) < k_b
+        granted, gated = sa[in_burst], sa[~in_burst]
+        reserved = np.arange(0, n_slots, k_pg, dtype=np.int64)
+        reserved = reserved[reserved % k_p < k_b]
+    k_sr = None if scheme is S.FAST_UPLINK else radio.t_sr_ns // tti
+    grant, served, superseded = standing_grants(granted, k_pg, last_grant)
+    acc, data, delay, busy = demand_gate(gated, k_sr, busy)
+    rejected = np.ones(len(gated), dtype=bool)
+    rejected[acc] = False
+    return SlotEvents(
+        np.concatenate([grant[served], data]),
+        reserved,
+        np.concatenate([granted[served], gated[acc]]),
+        np.concatenate([grant[served] - granted[served] + 4, delay]) * tti / 1e9,
+        np.concatenate([granted[superseded], gated[rejected]]),
+        busy,
+    )
+
+
+class TestSlottedMachineSkipsEmptySets:
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=configs(), data=st.data())
+    def test_fields_equal_both_rules_called(self, cfg, data):
+        """Any run of one period's arrivals, none included, from any gate
+        state: DS and FA leave the standing-grant set empty, SPS the gated
+        one, and SRR either when the run misses the burst or the sparse
+        stretch."""
+        tti, k_p = cfg.radio.tti_ns, cfg.slots_per_period
+        offs = period_arrival_offsets_ns(cfg.haptic) // tti
+        lo = data.draw(st.integers(0, len(offs)), label="lo")
+        sa = offs[lo:data.draw(st.integers(lo, len(offs)), label="hi")]
+        busy = data.draw(st.integers(0, k_p + 8), label="busy")
+        got = slotted_machine(cfg.scheme, cfg.radio, cfg.haptic, sa, k_p, busy)
+        expected = machine_with_both_rules(cfg.scheme, cfg.radio, cfg.haptic, sa, k_p, busy)
+        for name in ("data_slots", "reserved_slots", "tx_arrival_slots", "delays_s", "dropped_arrival_slots"):
+            assert getattr(got, name).dtype == getattr(expected, name).dtype, name
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+        assert got.busy_end == expected.busy_end
+        assert type(got.busy_end) is type(expected.busy_end)
