@@ -378,13 +378,15 @@ def _point_rows(point: LoadedConfig, mode: str) -> list[dict]:
                                leftover_p99_s=_quantile(delays, 0.99), remainder_bits=sim.remainder_bits_per_period)
             else:
                 sim_row.update(sim_drop_rate=sim.haptic_drop_rate, walk_drop_rate_slotted=walk_slotted.drop_rate)
-                checks = [sim.haptic_drop_rate == walk_slotted.drop_rate]
+                checks, unchecked = [sim.haptic_drop_rate == walk_slotted.drop_rate], False
                 for eps, q_column, d0_column in _COMPARE_CHECKS:
                     bound, status = _bound_fields(point, scheme, eps)
                     sim_row[q_column], sim_row[d0_column] = _quantile(delays, 1 - eps), bound[2]
                     if status == "ok" and len(delays):
                         checks.append(sim_row[q_column] <= bound[2])
-                verdict = "pass" if all(checks) else "fail"
+                    # no background packet finished after warm-up: the check cannot run
+                    unchecked |= status == "ok" and not len(delays)
+                verdict = "fail" if not all(checks) else "unchecked" if unchecked else "pass"
                 sim_row["verdict"] = "infeasible" if row["status"] == "infeasible" else verdict
             rows.append(sim_row)
     return rows

@@ -166,9 +166,11 @@ def period_charge(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTr
     return burst + _gated(gate, t_p - t_b, t_nb), burst
 
 
-def _grant_delays(ticks: np.ndarray, period: int, extra: int, tick_ns: int) -> np.ndarray:
-    grant, served, _ = standing_grants(ticks, period)
-    return (grant[served] - ticks[served] + extra) * tick_ns / 1e9
+def _grant_delays(ticks: np.ndarray, radio: RadioConfig) -> np.ndarray:
+    """Access delays, s, of the arrivals at ticks (ns) that the standing
+    grants serve: the wait for the grant plus four TTIs."""
+    grant, served, _ = standing_grants(ticks, radio.t_pg_ns)
+    return (grant[served] - ticks[served] + 4 * radio.tti_ns) / 1e9
 
 
 def slot_periods(scheme: SchedulingScheme, radio: RadioConfig) -> dict[str, int]:
@@ -283,13 +285,13 @@ def drop_walk(
     if scheme in (SchedulingScheme.DYNAMIC, SchedulingScheme.FAST_UPLINK):
         delays = np.full(period_charge(scheme, radio, haptic)[0], haptic_access_delay(scheme, radio))
     elif scheme is SchedulingScheme.SEMI_PERSISTENT:
-        delays = _grant_delays(offs, radio.t_pg_ns, 4 * tti, 1)
+        delays = _grant_delays(offs, radio)
     elif scheme is SchedulingScheme.SOFT_RESERVATION:
         # The standing grant is held through the first instant at or past the
         # burst end, so burst-tail data still rides the reserved grant and
         # every burst arrival is resolved.
         n_burst = int(np.searchsorted(offs, haptic.t_b_ns))
-        b_delays = _grant_delays(offs[:n_burst], radio.t_pg_ns, 4 * tti, 1)
+        b_delays = _grant_delays(offs[:n_burst], radio)
         sent = _gated(to_ns(ds_grant_latency(radio)), haptic.t_p_ns - haptic.t_b_ns, haptic.t_nb_ns)
         delays = np.concatenate([b_delays, np.full(sent, haptic_access_delay(scheme, radio, in_burst=False))])
     else:

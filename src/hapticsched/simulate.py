@@ -1,4 +1,5 @@
-"""Slot-accurate discrete-event oracle.
+"""Slot-accurate discrete-event simulator.  Its independent check is the
+per-slot oracle in tests/test_event_oracle.py.
 
 Time advances in integer slots.  The latency-critical flow runs its grant
 machine, scheduling.slotted_machine (the slotted drop walk's too), on the
@@ -17,11 +18,12 @@ never does, because the grant at the boundary serves the freshest arrival
 before it.  A full chunk's events thus depend only on that entry state,
 so from the first entry state seen twice the chunks repeat: the horizon
 is a prefix of chunks and a cycle repeated to the end, and only the
-distinct chunks are walked.  On
-the grant grid, with no state crossing a period boundary, the chunk and
-the cycle are one period and the prefix is empty.  The partial final
-chunk is walked explicitly, since a grant past the horizon leaves its
-arrivals unresolved.
+distinct chunks are walked.  On the grant grid, with no state crossing a
+period boundary, the chunk and the cycle are one period and the prefix is
+empty.  The partial final chunk is walked explicitly, since a grant past
+the horizon leaves its arrivals unresolved.  Of the latency-critical flow
+only the per-period counts span the horizon; each walked chunk's access
+delays are kept once, with the number of chunks that repeat them.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ class SimConfig:
 class SimReport:
     scheme: SchedulingScheme
     haptic_drop_rate: float
-    haptic_delays: np.ndarray
+    haptic_delays: np.ndarray        # each walked chunk's post-warm-up access delays once
+    haptic_delay_counts: np.ndarray  # chunks of the horizon that repeat each delay: np.repeat gives them all
     leftover_delays: np.ndarray
     remainder_bits_per_period: float
     slots_simulated: int
@@ -232,13 +235,14 @@ class _CapacityProfile:
 def _haptic_layer(config: SimConfig):
     """Resolve the latency-critical flow over the whole horizon: walk full
     chunks from an idle gate until their entry state repeats or the horizon
-    runs out (see the module docstring), then the partial final chunk; lay
-    out counts and delays with the cycle repeated in place, and span the
-    capacity profile over the prefix and one cycle (the horizon when no
-    state repeats).
+    runs out (see the module docstring), then the partial final chunk.  One
+    array maps each chunk to the walked chunk it repeats; the counts, the
+    delays' repeat counts and the capacity profile over the prefix and one
+    cycle (the horizon when no state repeats) all read it.
 
-    Returns (capacity profile, per-period counts, post-warm-up access
-    delays, mean occupied slots per period after warm-up).
+    Returns (capacity profile, per-period counts, each walked chunk's
+    post-warm-up access delays once, how many chunks of the horizon repeat
+    each delay, mean occupied slots per period after warm-up).
     """
     radio, haptic, scheme = config.radio, config.haptic, config.scheme
     tti, k_p, n_periods = radio.tti_ns, config.slots_per_period, config.n_periods
@@ -256,52 +260,46 @@ def _haptic_layer(config: SimConfig):
     start = seen.get(busy, len(walked))  # the cycle is walked[start:], empty if the horizon came first
     cycle = len(walked) - start
 
-    def at(c: int) -> int:  # index into walked of full chunk c
-        return c if c < start else start + (c - start) % cycle
-
-    if rest:  # the partial chunk joins walked last
-        entry = list(seen)[at(n_full)] if cycle else busy
-        walked.append(slotted_machine(scheme, radio, haptic, chunk_sa[chunk_sa < rest], rest, entry))
-    # chunk 0 on its own (its first period is warm-up), the rest of the prefix,
-    # the cycle repeated, its first few chunks again and the partial chunk
-    head = max(start, 1)
-    reps, trail = divmod(n_full - head, cycle) if cycle else (0, 0)
-    block = [at(c) for c in range(head, head + cycle)]
-    runs = [([c], 1) for c in range(1, head)] + [(block, reps), (block[:trail], 1), ([len(walked) - 1], int(rest > 0))]
-    runs = [(idx, n) for idx, n in runs if idx and n] if n_full else []  # else the partial chunk is chunk 0
-
-    def lay(first: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
-        """first, then the parts of the chunks after chunk 0 in horizon order."""
-        blocks = [(first, 1)] + [(np.concatenate([parts[i] for i in idx]), n) for idx, n in runs]
-        out = np.empty((sum(len(a) * n for a, n in blocks),) + first.shape[1:], first.dtype)
-        pos = 0
-        for a, n in blocks:
-            out[pos:pos + len(a) * n].reshape((n,) + a.shape)[...] = a
-            pos += len(a) * n
-        return out
-
-    counts = [np.stack([np.bincount(arrivals // k_p, minlength=n // k_p)  # the partial chunk is last
-                        for arrivals in (e.tx_arrival_slots, e.dropped_arrival_slots)], axis=1)
-              for e, n in zip(walked, [span] * (len(walked) - 1) + [rest or span])]
-    counts = lay(counts[0], counts)
-    delays = lay(walked[0].delays_s[walked[0].tx_arrival_slots >= k_p], [e.delays_s for e in walked])
-
-    chunks, prefix, end = list(enumerate(walked)), 0, n_slots  # without a cycle: the horizon
+    prefix_slots, end = 0, n_slots  # the profile's prefix and end; without a cycle it spans the horizon
     if cycle:
         # transmissions can land in later chunks (the carried SR gate, the SPS
         # boundary grant, the SRR flush grant); leaving out those on slots
         # reserved there anyway, they reach at most `reach` chunks ahead, so
         # from start + reach on only cycle chunks spill into a chunk
-        spill = np.concatenate([e.data_slots for e in walked[:start + cycle]])
+        spill = np.concatenate([e.data_slots for e in walked])
         spill = spill[spill >= span]
         if len(spill):  # reserved slots are the same in every full chunk
             spill = spill[~np.isin(spill % span, walked[0].reserved_slots, kind="table")]
         reach = int(spill.max()) // span if len(spill) else 0
-        prefix = start + reach
-        chunks, end = [(c, walked[at(c)]) for c in range(prefix + cycle)], (prefix + cycle) * span
-    slots = np.concatenate([np.concatenate([e.data_slots, e.reserved_slots]) + c * span for c, e in chunks])
+        prefix_slots, end = (start + reach) * span, (start + reach + cycle) * span
+    # order[c]: the index into walked of chunk c, the cycle repeating from start
+    # on (the identity without a cycle, as start is n_full).  The partial chunk
+    # is chunk n_full; the machine is causal, so the profile may read it there
+    order = np.arange(max(n_full + 1, end // span))
+    order[start:] = start + np.arange(len(order) - start) % max(cycle, 1)
+    if rest:  # the partial chunk joins walked last, entered as the chunk it replaces
+        entry = [*seen, busy][order[n_full]]
+        walked.append(slotted_machine(scheme, radio, haptic, chunk_sa[chunk_sa < rest], rest, entry))
+        order[n_full] = len(walked) - 1
+    horizon = order[:n_full + bool(rest)]
+
+    # each chunk's counts span a full chunk's periods, cut off at the horizon
+    counts = np.stack([np.stack([np.bincount(arrivals // k_p, minlength=span // k_p)
+                                 for arrivals in (e.tx_arrival_slots, e.dropped_arrival_slots)], axis=1)
+                       for e in walked])
+    counts = counts[horizon].reshape(-1, 2)[:n_periods]
+    # chunk 0 on its own (its first period is warm-up), then each walked
+    # chunk that the chunks after it repeat, once with its repeat count
+    repeats = np.bincount(horizon[1:], minlength=len(walked)).tolist()
+    parts, weights = zip(*[(walked[0].delays_s[walked[0].tx_arrival_slots >= k_p], 1)]
+                         + [(e.delays_s, n) for e, n in zip(walked, repeats) if n])
+    delays = np.concatenate(parts)
+    delay_counts = np.repeat(np.array(weights, dtype=np.int64), [len(p) for p in parts])
+
+    slots = np.concatenate([np.concatenate([walked[i].data_slots, walked[i].reserved_slots]) + c * span
+                            for c, i in enumerate(order[:-(-end // span)].tolist())])
     occ = _sorted_unique(slots[slots < min(end, n_slots)])
-    prefix_slots, cycle_slots = prefix * span, end - prefix * span
+    cycle_slots = end - prefix_slots
     profile = _CapacityProfile(occ, prefix_slots, cycle_slots, n_slots, tti, radio.total_rate,
                                (radio.n_channels - haptic_blocks(radio)) * radio.channel_rate)
     # occupied slots after period 0, the cycle's counted once per completed cycle
@@ -310,9 +308,9 @@ def _haptic_layer(config: SimConfig):
     occupancy = int(occupied - occ.searchsorted(k_p)) / (n_periods - 1)
 
     if log.isEnabledFor(logging.DEBUG):
-        log.debug(_PATH_RECORD, scheme.value, span // k_p, prefix if cycle else n_full, cycle,
+        log.debug(_PATH_RECORD, scheme.value, span // k_p, prefix_slots // span if cycle else n_full, cycle,
                   len(walked), _replication_blocker(config, walked[0]) or "clean")
-    return profile, counts, delays, occupancy
+    return profile, counts, delays, delay_counts, occupancy
 
 
 def _tables_pay(n_packets: int, profile_slots: int) -> bool:
@@ -397,7 +395,7 @@ def run(config: SimConfig) -> SimReport:
     horizon_s = n_slots * radio.tti_ns / 1e9
     warmup_s = haptic.t_p_ns / 1e9
 
-    profile, counts, haptic_delays, occupancy = _haptic_layer(config)
+    profile, counts, haptic_delays, delay_counts, occupancy = _haptic_layer(config)
     leftover_delays = _background_layer(config, profile, horizon_s, warmup_s)
 
     tx_total, dr_total = (int(x) for x in counts[1:].sum(axis=0))
@@ -408,6 +406,7 @@ def run(config: SimConfig) -> SimReport:
         scheme=scheme,
         haptic_drop_rate=drop_rate,
         haptic_delays=np.asarray(haptic_delays, dtype=float),
+        haptic_delay_counts=delay_counts,
         leftover_delays=np.asarray(leftover_delays, dtype=float),
         remainder_bits_per_period=remainder,
         slots_simulated=n_slots,

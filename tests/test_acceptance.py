@@ -208,7 +208,7 @@ def test_criterion_09_oracle_equivalence_grid():
         rep = run(cfg)
         counts, delays, remainder = naive_outcome(cfg)
         if not (np.array_equal(rep.haptic_period_counts, counts)
-                and np.array_equal(np.sort(rep.haptic_delays), delays)
+                and np.array_equal(np.sort(np.repeat(rep.haptic_delays, rep.haptic_delay_counts)), delays)
                 and rep.remainder_bits_per_period == remainder):
             mismatched.append(f"{cfg.scheme.value} tti={cfg.radio.tti} t_ib={cfg.haptic.t_ib} t_p={cfg.haptic.t_p}")
     elapsed = time.time() - t0

@@ -147,5 +147,5 @@ class TestAgainstNaiveOracle:
         report = run(cfg)
         counts, delays, remainder = naive_outcome(cfg)
         assert np.array_equal(report.haptic_period_counts, counts)
-        assert np.array_equal(np.sort(report.haptic_delays), delays)
+        assert np.array_equal(np.sort(np.repeat(report.haptic_delays, report.haptic_delay_counts)), delays)
         assert report.remainder_bits_per_period == remainder

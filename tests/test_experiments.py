@@ -508,6 +508,22 @@ class TestCli:
         assert len(rows) == 1 + 2 * 2
         assert all(row.split(",")[-2] == "pass" for row in rows[1:])
 
+    def test_compare_without_finished_background_packets_is_unchecked(self, tmp_path):
+        # about 0.2 background packets in 20 s: none arrives after warm-up, so
+        # no quantile check can run, and the row says so with exit 0
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[leftover]\nlambda_rate = 0.01\n")
+        out = tmp_path / "cmp.csv"
+        rc = main(["compare", "--config", str(cfg), "--scheme", "FA", "--param", "t_ib",
+                   "--values", "2ms,3ms", "--horizon", "20s", "--out", str(out)])
+        assert rc == 0
+        header, *rows = [line.split(",") for line in out.read_text().strip().splitlines()]
+        assert len(rows) == 2
+        for row in rows:
+            fields = dict(zip(header, row))
+            assert (fields["sim_p90_s"], fields["sim_p99_s"], fields["status"]) == ("nan", "nan", "ok")
+            assert fields["verdict"] == "unchecked"
+
     def test_compare_flags_failures_with_exit_two(self, tmp_path, monkeypatch):
         import hapticsched.experiments as exp
 

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,7 @@ from hapticsched import (
     validate_against_walk,
 )
 from hapticsched import simulate as simulate_mod
+from hapticsched.experiments import load_config
 from hapticsched.scheduling import slot_periods, slotted_machine
 
 S = SchedulingScheme
@@ -142,7 +144,7 @@ class TestFastSlowAgreement:
         fast = run(cfg)
         slow = whole_array_run(cfg, reference_haptic_layer)
         assert np.array_equal(fast.haptic_period_counts, slow.haptic_period_counts)
-        assert np.allclose(np.sort(fast.haptic_delays), np.sort(slow.haptic_delays))
+        assert np.array_equal(delay_multiset(fast), delay_multiset(slow))
         assert np.allclose(fast.leftover_delays, slow.leftover_delays)
         assert fast.remainder_bits_per_period == pytest.approx(slow.remainder_bits_per_period)
 
@@ -432,8 +434,9 @@ def reference_haptic_layer(config):
     """The latency-critical layer with every chunk of the horizon laid end to
     end by a gather (full chunks memoised on their entry state, the partial
     final one walked) and a flat capacity profile over the horizon: the
-    same (profile, counts, post-warm-up delays, occupancy) as the
-    simulator's prefix-and-cycle layout, computed without it."""
+    same (profile, counts, post-warm-up delays, delay counts, occupancy) as
+    the simulator's prefix-and-cycle layout, computed without it: every
+    delay of the horizon is laid out, each with a count of 1."""
     radio, haptic = config.radio, config.haptic
     tti = radio.tti_ns
     k_p = config.slots_per_period
@@ -465,7 +468,8 @@ def reference_haptic_layer(config):
     counts = np.stack([np.bincount(tx_slots // k_p, minlength=n_periods),
                        np.bincount(dropped_slots // k_p, minlength=n_periods)], axis=1)
     occupancy = float(np.bincount(occupied // k_p, minlength=n_periods)[1:].mean())
-    return profile, counts, tiled("delays_s", 0)[tx_slots >= k_p], occupancy
+    delays = tiled("delays_s", 0)[tx_slots >= k_p]
+    return profile, counts, delays, np.ones(len(delays), dtype=np.int64), occupancy
 
 
 class TestPrefixCycleLayoutEqualsFlatReference:
@@ -480,10 +484,10 @@ class TestPrefixCycleLayoutEqualsFlatReference:
     # DS in 4-slot chunks: the SR for the arrival in slot 3 sends its data two chunks on
     @example(cfg=make_config(S.DYNAMIC, 1_000_000, 4, 1, 4, 8, 4, 1, 10, 0), seed=3)
     def test_layer_equals_reference(self, cfg, seed):
-        profile, counts, delays, occupancy = simulate_mod._haptic_layer(cfg)
-        ref, ref_counts, ref_delays, ref_occupancy = reference_haptic_layer(cfg)
+        profile, counts, delays, delay_counts, occupancy = simulate_mod._haptic_layer(cfg)
+        ref, ref_counts, ref_delays, _, ref_occupancy = reference_haptic_layer(cfg)
         assert counts.dtype == ref_counts.dtype and np.array_equal(counts, ref_counts)
-        assert np.array_equal(np.sort(delays), np.sort(ref_delays))
+        assert np.array_equal(np.sort(np.repeat(delays, delay_counts)), np.sort(ref_delays))
         assert occupancy == ref_occupancy
         # the flat profile sums every segment of the horizon in one cumsum,
         # the periodic one adds whole cycles: they agree to float rounding
@@ -496,6 +500,31 @@ class TestPrefixCycleLayoutEqualsFlatReference:
         assert profile.total_bits == pytest.approx(ref.total_bits, rel=0, abs=bits_tol)
         targets = rng.uniform(0, ref.total_bits, 300)
         assert np.allclose(profile.time_of_supply(targets), ref.time_of_supply(targets), rtol=0, atol=time_tol)
+
+    @settings(max_examples=80, deadline=None)
+    @given(cfg=configs())
+    # DS in 2-slot chunks: an arrival's data lands up to three chunks on (reach 3)
+    @example(cfg=make_config(S.DYNAMIC, 1_000_000, 2, 1, 1, 1, 2, 1, 10, 0))
+    def test_each_walked_delay_is_kept_once_with_a_positive_count(self, cfg):
+        _, _, delays, delay_counts, _ = simulate_mod._haptic_layer(cfg)
+        ref_delays = reference_haptic_layer(cfg)[2]
+        assert delay_counts.dtype == np.int64 and len(delay_counts) == len(delays)
+        assert np.all(delay_counts > 0)
+        # no warm-up delay left in with a zero count: the largest is the reference's
+        assert (delays.max() if len(delays) else None) == (ref_delays.max() if len(ref_delays) else None)
+
+    def test_layer_memory_does_not_grow_with_the_horizon(self):
+        # 250,000 periods at the defaults: laid out per transmission, the
+        # access delays alone took 232 MB; the per-period counts take 4 MB
+        loaded = load_config()
+        cfg = SimConfig(loaded.radio, loaded.haptic, loaded.leftover, S.DYNAMIC, 250_000.0, 1)
+        tracemalloc.start()
+        try:
+            simulate_mod._haptic_layer(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     def test_on_the_grid_the_cycle_is_one_period(self):
         # the last arrival, in slot 1999, is sent on the grant at the period
@@ -531,7 +560,7 @@ def whole_array_run(config, haptic_layer=None):
     n_slots = n_periods * config.slots_per_period
     horizon_s = n_slots * radio.tti_ns / 1e9
     warmup_s = haptic.t_p_ns / 1e9
-    profile, counts, haptic_delays, occupancy = (haptic_layer or simulate_mod._haptic_layer)(config)
+    profile, counts, haptic_delays, delay_counts, occupancy = (haptic_layer or simulate_mod._haptic_layer)(config)
     timeline = simulate_mod.leftover_arrivals(config.leftover, horizon_s, config.seed)
     arrivals, sizes = timeline.times_s, timeline.sizes_bits
     leftover_delays = np.array([], dtype=float)
@@ -556,15 +585,24 @@ def whole_array_run(config, haptic_layer=None):
     drop_rate = dr_total / (tx_total + dr_total) if (tx_total + dr_total) else 0.0
     slot_bits = haptic_blocks(radio) * radio.channel_rate * radio.tti
     return SimReport(
-        config.scheme, drop_rate, np.asarray(haptic_delays, dtype=float), leftover_delays,
+        config.scheme, drop_rate, np.asarray(haptic_delays, dtype=float), delay_counts, leftover_delays,
         radio.total_rate * haptic.t_p - slot_bits * occupancy, n_slots, config.seed, counts, horizon_s,
     )
 
 
-def assert_reports_identical(got, want, leftover_atol=0.0):
+def delay_multiset(report):
+    """Every post-warm-up access delay of the horizon, sorted."""
+    return np.sort(np.repeat(report.haptic_delays, report.haptic_delay_counts))
+
+
+def assert_reports_identical(got, want, leftover_atol=0.0, delays_as_multiset=False):
+    """Field by field; with delays_as_multiset, the access delays compare
+    as the multisets they stand for, whatever the layout."""
     for field in dataclasses.fields(want):
         x, y = getattr(got, field.name), getattr(want, field.name)
-        if field.name == "leftover_delays" and leftover_atol:
+        if field.name in ("haptic_delays", "haptic_delay_counts") and delays_as_multiset:
+            assert np.array_equal(delay_multiset(got), delay_multiset(want)), field.name
+        elif field.name == "leftover_delays" and leftover_atol:
             assert x.dtype == y.dtype and x.shape == y.shape and np.allclose(x, y, rtol=0, atol=leftover_atol)
         elif isinstance(y, np.ndarray):
             assert x.dtype == y.dtype and np.array_equal(x, y), field.name
@@ -604,7 +642,7 @@ class TestBlockWalkEqualsWholeArrayPass:
             # bits error of 1e-12 of the horizon supply moves a completion by less than
             # 2e-12 of the horizon
             want = whole_array_run(cfg, reference_haptic_layer)
-            assert_reports_identical(got, want, leftover_atol=2e-12 * want.horizon_s)
+            assert_reports_identical(got, want, leftover_atol=2e-12 * want.horizon_s, delays_as_multiset=True)
         else:
             assert_reports_identical(got, whole_array_run(cfg))
 
