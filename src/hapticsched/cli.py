@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Verbs: bound, drop, remainder, simulate, sweep, compare.  Exit codes:
-0 success, 1 configuration error or infeasible load, 2 comparison failure.
+0 success, 1 usage or configuration error or infeasible load, 2
+comparison failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -18,8 +20,20 @@ _FLAG_KEYS = {"scheme": ("experiment", "schemes"), "seed": ("experiment", "seeds
               "epsilon": ("snc", "epsilon"), "horizon": ("experiment", "horizon")}
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1, as configuration errors do: 2
+    is compare's failed check.  Subparsers are built of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The one parser of the process: parse_args leaves a parser as it was,
+    so every main() call reuses it."""
+    parser = _Parser(
         prog="hapticsched",
         description="Uplink grant-scheme analysis: drop walks, leftover service bounds and simulation.",
     )

@@ -369,6 +369,7 @@ def _point_rows(point: LoadedConfig, mode: str) -> list[dict]:
             continue
         if mode == "compare":
             walk_slotted = drop_walk(scheme, point.radio, point.haptic, slotted=True)
+            eps_bounds = [_bound_fields(point, scheme, eps) for eps, _, _ in _COMPARE_CHECKS]
         for seed in point.seeds:
             sim = run_simulation(SimConfig(point.radio, point.haptic, point.leftover, scheme, point.horizon, seed))
             delays = sim.leftover_delays
@@ -379,8 +380,7 @@ def _point_rows(point: LoadedConfig, mode: str) -> list[dict]:
             else:
                 sim_row.update(sim_drop_rate=sim.haptic_drop_rate, walk_drop_rate_slotted=walk_slotted.drop_rate)
                 checks, unchecked = [sim.haptic_drop_rate == walk_slotted.drop_rate], False
-                for eps, q_column, d0_column in _COMPARE_CHECKS:
-                    bound, status = _bound_fields(point, scheme, eps)
+                for (eps, q_column, d0_column), (bound, status) in zip(_COMPARE_CHECKS, eps_bounds):
                     sim_row[q_column], sim_row[d0_column] = _quantile(delays, 1 - eps), bound[2]
                     if status == "ok" and len(delays):
                         checks.append(sim_row[q_column] <= bound[2])

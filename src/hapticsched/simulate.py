@@ -23,14 +23,19 @@ period boundary, the chunk and the cycle are one period and the prefix is
 empty.  The partial final chunk is walked explicitly, since a grant past
 the horizon leaves its arrivals unresolved.  Of the latency-critical flow
 only the per-period counts span the horizon; each walked chunk's access
-delays are kept once, with the number of chunks that repeat them.
+delays are kept once, with the number of chunks that repeat them.  The
+walk depends on no seed and no background model, so it is memoised per
+(scheme, radio, haptic, n_periods) and every run gathers only its counts.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,17 +118,16 @@ def _sorted_unique(slots: np.ndarray) -> np.ndarray:
     return slots[keep]
 
 
-def _replication_blocker(config: SimConfig, events: SlotEvents) -> str | None:
+def _replication_blocker(scheme: SchedulingScheme, radio: RadioConfig, k_p: int, events: SlotEvents) -> str | None:
     """For the path record: why one period's events do not repeat verbatim
     (grant and SR phases must realign at the period end and no state may
     cross it; an SPS grant on the boundary rides a reserved slot), or None."""
-    k_p = config.slots_per_period
-    for name, ns in slot_periods(config.scheme, config.radio).items():
-        if k_p % (ns // config.radio.tti_ns):
+    for name, ns in slot_periods(scheme, radio).items():
+        if k_p % (ns // radio.tti_ns):
             return f"t_p is not a multiple of {name}"
     if events.busy_end > k_p:
         return "the SR pipeline is busy past the period end"
-    limit = k_p + 1 if config.scheme is SchedulingScheme.SEMI_PERSISTENT else k_p
+    limit = k_p + 1 if scheme is SchedulingScheme.SEMI_PERSISTENT else k_p
     if len(events.data_slots) and events.data_slots.max() >= limit:
         return "a transmission lands past the period end"
     return None
@@ -155,7 +159,11 @@ class _CapacityProfile:
         cut = int(np.searchsorted(self.seg_t, self.prefix_ns))
         self.prefix_bits, self.cycle_bits = float(self.seg_S[cut]), float(np.sum(seg_bits[cut:]))
         rising = self.seg_rate > 0
-        self.ris_t, self.ris_S, self.ris_rate = self.seg_t[rising], self.seg_S[rising], self.seg_rate[rising]
+        self.ris_t, self.ris_S, self.ris_rate = self.seg_t, self.seg_S, self.seg_rate
+        if not rising.all():  # the rising segments are all of them unless a plateau exists
+            self.ris_t, self.ris_S, self.ris_rate = self.seg_t[rising], self.seg_S[rising], self.seg_rate[rising]
+        for array in (self.seg_t, self.seg_S, self.seg_rate, self._seg_slots, self.ris_t, self.ris_S, self.ris_rate):
+            array.flags.writeable = False  # a profile is shared by every run of its configuration
         self.slot_seg = self.bucket_seg = None  # lookup tables, see build_lookup_tables
         self.total_bits = float(self.supply_at(horizon_slots * tti_ns))
 
@@ -232,20 +240,48 @@ class _CapacityProfile:
         return out.reshape(shape)[()]
 
 
-def _haptic_layer(config: SimConfig):
-    """Resolve the latency-critical flow over the whole horizon: walk full
-    chunks from an idle gate until their entry state repeats or the horizon
-    runs out (see the module docstring), then the partial final chunk.  One
-    array maps each chunk to the walked chunk it repeats; the counts, the
-    delays' repeat counts and the capacity profile over the prefix and one
-    cycle (the horizon when no state repeats) all read it.
+def _chunk_order(n_chunks: int, start: int, cycle: int, partial_at: int | None) -> np.ndarray:
+    """order[c]: the index into the walked chunks of chunk c, the cycle
+    repeating from start on (the identity without a cycle, as start is then
+    the number of full chunks).  The partial chunk, chunk partial_at when
+    the horizon ends inside one, is walked last."""
+    order = np.arange(n_chunks)
+    order[start:] = start + np.arange(n_chunks - start) % max(cycle, 1)
+    if partial_at is not None:
+        order[partial_at] = start + cycle
+    return order
 
-    Returns (capacity profile, per-period counts, each walked chunk's
-    post-warm-up access delays once, how many chunks of the horizon repeat
-    each delay, mean occupied slots per period after warm-up).
+
+class _WalkedHorizon(NamedTuple):
+    """The latency-critical layer of one configuration, less its one
+    horizon-long array, the per-period counts, which runs gather afresh
+    from the walked chunks' counts.  Its arrays are read-only."""
+
+    profile: _CapacityProfile
+    chunk_counts: np.ndarray   # (walked chunks, periods per chunk, 2): transmitted, dropped
+    order_args: tuple          # _chunk_order's arguments over the horizon
+    delays: np.ndarray         # each walked chunk's post-warm-up access delays once
+    delay_counts: np.ndarray   # chunks of the horizon that repeat each delay
+    occupancy: float           # mean occupied slots per period after warm-up
+    record: tuple              # the path record's arguments
+
+
+@functools.lru_cache(maxsize=8)
+def _walk_horizon(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel,
+                  n_periods: int) -> _WalkedHorizon:
+    """Walk full chunks from an idle gate until their entry state repeats or
+    the horizon runs out (see the module docstring), then the partial final
+    chunk.  The delays' repeat counts and the capacity profile over the
+    prefix and one cycle (the horizon when no state repeats) read the chunk
+    order.
+
+    The walk is a pure function of its arguments, so it is memoised: the
+    seeds of one configuration and the grid points of compare's loop share
+    it.  Nothing an entry holds grows with the horizon beyond the walked
+    chunks, and the 8 entries cover two grid points of four schemes, as
+    scheduling.period_charge's do.
     """
-    radio, haptic, scheme = config.radio, config.haptic, config.scheme
-    tti, k_p, n_periods = radio.tti_ns, config.slots_per_period, config.n_periods
+    tti, k_p = radio.tti_ns, int(haptic.t_p_ns // radio.tti_ns)
     n_slots = n_periods * k_p
     span = math.lcm(k_p, *(ns // tti for ns in slot_periods(scheme, radio).values()))
     n_full, rest = divmod(n_slots, span)
@@ -272,25 +308,22 @@ def _haptic_layer(config: SimConfig):
             spill = spill[~np.isin(spill % span, walked[0].reserved_slots, kind="table")]
         reach = int(spill.max()) // span if len(spill) else 0
         prefix_slots, end = (start + reach) * span, (start + reach + cycle) * span
-    # order[c]: the index into walked of chunk c, the cycle repeating from start
-    # on (the identity without a cycle, as start is n_full).  The partial chunk
-    # is chunk n_full; the machine is causal, so the profile may read it there
-    order = np.arange(max(n_full + 1, end // span))
-    order[start:] = start + np.arange(len(order) - start) % max(cycle, 1)
-    if rest:  # the partial chunk joins walked last, entered as the chunk it replaces
-        entry = [*seen, busy][order[n_full]]
+    partial_at = None
+    if rest:  # entered as the chunk it replaces; the machine is causal, so the profile may read it there
+        entry = [*seen, busy][start + (n_full - start) % max(cycle, 1)]
         walked.append(slotted_machine(scheme, radio, haptic, chunk_sa[chunk_sa < rest], rest, entry))
-        order[n_full] = len(walked) - 1
-    horizon = order[:n_full + bool(rest)]
+        partial_at = n_full
+    n_chunks = n_full + bool(rest)
+    order = _chunk_order(max(n_full + 1, end // span), start, cycle, partial_at)
 
-    # each chunk's counts span a full chunk's periods, cut off at the horizon
+    # each chunk's counts span a full chunk's periods; runs gather them in the
+    # chunk order and cut them off at the horizon
     counts = np.stack([np.stack([np.bincount(arrivals // k_p, minlength=span // k_p)
                                  for arrivals in (e.tx_arrival_slots, e.dropped_arrival_slots)], axis=1)
                        for e in walked])
-    counts = counts[horizon].reshape(-1, 2)[:n_periods]
     # chunk 0 on its own (its first period is warm-up), then each walked
     # chunk that the chunks after it repeat, once with its repeat count
-    repeats = np.bincount(horizon[1:], minlength=len(walked)).tolist()
+    repeats = np.bincount(order[1:n_chunks], minlength=len(walked)).tolist()
     parts, weights = zip(*[(walked[0].delays_s[walked[0].tx_arrival_slots >= k_p], 1)]
                          + [(e.delays_s, n) for e, n in zip(walked, repeats) if n])
     delays = np.concatenate(parts)
@@ -307,10 +340,30 @@ def _haptic_layer(config: SimConfig):
     occupied = q * (len(occ) - occ.searchsorted(prefix_slots)) + occ.searchsorted(n_slots - q * cycle_slots)
     occupancy = int(occupied - occ.searchsorted(k_p)) / (n_periods - 1)
 
+    for array in (counts, delays, delay_counts):
+        array.flags.writeable = False  # shared by every run of the configuration
+    record = (scheme.value, span // k_p, prefix_slots // span if cycle else n_full, cycle, len(walked),
+              _replication_blocker(scheme, radio, k_p, walked[0]) or "clean")
+    return _WalkedHorizon(profile, counts, (n_chunks, start, cycle, partial_at), delays, delay_counts, occupancy,
+                          record)
+
+
+def _haptic_layer(config: SimConfig):
+    """Resolve the latency-critical flow over the whole horizon.  The walk
+    (_walk_horizon) is memoised per (scheme, radio, haptic, n_periods);
+    each call gathers the per-period counts from its chunks in the chunk
+    order and writes the path record.
+
+    Returns (capacity profile, per-period counts, each walked chunk's
+    post-warm-up access delays once, how many chunks of the horizon repeat
+    each delay, mean occupied slots per period after warm-up).  All but the
+    counts are shared by every call with the same key and are read-only.
+    """
+    walk = _walk_horizon(config.scheme, config.radio, config.haptic, config.n_periods)
+    counts = walk.chunk_counts[_chunk_order(*walk.order_args)].reshape(-1, 2)[:config.n_periods]
     if log.isEnabledFor(logging.DEBUG):
-        log.debug(_PATH_RECORD, scheme.value, span // k_p, prefix_slots // span if cycle else n_full, cycle,
-                  len(walked), _replication_blocker(config, walked[0]) or "clean")
-    return profile, counts, delays, delay_counts, occupancy
+        log.debug(_PATH_RECORD, *walk.record)
+    return walk.profile, counts, walk.delays, walk.delay_counts, walk.occupancy
 
 
 def _tables_pay(n_packets: int, profile_slots: int) -> bool:
@@ -342,7 +395,8 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: f
     arrivals, sizes = timeline.times_s, timeline.sizes_bits
     n = len(arrivals)
     tables = _tables_pay(n, profile.slots)
-    if tables:
+    if tables:  # on a copy: the profile itself is shared by every run of its configuration
+        profile = copy.copy(profile)
         profile.build_lookup_tables()
     cum = np.cumsum(sizes)
     t_mid = 0.5 * horizon_s
@@ -440,11 +494,14 @@ def validate_against_walk(config: SimConfig) -> bool:
     on every full period after warm-up (the final period is skipped because
     its tail may still be in flight at the horizon).  Both run
     scheduling.slotted_machine, so this checks the simulator's chunking and
-    per-period bookkeeping, not the grant machine."""
-    report = run(config)
+    per-period bookkeeping, not the grant machine.
+
+    The counts come from the latency-critical layer alone: no background
+    queue is drawn or drained, so an unstable background load does not
+    raise here, as it does in run."""
+    counts = _haptic_layer(config)[1]
     walk = drop_walk(config.scheme, config.radio, config.haptic, slotted=True)
     expected = (walk.transmitted, walk.dropped)
-    counts = report.haptic_period_counts
     ok = True
     for period in range(1, len(counts) - 1):
         got = (int(counts[period, 0]), int(counts[period, 1]))

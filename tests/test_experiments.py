@@ -397,6 +397,56 @@ class TestCli:
         assert exit_.value.code == code
         assert (capsys.readouterr().out != "") == (code == 0)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "--bogus"], "unrecognized arguments: --bogus"),
+        (["compare", "--param", "x", "--values", "1ms"], "argument --param: invalid choice: 'x'"),
+        (["bound", "--steps", "x"], "unrecognized arguments: --steps x"),
+        (["simulate", "--param", "tti", "--values", "0.5ms,1ms"], "unrecognized arguments: --param tti"),
+        (["sweep", "--steps", "x"], "argument --steps: invalid int value: 'x'"),
+        ([], "the following arguments are required: mode"),
+    ])
+    def test_usage_errors_exit_one(self, capsys, argv, message):
+        # exit status 2 is compare's failed check; argparse's usage text stays on stderr
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: hapticsched") and message in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["compare", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hapticsched")
+
+    def test_main_builds_its_parser_once(self, capsys):
+        import hapticsched.cli as cli
+
+        cli._build_parser.cache_clear()
+        assert main(["drop", "--scheme", "DS"]) == 0
+        assert main(["remainder", "--scheme", "FA"]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        # a parse leaves no state behind: the second verb's rows are its own
+        out = capsys.readouterr().out.splitlines()
+        assert out[2] == "scheme,tti_s,t_ib_s,remainder_bits,config_hash" and len(out) == 4
+
+    def test_compare_bounds_each_scheme_once_for_all_seeds(self, tmp_path, monkeypatch):
+        import hapticsched.experiments as exp
+
+        calls = []
+        bound_fields = exp._bound_fields
+        monkeypatch.setattr(exp, "_bound_fields", lambda *a: calls.append(a[1:]) or bound_fields(*a))
+        out = tmp_path / "cmp.csv"
+        rc = main(["compare", "--scheme", "DS,FA", "--seed", "1,2,3", "--param", "t_ib", "--values", "2ms,3ms",
+                   "--horizon", "12s", "--out", str(out)])
+        assert rc in (0, 2) and len(out.read_text().splitlines()) == 1 + 2 * 2 * 3
+        # per grid point and scheme: the configured epsilon, then 0.1 and 0.01
+        assert calls == [(scheme, eps) for _ in range(2) for scheme in (S.DYNAMIC, S.FAST_UPLINK)
+                         for eps in (1e-5, 1e-1, 1e-2)]
+
     def test_empty_seed_list_stops_compare(self, capsys):
         assert main(["compare", "--scheme", "DS", "--seed", ",", "--param", "t_ib", "--values", "1ms,2ms"]) == 1
         captured = capsys.readouterr()

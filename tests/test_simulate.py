@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 from test_event_oracle import configs, make_config
 
@@ -180,7 +180,7 @@ class TestLeftoverSide:
         occupies."""
         sa = simulate_mod.period_arrival_offsets_ns(cfg.haptic) // cfg.radio.tti_ns
         events = slotted_machine(cfg.scheme, cfg.radio, cfg.haptic, sa, cfg.slots_per_period, 0)
-        assume(simulate_mod._replication_blocker(cfg, events) is None)
+        assume(simulate_mod._replication_blocker(cfg.scheme, cfg.radio, cfg.slots_per_period, events) is None)
         slotted = drop_walk(cfg.scheme, cfg.radio, cfg.haptic, slotted=True)
         assume(slotted.transmitted == drop_walk(cfg.scheme, cfg.radio, cfg.haptic).transmitted)
         remainder = remainder_of_service(cfg.scheme, cfg.radio, cfg.haptic)
@@ -317,6 +317,20 @@ class TestCapacityProfile:
         assert profile.total_bits == 2000.0
         assert np.allclose(profile.time_of_supply(np.array([500.0, 1500.0])), [0.5e-3, 1.5e-3])
         assert np.isinf(profile.time_of_supply(np.array([2000.5]))[0])
+
+    @pytest.mark.parametrize("reduced", [0.2e6, 0.0])
+    def test_rising_segments_are_the_segments_unless_a_plateau_exists(self, reduced):
+        profile = simulate_mod._CapacityProfile(
+            np.array([1, 5, 6]), prefix_slots=2, cycle_slots=8, horizon_slots=30, tti_ns=1_000_000,
+            total_rate=1e6, reduced_rate=reduced
+        )
+        rising = profile.seg_rate > 0
+        for ris, seg in [(profile.ris_t, profile.seg_t), (profile.ris_S, profile.seg_S),
+                         (profile.ris_rate, profile.seg_rate)]:
+            assert ris.dtype == seg.dtype and np.array_equal(ris, seg[rising])
+            assert np.shares_memory(ris, seg) == bool(rising.all())
+            with pytest.raises(ValueError):
+                ris[0] = 0
 
 
 @st.composite
@@ -518,6 +532,7 @@ class TestPrefixCycleLayoutEqualsFlatReference:
         # access delays alone took 232 MB; the per-period counts take 4 MB
         loaded = load_config()
         cfg = SimConfig(loaded.radio, loaded.haptic, loaded.leftover, S.DYNAMIC, 250_000.0, 1)
+        simulate_mod._walk_horizon.cache_clear()  # a memoised walk would measure only the gather
         tracemalloc.start()
         try:
             simulate_mod._haptic_layer(cfg)
@@ -683,6 +698,119 @@ class TestBlockWalkEqualsWholeArrayPass:
             assert kept == len(report.leftover_delays)
             assert blocks == finished // 16 + 1  # the walk stops at the first unfinished packet
             assert lookup_path == path and packets == arrived and slots == cfg.slots_per_period
+
+
+def walk_entry(cfg):
+    return simulate_mod._walk_horizon(cfg.scheme, cfg.radio, cfg.haptic, cfg.n_periods)
+
+
+def offgrid(scheme, seed=1, horizon=30.0):
+    """The haptic period of bench/configs/compare_offgrid.ini: 2001 slots,
+    off the grant grid, so the chunks span several periods."""
+    return SimConfig(radio(), HapticTrafficModel(1.0005, 0.2, 2e-3, 50e-3), LEFTOVER, scheme, horizon, seed)
+
+
+class TestHapticLayerMemo:
+    @pytest.mark.parametrize("make", [sim, offgrid], ids=["on-grid", "off-grid"])
+    @pytest.mark.parametrize("scheme", list(S))
+    def test_cold_and_warm_runs_identical(self, make, scheme):
+        simulate_mod._walk_horizon.cache_clear()
+        warm = [run(make(scheme, seed=seed)) for seed in (1, 2, 3)]
+        info = simulate_mod._walk_horizon.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        for seed, got in zip((1, 2, 3), warm):
+            simulate_mod._walk_horizon.cache_clear()
+            assert_reports_identical(got, run(make(scheme, seed=seed)))
+        # an equal configuration built afresh finds the same entry
+        again = make(scheme, seed=1)
+        again = dataclasses.replace(again, radio=dataclasses.replace(again.radio),
+                                    haptic=dataclasses.replace(again.haptic))
+        assert_reports_identical(run(again), warm[0])
+        assert simulate_mod._walk_horizon.cache_info().hits == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=loaded_configs(), tables=st.booleans())
+    def test_cold_and_warm_runs_identical_on_random_configurations(self, cfg, tables):
+        simulate_mod._walk_horizon.cache_clear()
+        with lookup(tables):
+            try:
+                cold = run(cfg)
+            except InfeasibleError:
+                reject()
+            warm = run(cfg)
+        assert simulate_mod._walk_horizon.cache_info().hits == 1
+        assert_reports_identical(warm, cold)
+
+    def test_shared_arrays_are_read_only(self):
+        cfg = offgrid(S.DYNAMIC)
+        a, b = run(cfg), run(dataclasses.replace(cfg, seed=2))
+        profile = simulate_mod._haptic_layer(cfg)[0]
+        shared = [a.haptic_delays, a.haptic_delay_counts, walk_entry(cfg).chunk_counts,
+                  profile.seg_t, profile.seg_S, profile.seg_rate, profile.ris_t, profile.ris_S, profile.ris_rate]
+        for array in shared:
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert a.haptic_delays is b.haptic_delays and a.haptic_delay_counts is b.haptic_delay_counts
+        # the per-period counts span the horizon: each run gathers its own
+        assert a.haptic_period_counts is not b.haptic_period_counts
+        assert a.haptic_period_counts.flags.writeable
+
+    def test_every_run_writes_its_path_record(self, caplog):
+        cfg = offgrid(S.SOFT_RESERVATION)
+        simulate_mod._walk_horizon.cache_clear()
+        with caplog.at_level(logging.DEBUG, "hapticsched.simulate"):
+            run(cfg)
+            run(cfg)
+        records = [r.args for r in caplog.records if r.msg is simulate_mod._PATH_RECORD]
+        assert len(records) == 2 and records[0] == records[1]
+
+    def test_search_after_tables_still_searches(self):
+        # 2 Mb/s offered against less than 1 Mb/s: about 8,000 packets against
+        # one 2,000-slot period, so each run has packets to look up
+        cfg = sim(S.DYNAMIC, horizon=20.0, leftover=LeftoverTrafficModel(400.0, 5e3))
+        simulate_mod._walk_horizon.cache_clear()
+        simulate_mod._haptic_layer(cfg)  # the miss: the profile's own supply_at call is not a run's
+        original = simulate_mod._CapacityProfile.supply_at
+        searched = []
+
+        def spy(profile, t_ns):
+            searched.append(profile.slot_seg is None)
+            return original(profile, t_ns)
+
+        with mock.patch.object(simulate_mod._CapacityProfile, "supply_at", spy):
+            with lookup(True):
+                tables = run(cfg)
+            assert searched and not any(searched)
+            searched.clear()
+            with lookup(False):
+                search = run(cfg)
+            assert searched and all(searched)
+        assert simulate_mod._haptic_layer(cfg)[0].slot_seg is None
+        assert_reports_identical(search, tables)
+
+    def test_an_entry_does_not_grow_with_the_horizon(self):
+        loaded = load_config()
+
+        def nbytes(horizon):
+            walk = walk_entry(SimConfig(loaded.radio, loaded.haptic, loaded.leftover, S.DYNAMIC, horizon, 1))
+            arrays = [walk.chunk_counts, walk.delays, walk.delay_counts]
+            arrays += [v for _, v in sorted(vars(walk.profile).items()) if isinstance(v, np.ndarray)]
+            return [a.nbytes for a in arrays]
+
+        assert nbytes(2_000.0) == nbytes(250_000.0)
+
+    def test_validation_drains_no_background_queue(self):
+        # a background load that blows up: run raises, the validation, which
+        # reads only the latency-critical layer, draws no arrival at all
+        idle = RadioConfig(10, 1e6, 0.5e-3, 0.5e-3, 5e-3, 0.0)
+        cfg = SimConfig(idle, haptic(), LEFTOVER, S.SEMI_PERSISTENT, 20.0, 1)
+        times = np.concatenate([np.arange(200) / 1000, 10.0 + np.arange(1, 2501) / 256])
+        timeline = ArrivalTimeline(times, np.full(len(times), 1e6), 20.0)
+        with mock.patch.object(simulate_mod, "leftover_arrivals", lambda *a: timeline):
+            with pytest.raises(InfeasibleError):
+                run(cfg)
+        with mock.patch.object(simulate_mod, "leftover_arrivals", side_effect=AssertionError("drawn")):
+            assert validate_against_walk(cfg)
 
 
 class TestQuantile:
