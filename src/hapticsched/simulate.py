@@ -24,8 +24,9 @@ empty.  The partial final chunk is walked explicitly, since a grant past
 the horizon leaves its arrivals unresolved.  Of the latency-critical flow
 only the per-period counts span the horizon; each walked chunk's access
 delays are kept once, with the number of chunks that repeat them.  The
-walk depends on no seed and no background model, so it is memoised per
-(scheme, radio, haptic, n_periods) and every run gathers only its counts.
+walk depends on no seed and no background model, so the last one is
+memoised, keyed on (scheme, radio, haptic, n_periods), and every run
+gathers only its counts.
 """
 
 from __future__ import annotations
@@ -266,7 +267,7 @@ class _WalkedHorizon(NamedTuple):
     record: tuple              # the path record's arguments
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _walk_horizon(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel,
                   n_periods: int) -> _WalkedHorizon:
     """Walk full chunks from an idle gate until their entry state repeats or
@@ -275,11 +276,11 @@ def _walk_horizon(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTr
     prefix and one cycle (the horizon when no state repeats) read the chunk
     order.
 
-    The walk is a pure function of its arguments, so it is memoised: the
-    seeds of one configuration and the grid points of compare's loop share
-    it.  Nothing an entry holds grows with the horizon beyond the walked
-    chunks, and the 8 entries cover two grid points of four schemes, as
-    scheduling.period_charge's do.
+    The walk is a pure function of its arguments, so it is memoised.  One
+    entry serves every caller that repeats a configuration: a seed list
+    runs all seeds of one (grid point, scheme) in a row, and
+    validate_against_walk and run read the same configuration.  Nothing
+    the entry holds grows with the horizon beyond the walked chunks.
     """
     tti, k_p = radio.tti_ns, int(haptic.t_p_ns // radio.tti_ns)
     n_slots = n_periods * k_p

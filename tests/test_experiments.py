@@ -433,9 +433,11 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[2] == "scheme,tti_s,t_ib_s,remainder_bits,config_hash" and len(out) == 4
 
-    def test_compare_bounds_each_scheme_once_for_all_seeds(self, tmp_path, monkeypatch):
+    def test_compare_bounds_and_walks_each_scheme_once_for_all_seeds(self, tmp_path, monkeypatch):
         import hapticsched.experiments as exp
+        import hapticsched.simulate as simulate_mod
 
+        simulate_mod._walk_horizon.cache_clear()
         calls = []
         bound_fields = exp._bound_fields
         monkeypatch.setattr(exp, "_bound_fields", lambda *a: calls.append(a[1:]) or bound_fields(*a))
@@ -446,6 +448,10 @@ class TestCli:
         # per grid point and scheme: the configured epsilon, then 0.1 and 0.01
         assert calls == [(scheme, eps) for _ in range(2) for scheme in (S.DYNAMIC, S.FAST_UPLINK)
                          for eps in (1e-5, 1e-1, 1e-2)]
+        # the seeds of one grid point and scheme run in a row: the one-entry
+        # memo walks each of the 4 configurations once and serves 2 seeds each
+        info = simulate_mod._walk_horizon.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (4, 8, 1)
 
     def test_empty_seed_list_stops_compare(self, capsys):
         assert main(["compare", "--scheme", "DS", "--seed", ",", "--param", "t_ib", "--values", "1ms,2ms"]) == 1
