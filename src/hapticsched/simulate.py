@@ -27,6 +27,11 @@ delays are kept once, with the number of chunks that repeat them.  The
 walk depends on no seed and no background model, so the last one is
 memoised, keyed on (scheme, radio, haptic, n_periods), and every run
 gathers only its counts.
+
+The background queue is walked in blocks of packets.  Each block draws its
+sizes from the generator its arrival times came from and sums them on from
+the block before, so of the background flow only the arrival times and the
+kept completion delays span the horizon.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import copy
 import functools
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,6 +67,12 @@ _BACKGROUND_RECORD = ("%s: background %d packets arrived, %d finished, %d unfini
 # stay in cache, and the per-block overhead is small next to its work
 _BLOCK = 1 << 15
 
+# the capacity profile multiplies rates by nanosecond spans of up to the
+# horizon, and the queue walk sums packet sizes over it: a millionth of the
+# float range leaves room for the walk's sums of the two and for a draw of
+# sizes above its mean
+_SUM_LIMIT = sys.float_info.max / 1e6
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -82,6 +94,14 @@ class SimConfig:
                 f"horizon: must cover at least 10 traffic periods, got {self.horizon!r} s "
                 f"with t_p={self.haptic.t_p!r} s"
             )
+        else:
+            rate, lam, sigma = self.radio.total_rate, self.leftover.lambda_rate, self.leftover.sigma
+            if rate * self.horizon * 1e9 > _SUM_LIMIT:
+                problems.append(f"radio.total_rate: {rate!r} b/s over a {self.horizon!r} s horizon "
+                                f"overflows the simulator's capacity sums")
+            if lam * self.horizon * sigma > _SUM_LIMIT:
+                problems.append(f"leftover: {lam!r} packets/s of {sigma!r} bits over a {self.horizon!r} s "
+                                f"horizon overflow the simulator's queue sums")
         if self.haptic.t_p_ns % self.radio.tti_ns:
             problems.append("haptic.t_p: must be a whole number of TTIs for simulation")
         problems.extend(slot_grid_problems(self.scheme, self.radio, self.haptic))
@@ -380,42 +400,52 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: f
     warm-up.
 
     Packet i finishes when cumulative capacity reaches
-    max_{j <= i}(supply(a_j) - cum_{j-1}) + cum_i.  The packets are walked
-    in blocks of _BLOCK, the running maximum carried from one block into
-    the next, so every temporary stays block-sized; only the cumulative
-    sizes are summed over the whole timeline at once, in the same order as
-    an unblocked pass.  Completion times are nondecreasing and a target
-    past the horizon is unreachable, so the unfinished packets are a
-    suffix: a binary search for inf finds the first of them, and the walk
-    stops at the block that holds it.  With at least as many packets as
-    the profile has slots, the profile's lookup tables are built first.
+    max_{j <= i}(supply(a_j) - cum_{j-1}) + cum_i.  The arrival times are
+    drawn and checked whole first, since the walk may stop early; their
+    sizes stay in the generator.  The packets are walked in blocks of
+    _BLOCK: each block draws its sizes, continuing the generator, and sums
+    them on from the last block's total, in the order of one pass over the
+    timeline, and the running maximum is carried from block to block.  So
+    the bytes are those of whole-timeline sizes and sums, and nothing spans
+    the timeline but the arrival times and the kept delays.
+
+    Completion times are nondecreasing and a target past the horizon is
+    unreachable, so the unfinished packets are a suffix: a binary search
+    for inf finds the first of them, and the walk stops at the block that
+    holds it.  With at least as many packets as the profile has slots, the
+    profile's lookup tables are built first.
 
     Raises InfeasibleError when the queue grows superlinearly.
     """
-    timeline = leftover_arrivals(config.leftover, horizon_s, config.seed)
-    arrivals, sizes = timeline.times_s, timeline.sizes_bits
+    timeline = leftover_arrivals(config.leftover, horizon_s, config.seed, stream_sizes=True)
+    arrivals = timeline.times_s
     n = len(arrivals)
     tables = _tables_pay(n, profile.slots)
     if tables:  # on a copy: the profile itself is shared by every run of its configuration
         profile = copy.copy(profile)
         profile.build_lookup_tables()
-    cum = np.cumsum(sizes)
     t_mid = 0.5 * horizon_s
     first_kept = int(np.searchsorted(arrivals, warmup_s, side="left"))
     delays = np.empty(n - first_kept)
     kept = finished = finished_mid = blocks = 0
-    peak = -np.inf
+    peak, carry = -np.inf, 0.0
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         blocks += 1
         a = arrivals[lo:hi]
-        c = cum[lo:hi]
+        sizes = timeline.next_sizes(hi - lo)
+        # the cumulative sizes, summed on from the last block's total in
+        # the order of one pass over the timeline
+        cum = sizes.copy()
+        cum[0] += carry
+        np.cumsum(cum, out=cum)
+        carry = cum[-1]
         level = profile.supply_at(np.round(a * 1e9).astype(np.int64))
-        level -= c - sizes[lo:hi]
+        level -= cum - sizes
         level[0] = max(level[0], peak)
         np.maximum.accumulate(level, out=level)
         peak = level[-1]
-        level += c
+        level += cum
         completion = profile.time_of_supply(level)
         done = int(np.searchsorted(completion, np.inf))
         finished += done

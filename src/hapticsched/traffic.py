@@ -94,6 +94,14 @@ class LeftoverTrafficModel:
             raise ConfigError(problems)
 
 
+def _check_times(times: np.ndarray, horizon: float) -> None:
+    """A timeline's checks on its arrival times, which are not empty."""
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("arrival times must be strictly increasing")
+    if times[0] < 0 or times[-1] > horizon:
+        raise ValueError("arrival times must lie within [0, horizon]")
+
+
 @dataclass
 class ArrivalTimeline:
     """Ordered (arrival time, size) pairs over a finite horizon."""
@@ -108,15 +116,39 @@ class ArrivalTimeline:
         if self.times_s.shape != self.sizes_bits.shape:
             raise ValueError("times and sizes must have matching lengths")
         if len(self.times_s):
-            if np.any(np.diff(self.times_s) <= 0):
-                raise ValueError("arrival times must be strictly increasing")
-            if self.times_s[0] < 0 or self.times_s[-1] > self.horizon_s:
-                raise ValueError("arrival times must lie within [0, horizon]")
+            _check_times(self.times_s, self.horizon_s)
             if np.any(self.sizes_bits <= 0):
                 raise ValueError("sizes must be positive")
 
     def __len__(self) -> int:
         return len(self.times_s)
+
+
+@dataclass
+class StreamedTimeline:
+    """Ordered arrival times over a finite horizon, their sizes still in the
+    generator: next_sizes continues it, so successive draws concatenate to
+    the sizes of the matching ArrivalTimeline however they are split."""
+
+    times_s: np.ndarray
+    horizon_s: float
+    model: LeftoverTrafficModel
+    rng: np.random.Generator
+
+    def __post_init__(self):
+        self.times_s = np.asarray(self.times_s, dtype=float)
+        if len(self.times_s):
+            _check_times(self.times_s, self.horizon_s)
+
+    def __len__(self) -> int:
+        return len(self.times_s)
+
+    def next_sizes(self, n: int) -> np.ndarray:
+        """The sizes of the next n arrivals, in arrival order."""
+        sizes = _draw_sizes(self.model, self.rng, n)
+        if np.any(sizes <= 0):
+            raise ValueError("sizes must be positive")
+        return sizes
 
 
 def period_arrival_offsets_ns(model: HapticTrafficModel) -> np.ndarray:
@@ -131,15 +163,9 @@ def period_arrival_offsets_ns(model: HapticTrafficModel) -> np.ndarray:
     return model._period_offsets_ns
 
 
-def leftover_arrivals(model: LeftoverTrafficModel, horizon: float, seed: int) -> ArrivalTimeline:
-    """Seeded Poisson background timeline on [0, horizon].
-
-    Gaps are exponential with mean 1/lambda_rate; sizes follow the model's
-    size law.  The same (model, horizon, seed) always reproduces the same
-    timeline.
-    """
-    if horizon <= 0:
-        raise ConfigError(f"horizon must be > 0, got {horizon!r}")
+def _draw_times(model: LeftoverTrafficModel, horizon: float, seed: int) -> tuple[np.ndarray, np.random.Generator]:
+    """The arrival times on [0, horizon] and the generator they leave, whose
+    stream goes on with the sizes."""
     rng = np.random.default_rng(seed)
     mean_gap = 1.0 / model.lambda_rate
     expected = model.lambda_rate * horizon
@@ -156,9 +182,33 @@ def leftover_arrivals(model: LeftoverTrafficModel, horizon: float, seed: int) ->
     repeated = times[1:] == times[:-1]
     if repeated.any():
         times = times[np.concatenate([[True], ~repeated])]
+    return times, rng
+
+
+def _draw_sizes(model: LeftoverTrafficModel, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The next n sizes of the model's size law from rng.  An exponential
+    draw uses up the stream value by value, so n draws at once and in
+    blocks give the same sizes and leave the same state."""
     if model.size_distribution is SizeDistribution.DETERMINISTIC:
-        sizes = np.full(len(times), float(model.sigma))
-    else:
-        sizes = rng.exponential(model.sigma, len(times))
-        np.maximum(sizes, np.finfo(float).tiny, out=sizes)
-    return ArrivalTimeline(times, sizes, horizon)
+        return np.full(n, float(model.sigma))
+    sizes = rng.exponential(model.sigma, n)
+    np.maximum(sizes, np.finfo(float).tiny, out=sizes)
+    return sizes
+
+
+def leftover_arrivals(model: LeftoverTrafficModel, horizon: float, seed: int, *,
+                      stream_sizes: bool = False) -> ArrivalTimeline | StreamedTimeline:
+    """Seeded Poisson background timeline on [0, horizon].
+
+    Gaps are exponential with mean 1/lambda_rate; sizes follow the model's
+    size law and are drawn after all gaps, from the same generator.  The
+    same (model, horizon, seed) always reproduces the same timeline.  With
+    stream_sizes, the sizes are left in the generator: the StreamedTimeline
+    returned draws them on demand, with the same bytes.
+    """
+    if horizon <= 0:
+        raise ConfigError(f"horizon must be > 0, got {horizon!r}")
+    times, rng = _draw_times(model, horizon, seed)
+    if stream_sizes:
+        return StreamedTimeline(times, horizon, model, rng)
+    return ArrivalTimeline(times, _draw_sizes(model, rng, len(times)), horizon)

@@ -535,6 +535,19 @@ class TestCli:
             assert all(row["status"] == "ok" for row in rows)
             assert all(math.isfinite(float(row[column])) for row in rows for column in numeric)
 
+    @pytest.mark.parametrize("ini, field", [("[radio]\ntotal_rate = 1e308\n", "radio.total_rate"),
+                                            ("[leftover]\nsigma = 1e308\n", "leftover")])
+    def test_extreme_rates_refused_by_the_simulator(self, tmp_path, capsys, ini, field):
+        """Over 20 s either value overflows the simulator's float sums,
+        which left nan in its rows: the configuration is refused."""
+        cfg = tmp_path / "rate.ini"
+        cfg.write_text(ini)
+        assert main(["simulate", "--horizon", "20s", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: {field}: ") and "overflow" in captured.err
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("argv, ini", [
         (["drop", "--scheme", "DS"], "[haptic]\nt_p = 1e16 s\n"),
         (["simulate", "--scheme", "DS", "--horizon", "20s"], "[leftover]\nlambda_rate = 1e16\n"),

@@ -33,6 +33,7 @@ from hapticsched import (
 from hapticsched import simulate as simulate_mod
 from hapticsched.experiments import load_config
 from hapticsched.scheduling import slot_periods, slotted_machine
+from hapticsched.traffic import StreamedTimeline
 
 S = SchedulingScheme
 LEFTOVER = LeftoverTrafficModel(4.0, 12000.0)
@@ -639,6 +640,22 @@ def loaded_configs(draw):
     return dataclasses.replace(cfg, leftover=leftover, seed=draw(st.integers(0, 2**31)))
 
 
+def inject(timeline):
+    """Patch the simulator's background draw to return a hand-built timeline
+    of equal sizes: whole to whole_array_run, streamed to run, its sizes
+    drawn by the deterministic law of that size."""
+    sigma = float(timeline.sizes_bits[0])
+    assert np.all(timeline.sizes_bits == sigma)
+
+    def draw(model, horizon, seed, *, stream_sizes=False):
+        if not stream_sizes:
+            return timeline
+        return StreamedTimeline(timeline.times_s, timeline.horizon_s, LeftoverTrafficModel(1.0, sigma),
+                                np.random.default_rng(0))
+
+    return mock.patch.object(simulate_mod, "leftover_arrivals", draw)
+
+
 def lookup(tables: bool):
     """Force the background layer's choice between lookup tables and binary
     search; the whole-array pass always searches."""
@@ -671,7 +688,7 @@ class TestBlockWalkEqualsWholeArrayPass:
         cfg = SimConfig(idle, haptic(), LEFTOVER, S.SEMI_PERSISTENT, 20.0, 1)
         times = np.concatenate([np.arange(200) / 1000, 10.0 + np.arange(1, 2501) / 256])
         timeline = ArrivalTimeline(times, np.full(len(times), 1e6), 20.0)
-        with mock.patch.object(simulate_mod, "leftover_arrivals", lambda *a: timeline):
+        with inject(timeline):
             with pytest.raises(InfeasibleError) as want:
                 whole_array_run(cfg)
             for tables in (False, True):
@@ -680,6 +697,28 @@ class TestBlockWalkEqualsWholeArrayPass:
                     run(cfg)
                 assert str(got.value) == str(want.value)
         assert "(190 packets at mid-horizon, 2680 at the end)" in str(want.value)
+
+    def test_only_the_arrival_times_and_kept_delays_span_the_timeline(self):
+        # about 2e5 packets, 8 bytes each per horizon-long array.  With the
+        # sizes drawn and summed per block, the walk holds two such arrays,
+        # the arrival times and the kept delays (the time checks hold the
+        # times and their differences before it); whole-timeline sizes and
+        # cumulative sums made it four
+        loaded = load_config()
+        leftover = LeftoverTrafficModel(300.0, 1200.0, SizeDistribution.EXPONENTIAL_MEAN)
+        cfg = SimConfig(loaded.radio, loaded.haptic, leftover, S.SEMI_PERSISTENT, 700.0, 1)
+        horizon_s, warmup_s = cfg.n_periods * cfg.haptic.t_p_ns / 1e9, cfg.haptic.t_p_ns / 1e9
+        profile = simulate_mod._haptic_layer(cfg)[0]
+        n = len(simulate_mod.leftover_arrivals(leftover, horizon_s, cfg.seed))
+        block = 1024  # small blocks, so that their temporaries do not hide a whole-timeline array
+        with mock.patch.object(simulate_mod, "_BLOCK", block):
+            tracemalloc.start()
+            try:
+                simulate_mod._background_layer(cfg, profile, horizon_s, warmup_s)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert n > 200_000 and peak < 3 * 8 * n + 64 * 8 * block
 
     def test_run_record_counts_background_packets(self, caplog):
         # 2 Mb/s offered against less than 1 Mb/s, as about 80 or 8,000 packets
@@ -806,7 +845,7 @@ class TestHapticLayerMemo:
         cfg = SimConfig(idle, haptic(), LEFTOVER, S.SEMI_PERSISTENT, 20.0, 1)
         times = np.concatenate([np.arange(200) / 1000, 10.0 + np.arange(1, 2501) / 256])
         timeline = ArrivalTimeline(times, np.full(len(times), 1e6), 20.0)
-        with mock.patch.object(simulate_mod, "leftover_arrivals", lambda *a: timeline):
+        with inject(timeline):
             with pytest.raises(InfeasibleError):
                 run(cfg)
         with mock.patch.object(simulate_mod, "leftover_arrivals", side_effect=AssertionError("drawn")):

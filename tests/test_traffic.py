@@ -14,7 +14,8 @@ from hapticsched import (
     SizeDistribution,
     leftover_arrivals,
 )
-from hapticsched.traffic import period_arrival_offsets_ns
+from hapticsched.simulate import _BLOCK
+from hapticsched.traffic import StreamedTimeline, period_arrival_offsets_ns
 
 TABLE = dict(t_p=1.0, t_b=0.2, t_ib=2e-3, t_nb=50e-3)
 
@@ -164,16 +165,30 @@ def unique_reference(model, horizon, seed):
 
 class ZeroingGenerator:
     """A seeded generator whose exponential draws are zero at every
-    every-th position: a zero gap repeats an arrival instant."""
+    every-th position of its stream: a zero gap repeats an arrival instant.
+    As in a real generator, n draws at once and in blocks give the same
+    values."""
 
     def __init__(self, seed, every):
         self._rng = _default_rng(seed)
         self._every = every
+        self._drawn = 0
 
     def exponential(self, scale, size):
         out = self._rng.exponential(scale, size)
-        out[:: self._every] = 0.0
+        out[-self._drawn % self._every :: self._every] = 0.0
+        self._drawn += size
         return out
+
+
+class EvenGaps:
+    """A generator whose exponential draws are all their mean."""
+
+    def __init__(self, seed):
+        pass
+
+    def exponential(self, scale, size):
+        return np.full(size, scale)
 
 
 class TestLeftoverArrivalsEqualUniqueReference:
@@ -200,13 +215,6 @@ class TestLeftoverArrivalsEqualUniqueReference:
 
     def test_arrival_on_the_horizon_is_kept(self):
         # gaps of exactly 1/4 s put the 200th arrival on the 50 s horizon
-        class EvenGaps:
-            def __init__(self, seed):
-                pass
-
-            def exponential(self, scale, size):
-                return np.full(size, scale)
-
         model = LeftoverTrafficModel(4.0, 12000.0)
         with mock.patch.object(np.random, "default_rng", EvenGaps):
             got = leftover_arrivals(model, 50.0, seed=1)
@@ -215,10 +223,61 @@ class TestLeftoverArrivalsEqualUniqueReference:
         assert got.times_s.tobytes() == times.tobytes()
 
 
+class TestStreamedSizesEqualWholeDraw:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.floats(0.5, 300.0),
+        sigma=st.floats(1.0, 1e5),
+        law=st.sampled_from(list(SizeDistribution)),
+        horizon=st.floats(0.01, 30.0),
+        seed=st.integers(0, 2**32 - 1),
+        rng=st.sampled_from(["default", "even"]) | st.integers(2, 6),
+        block=st.sampled_from([1, 2, 7, _BLOCK]),
+    )
+    # every other gap zero: the first chunk of gaps falls short of the
+    # horizon, so the times take the extension-chunk path
+    @example(lam=4.0, sigma=12000.0, law=SizeDistribution.EXPONENTIAL_MEAN, horizon=200.0, seed=9, rng=2, block=7)
+    def test_block_draws_concatenate_to_the_whole_draw(self, lam, sigma, law, horizon, seed, rng, block):
+        model = LeftoverTrafficModel(lam, sigma, law)
+        factory = {"default": _default_rng, "even": EvenGaps}.get(rng) or (lambda s: ZeroingGenerator(s, rng))
+        with mock.patch.object(np.random, "default_rng", factory):
+            whole = leftover_arrivals(model, horizon, seed)
+            streamed = leftover_arrivals(model, horizon, seed, stream_sizes=True)
+        assert isinstance(streamed, StreamedTimeline) and streamed.horizon_s == horizon
+        assert streamed.times_s.tobytes() == whole.times_s.tobytes()
+        n = len(streamed)
+        sizes = [streamed.next_sizes(min(block, n - lo)) for lo in range(0, n, block)]
+        assert np.concatenate([np.empty(0), *sizes]).tobytes() == whole.sizes_bits.tobytes()
+
+    @pytest.mark.parametrize("law", list(SizeDistribution))
+    def test_block_draws_leave_the_generator_where_a_whole_draw_does(self, law):
+        model = LeftoverTrafficModel(300.0, 1200.0, law)
+        blocks = leftover_arrivals(model, 20.0, seed=5, stream_sizes=True)
+        whole = leftover_arrivals(model, 20.0, seed=5, stream_sizes=True)
+        n = len(whole)
+        for lo in range(0, n, 7):
+            blocks.next_sizes(min(7, n - lo))
+        whole.next_sizes(n)
+        assert blocks.rng.bit_generator.state == whole.rng.bit_generator.state
+
+
 class TestTimelineContainer:
     def test_rejects_non_increasing_times(self):
         with pytest.raises(ValueError):
             ArrivalTimeline(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 1.0)
+
+    @pytest.mark.parametrize("times, message", [
+        ([0.5, 0.5], "arrival times must be strictly increasing"),
+        ([0.5, 0.2], "arrival times must be strictly increasing"),
+        ([-0.1, 0.5], "arrival times must lie within \\[0, horizon\\]"),
+        ([0.5, 1.5], "arrival times must lie within \\[0, horizon\\]"),
+    ])
+    def test_streamed_timeline_checks_times_as_the_whole_one(self, times, message):
+        model = LeftoverTrafficModel(4.0, 12000.0)
+        with pytest.raises(ValueError, match=message):
+            ArrivalTimeline(np.array(times), np.full(len(times), 1.0), 1.0)
+        with pytest.raises(ValueError, match=message):
+            StreamedTimeline(np.array(times), 1.0, model, np.random.default_rng(0))
 
 
 class TestModelValidation:
