@@ -28,10 +28,10 @@ walk depends on no seed and no background model, so the last one is
 memoised, keyed on (scheme, radio, haptic, n_periods), and every run
 gathers only its counts.
 
-The background queue is walked in blocks of packets.  Each block draws its
-sizes from the generator its arrival times came from and sums them on from
-the block before, so of the background flow only the arrival times and the
-kept completion delays span the horizon.
+The background queue is walked in blocks of packets as the timeline draws
+them.  Each block draws its arrival times and its sizes, each from a
+stream of its own, and sums its sizes on from the block before, so of the
+background flow only the kept completion delays span the horizon.
 """
 
 from __future__ import annotations
@@ -72,6 +72,12 @@ _BLOCK = 1 << 15
 # float range leaves room for the walk's sums of the two and for a draw of
 # sizes above its mean
 _SUM_LIMIT = sys.float_info.max / 1e6
+
+# empirical_quantile reads a threshold off a sample of about _TAIL_SAMPLE
+# values once there are _TAIL_FROM: on fewer, such as compare's few hundred
+# delays per row, the sample would cost more than the copy it saves
+_TAIL_FROM = 4096
+_TAIL_SAMPLE = 1024
 
 
 @dataclass(frozen=True)
@@ -387,7 +393,7 @@ def _haptic_layer(config: SimConfig):
     return walk.profile, counts, walk.delays, walk.delay_counts, walk.occupancy
 
 
-def _tables_pay(n_packets: int, profile_slots: int) -> bool:
+def _tables_pay(n_packets: float, profile_slots: int) -> bool:
     """Whether the profile's lookup tables repay their O(slots) build: each
     packet makes one lookup in supply_at and one in time_of_supply."""
     return n_packets >= profile_slots
@@ -400,40 +406,41 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: f
     warm-up.
 
     Packet i finishes when cumulative capacity reaches
-    max_{j <= i}(supply(a_j) - cum_{j-1}) + cum_i.  The arrival times are
-    drawn and checked whole first, since the walk may stop early; their
-    sizes stay in the generator.  The packets are walked in blocks of
-    _BLOCK: each block draws its sizes, continuing the generator, and sums
-    them on from the last block's total, in the order of one pass over the
-    timeline, and the running maximum is carried from block to block.  So
-    the bytes are those of whole-timeline sizes and sums, and nothing spans
-    the timeline but the arrival times and the kept delays.
+    max_{j <= i}(supply(a_j) - cum_{j-1}) + cum_i.  The packets are walked
+    in blocks of _BLOCK as the timeline draws them: each block's arrival
+    times come checked from the time draw, its sizes from the size draw,
+    and its sizes are summed on from the last block's total, in the order
+    of one pass over the timeline, with the running maximum carried from
+    block to block.  So the bytes are those of whole-timeline draws and
+    sums, and nothing spans the timeline but the kept delays, in a buffer
+    of the time draw's bound that grows only when the draw runs past it.
 
     Completion times are nondecreasing and a target past the horizon is
     unreachable, so the unfinished packets are a suffix: a binary search
-    for inf finds the first of them, and the walk stops at the block that
-    holds it.  With at least as many packets as the profile has slots, the
-    profile's lookup tables are built first.
+    for inf finds the first of them, the walk stops at the block that holds
+    it, and the arrivals after it are only counted.  When the expected
+    packet count is at least the profile's slots, the profile's lookup
+    tables are built first.
 
     Raises InfeasibleError when the queue grows superlinearly.
     """
-    timeline = leftover_arrivals(config.leftover, horizon_s, config.seed, stream_sizes=True)
-    arrivals = timeline.times_s
-    n = len(arrivals)
-    tables = _tables_pay(n, profile.slots)
+    timeline = leftover_arrivals(config.leftover, horizon_s, config.seed, streamed=True)
+    tables = _tables_pay(config.leftover.lambda_rate * horizon_s, profile.slots)
     if tables:  # on a copy: the profile itself is shared by every run of its configuration
         profile = copy.copy(profile)
         profile.build_lookup_tables()
     t_mid = 0.5 * horizon_s
-    first_kept = int(np.searchsorted(arrivals, warmup_s, side="left"))
-    delays = np.empty(n - first_kept)
-    kept = finished = finished_mid = blocks = 0
-    peak, carry = -np.inf, 0.0
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
+    delays = np.empty(timeline.count_bound)
+    next_sizes = timeline.size_draw()
+    n = arrived_mid = kept = finished = finished_mid = blocks = 0
+    peak, carry, walking = -np.inf, 0.0, True
+    for a in timeline.time_blocks(_BLOCK):
+        n += len(a)
+        arrived_mid += int(np.searchsorted(a, t_mid, side="right"))
+        if not walking:
+            continue
         blocks += 1
-        a = arrivals[lo:hi]
-        sizes = timeline.next_sizes(hi - lo)
+        sizes = next_sizes(len(a))
         # the cumulative sizes, summed on from the last block's total in
         # the order of one pass over the timeline
         cum = sizes.copy()
@@ -450,15 +457,16 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: f
         done = int(np.searchsorted(completion, np.inf))
         finished += done
         finished_mid += int(np.searchsorted(completion, t_mid, side="right"))
-        start = min(max(first_kept - lo, 0), done)
+        start = min(int(np.searchsorted(a, warmup_s, side="left")), done)
+        if kept + done - start > len(delays):  # the time draw ran past its bound
+            delays = np.concatenate([delays[:kept], np.empty(len(delays) + len(a))])
         np.subtract(completion[start:done], a[start:done], out=delays[kept:kept + done - start])
         kept += done - start
-        if done < hi - lo:
-            break
+        walking = done == len(a)
     log.debug(_BACKGROUND_RECORD, config.scheme.value, n, finished, n - finished, kept, blocks,
               "table" if tables else "search", n, profile.slots)
 
-    q_mid = int(np.searchsorted(arrivals, t_mid, side="right")) - finished_mid
+    q_mid = arrived_mid - finished_mid
     q_end = n - finished
     if queue_blowup(q_mid, q_end):
         raise InfeasibleError(
@@ -508,13 +516,37 @@ def queue_blowup(q_mid: int, q_end: int) -> bool:
 
 
 def empirical_quantile(delays, p: float) -> float:
-    """Nearest-rank order statistic: the ceil(p*n)-th smallest sample."""
+    """Nearest-rank order statistic: the ceil(p*n)-th smallest sample.
+
+    From _TAIL_FROM samples on, only the tail is copied and partitioned.  A
+    threshold tau is read off a strided sample of about _TAIL_SAMPLE
+    values, a margin of four standard deviations and more below the
+    quantile.  Every sample below tau sorts before every other one (NaN
+    sorts last), so when at least n - rank + 1 samples are not below tau,
+    the quantile is among them at a known rank.  Otherwise, and on fewer
+    samples, the whole sample is copied and partitioned.
+    """
     if not (0 < p < 1):
         raise ConfigError(f"p must be in (0, 1), got {p!r}")
-    data = np.array(delays, dtype=float)  # a copy: it is partitioned in place
-    if len(data) == 0:
+    data = np.asarray(delays, dtype=float)
+    n = len(data)
+    if n == 0:
         raise ValueError("empty sample")
-    rank = min(max(math.ceil(p * len(data)), 1), len(data))
+    rank = min(max(math.ceil(p * n), 1), n)
+    above = n - rank + 1  # the samples from the quantile on, in sorted order
+    if n >= _TAIL_FROM:
+        sample = data[::max(n // _TAIL_SAMPLE, 1)]
+        expected = above / n * len(sample)
+        k = math.ceil(expected + 4 * math.sqrt(expected) + 8)
+        if k < len(sample):
+            tau = np.partition(sample, len(sample) - k)[len(sample) - k]
+            keep = data < tau
+            np.logical_not(keep, out=keep)
+            tail = data[keep]
+            if len(tail) >= above:
+                tail.partition(len(tail) - above)
+                return float(tail[len(tail) - above])
+    data = np.array(data)  # a copy: it is partitioned in place
     data.partition(rank - 1)
     return float(data[rank - 1])
 

@@ -4,6 +4,7 @@ compound-Poisson background flow, plus concrete arrival timelines."""
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -94,9 +95,10 @@ class LeftoverTrafficModel:
             raise ConfigError(problems)
 
 
-def _check_times(times: np.ndarray, horizon: float) -> None:
-    """A timeline's checks on its arrival times, which are not empty."""
-    if np.any(np.diff(times) <= 0):
+def _check_times(times: np.ndarray, horizon: float, last: float = -math.inf) -> None:
+    """A timeline's checks on its arrival times, which are not empty: a
+    whole timeline's, or one block's after a block that ended at last."""
+    if times[0] <= last or np.any(times[1:] <= times[:-1]):
         raise ValueError("arrival times must be strictly increasing")
     if times[0] < 0 or times[-1] > horizon:
         raise ValueError("arrival times must lie within [0, horizon]")
@@ -124,31 +126,95 @@ class ArrivalTimeline:
         return len(self.times_s)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StreamedTimeline:
-    """Ordered arrival times over a finite horizon, their sizes still in the
-    generator: next_sizes continues it, so successive draws concatenate to
-    the sizes of the matching ArrivalTimeline however they are split."""
+    """The seeded background timeline of leftover_arrivals, drawn on demand.
+    time_blocks and size_draw each start a fresh draw from the seed, so the
+    blocks concatenate to the ArrivalTimeline's times however they fall,
+    and the sizes drawn in any pieces concatenate to its sizes.  times_s
+    and len() draw the whole times once, for a caller that wants them."""
 
-    times_s: np.ndarray
-    horizon_s: float
     model: LeftoverTrafficModel
-    rng: np.random.Generator
+    horizon_s: float
+    seed: int
 
-    def __post_init__(self):
-        self.times_s = np.asarray(self.times_s, dtype=float)
-        if len(self.times_s):
-            _check_times(self.times_s, self.horizon_s)
+    @property
+    def count_bound(self) -> int:
+        """The gaps per chunk of the time draw: ten standard deviations
+        above the expected count, so the first chunk all but always
+        reaches past the horizon, and this bounds the arrivals."""
+        expected = self.model.lambda_rate * self.horizon_s
+        return int(expected + 10 * math.sqrt(expected) + 16)
+
+    def time_blocks(self, block: int) -> Iterator[np.ndarray]:
+        """The arrival times in order, in blocks of at most block values.
+
+        Gaps are exponential with mean 1/lambda_rate, drawn count_bound at a
+        time: the first chunk's cumulative sums are the first times, and
+        while the last time is within the horizon each further chunk adds
+        its own sums to it.  A block draws at most block gaps of one chunk
+        and sums them on from the block before, in the order of one pass
+        over the chunk; the generator uses up its stream value by value, so
+        the times are the same however the blocks fall.  An instant drawn
+        twice (a zero gap, or one lost to rounding) is kept once, and each
+        block gets ArrivalTimeline's checks, carried on from the last.
+        """
+        rng = np.random.default_rng(self.seed)
+        mean_gap, chunk, horizon = 1.0 / self.model.lambda_rate, self.count_bound, self.horizon_s
+        base = total = 0.0  # the last time of the chunk before, this chunk's gaps summed so far
+        drawn, last = 0, -math.inf  # gaps drawn of this chunk, the last time yielded
+        while True:
+            n = min(block, chunk - drawn)
+            times = rng.exponential(mean_gap, n)
+            times[0] += total
+            np.cumsum(times, out=times)
+            total, drawn = times[-1], drawn + n
+            if base:  # adding 0 changes no time of the first chunk
+                times += base
+            if drawn == chunk:
+                base, total, drawn = times[-1], 0.0, 0
+            # a cumsum of nonnegative gaps is nondecreasing: the arrivals up
+            # to the horizon are a prefix, and a repeated instant is adjacent
+            end = int(np.searchsorted(times, horizon, side="right"))
+            times = times[:end]
+            if end:
+                repeated = times[1:] == times[:-1]
+                if times[0] == last or repeated.any():
+                    times = times[np.concatenate([[times[0] != last], ~repeated])]
+            if len(times):
+                _check_times(times, horizon, last)
+                last = times[-1]
+                yield times
+            if end < n:
+                return
+
+    def size_draw(self) -> Callable[[int], np.ndarray]:
+        """A function that draws the next n sizes, in arrival order, of a
+        fresh size draw.  Exponential sizes come from a stream of their
+        own, SeedSequence(seed).spawn(1)[0], which uses up its values one
+        by one, so one draw and a draw in pieces give the same sizes."""
+        sigma, rng = float(self.model.sigma), None
+        if self.model.size_distribution is SizeDistribution.EXPONENTIAL_MEAN:
+            rng = np.random.default_rng(np.random.SeedSequence(self.seed).spawn(1)[0])
+
+        def draw(n: int) -> np.ndarray:
+            if rng is None:
+                sizes = np.full(n, sigma)
+            else:
+                sizes = rng.exponential(sigma, n)
+                np.maximum(sizes, np.finfo(float).tiny, out=sizes)
+            if np.any(sizes <= 0):
+                raise ValueError("sizes must be positive")
+            return sizes
+
+        return draw
+
+    @cached_property
+    def times_s(self) -> np.ndarray:
+        return np.concatenate([np.empty(0), *self.time_blocks(self.count_bound)])
 
     def __len__(self) -> int:
         return len(self.times_s)
-
-    def next_sizes(self, n: int) -> np.ndarray:
-        """The sizes of the next n arrivals, in arrival order."""
-        sizes = _draw_sizes(self.model, self.rng, n)
-        if np.any(sizes <= 0):
-            raise ValueError("sizes must be positive")
-        return sizes
 
 
 def period_arrival_offsets_ns(model: HapticTrafficModel) -> np.ndarray:
@@ -163,52 +229,22 @@ def period_arrival_offsets_ns(model: HapticTrafficModel) -> np.ndarray:
     return model._period_offsets_ns
 
 
-def _draw_times(model: LeftoverTrafficModel, horizon: float, seed: int) -> tuple[np.ndarray, np.random.Generator]:
-    """The arrival times on [0, horizon] and the generator they leave, whose
-    stream goes on with the sizes."""
-    rng = np.random.default_rng(seed)
-    mean_gap = 1.0 / model.lambda_rate
-    expected = model.lambda_rate * horizon
-    chunk = int(expected + 10 * math.sqrt(expected) + 16)
-    gaps = rng.exponential(mean_gap, chunk)
-    times = np.cumsum(gaps, out=gaps)
-    while len(times) and times[-1] <= horizon:
-        more = np.cumsum(rng.exponential(mean_gap, chunk)) + times[-1]
-        times = np.concatenate([times, more])
-    # a cumsum of nonnegative gaps is nondecreasing: the arrivals up to the
-    # horizon are a prefix, and an instant drawn twice (a zero gap, or one
-    # lost to rounding) repeats in adjacent entries
-    times = times[: np.searchsorted(times, horizon, side="right")]
-    repeated = times[1:] == times[:-1]
-    if repeated.any():
-        times = times[np.concatenate([[True], ~repeated])]
-    return times, rng
-
-
-def _draw_sizes(model: LeftoverTrafficModel, rng: np.random.Generator, n: int) -> np.ndarray:
-    """The next n sizes of the model's size law from rng.  An exponential
-    draw uses up the stream value by value, so n draws at once and in
-    blocks give the same sizes and leave the same state."""
-    if model.size_distribution is SizeDistribution.DETERMINISTIC:
-        return np.full(n, float(model.sigma))
-    sizes = rng.exponential(model.sigma, n)
-    np.maximum(sizes, np.finfo(float).tiny, out=sizes)
-    return sizes
-
-
 def leftover_arrivals(model: LeftoverTrafficModel, horizon: float, seed: int, *,
-                      stream_sizes: bool = False) -> ArrivalTimeline | StreamedTimeline:
+                      streamed: bool = False) -> ArrivalTimeline | StreamedTimeline:
     """Seeded Poisson background timeline on [0, horizon].
 
     Gaps are exponential with mean 1/lambda_rate; sizes follow the model's
-    size law and are drawn after all gaps, from the same generator.  The
-    same (model, horizon, seed) always reproduces the same timeline.  With
-    stream_sizes, the sizes are left in the generator: the StreamedTimeline
-    returned draws them on demand, with the same bytes.
+    size law, exponential sizes from a stream of their own, so they do not
+    depend on how many gaps were drawn.  The same (model, horizon, seed)
+    always reproduces the same timeline.  With streamed, nothing is drawn
+    yet: the StreamedTimeline returned draws the times and the sizes block
+    by block on demand (see StreamedTimeline.time_blocks), with the same
+    bytes.
     """
     if horizon <= 0:
         raise ConfigError(f"horizon must be > 0, got {horizon!r}")
-    times, rng = _draw_times(model, horizon, seed)
-    if stream_sizes:
-        return StreamedTimeline(times, horizon, model, rng)
-    return ArrivalTimeline(times, _draw_sizes(model, rng, len(times)), horizon)
+    timeline = StreamedTimeline(model, horizon, seed)
+    if streamed:
+        return timeline
+    times = timeline.times_s
+    return ArrivalTimeline(times, timeline.size_draw()(len(times)), horizon)

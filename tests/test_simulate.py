@@ -579,6 +579,9 @@ def whole_array_run(config, haptic_layer=None):
     profile, counts, haptic_delays, delay_counts, occupancy = (haptic_layer or simulate_mod._haptic_layer)(config)
     timeline = simulate_mod.leftover_arrivals(config.leftover, horizon_s, config.seed)
     arrivals, sizes = timeline.times_s, timeline.sizes_bits
+    if config.leftover.size_distribution is SizeDistribution.EXPONENTIAL_MEAN:  # drawn whole from their own stream
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+        sizes = np.maximum(rng.exponential(config.leftover.sigma, len(arrivals)), np.finfo(float).tiny)
     leftover_delays = np.array([], dtype=float)
     if len(arrivals):
         supply_at_arrival = profile.supply_at(np.round(arrivals * 1e9).astype(np.int64))
@@ -642,16 +645,22 @@ def loaded_configs(draw):
 
 def inject(timeline):
     """Patch the simulator's background draw to return a hand-built timeline
-    of equal sizes: whole to whole_array_run, streamed to run, its sizes
-    drawn by the deterministic law of that size."""
+    of equal sizes: whole to whole_array_run, streamed to run, in blocks of
+    its times, with its sizes drawn by the deterministic law of that size."""
     sigma = float(timeline.sizes_bits[0])
     assert np.all(timeline.sizes_bits == sigma)
 
-    def draw(model, horizon, seed, *, stream_sizes=False):
-        if not stream_sizes:
-            return timeline
-        return StreamedTimeline(timeline.times_s, timeline.horizon_s, LeftoverTrafficModel(1.0, sigma),
-                                np.random.default_rng(0))
+    class HandBuilt:
+        count_bound = len(timeline)
+
+        def time_blocks(self, block):
+            return (timeline.times_s[lo:lo + block] for lo in range(0, len(timeline), block))
+
+        def size_draw(self):
+            return StreamedTimeline(LeftoverTrafficModel(1.0, sigma), timeline.horizon_s, 0).size_draw()
+
+    def draw(model, horizon, seed, *, streamed=False):
+        return HandBuilt() if streamed else timeline
 
     return mock.patch.object(simulate_mod, "leftover_arrivals", draw)
 
@@ -698,18 +707,38 @@ class TestBlockWalkEqualsWholeArrayPass:
                 assert str(got.value) == str(want.value)
         assert "(190 packets at mid-horizon, 2680 at the end)" in str(want.value)
 
-    def test_only_the_arrival_times_and_kept_delays_span_the_timeline(self):
-        # about 2e5 packets, 8 bytes each per horizon-long array.  With the
-        # sizes drawn and summed per block, the walk holds two such arrays,
-        # the arrival times and the kept delays (the time checks hold the
-        # times and their differences before it); whole-timeline sizes and
-        # cumulative sums made it four
+    @pytest.mark.parametrize("block", [7, simulate_mod._BLOCK])
+    def test_the_delay_buffer_grows_past_the_time_draws_bound(self, block):
+        # gaps of half their mean: about 1,600 arrivals in 200 s at 4/s, past
+        # the time draw's bound of 1,099, so the draw takes an extension chunk
+        default_rng = np.random.default_rng
+
+        class HalfGaps:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def exponential(self, scale, size):
+                return self._rng.exponential(scale / 2, size)
+
+        cfg = sim(S.DYNAMIC, horizon=200.0)
+        bound = simulate_mod.leftover_arrivals(cfg.leftover, 200.0, cfg.seed, streamed=True).count_bound
+        with mock.patch.object(np.random, "default_rng", HalfGaps), mock.patch.object(simulate_mod, "_BLOCK", block):
+            got = run(cfg)
+            want = whole_array_run(cfg)
+        assert len(got.leftover_delays) > bound
+        assert_reports_identical(got, want)
+
+    def test_only_the_kept_delays_span_the_timeline(self):
+        # about 2e5 packets.  The arrival times and the sizes are drawn per
+        # block, so the walk holds one horizon-long array: the kept delays,
+        # preallocated to the time draw's bound
         loaded = load_config()
         leftover = LeftoverTrafficModel(300.0, 1200.0, SizeDistribution.EXPONENTIAL_MEAN)
         cfg = SimConfig(loaded.radio, loaded.haptic, leftover, S.SEMI_PERSISTENT, 700.0, 1)
         horizon_s, warmup_s = cfg.n_periods * cfg.haptic.t_p_ns / 1e9, cfg.haptic.t_p_ns / 1e9
         profile = simulate_mod._haptic_layer(cfg)[0]
-        n = len(simulate_mod.leftover_arrivals(leftover, horizon_s, cfg.seed))
+        timeline = simulate_mod.leftover_arrivals(leftover, horizon_s, cfg.seed, streamed=True)
+        n, bound = len(timeline), timeline.count_bound
         block = 1024  # small blocks, so that their temporaries do not hide a whole-timeline array
         with mock.patch.object(simulate_mod, "_BLOCK", block):
             tracemalloc.start()
@@ -718,7 +747,7 @@ class TestBlockWalkEqualsWholeArrayPass:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert n > 200_000 and peak < 3 * 8 * n + 64 * 8 * block
+        assert n > 200_000 and peak < 8 * bound + 64 * 8 * block
 
     def test_run_record_counts_background_packets(self, caplog):
         # 2 Mb/s offered against less than 1 Mb/s, as about 80 or 8,000 packets
@@ -870,10 +899,40 @@ class TestQuantile:
         with pytest.raises(ConfigError):
             empirical_quantile([1.0], 1.5)
 
+    @pytest.mark.parametrize("tail_from", [1, simulate_mod._TAIL_FROM])
     @settings(max_examples=60, deadline=None)
     @given(data=st.lists(st.sampled_from([0.5, 1.0, 1.0 + 2**-52, 2.0, 7.25, 1e9]), min_size=1, max_size=60),
            p=st.floats(1e-6, 1 - 1e-6))
-    def test_equals_sort_then_index_with_ties(self, data, p):
+    @example(data=[7.25], p=1e-6)
+    @example(data=[7.25], p=1 - 1e-6)
+    @example(data=[1.0, 0.5, 2.0, 2.0], p=1e-6)
+    @example(data=[1.0, 0.5, 2.0, 2.0], p=1 - 1e-6)
+    def test_equals_sort_then_index_with_ties(self, tail_from, data, p):
+        # a list, read through a sampled threshold from one sample on, or from _TAIL_FROM
         rank = min(max(math.ceil(p * len(data)), 1), len(data))
-        assert empirical_quantile(data, p) == float(np.sort(data)[rank - 1])
+        with mock.patch.object(simulate_mod, "_TAIL_FROM", tail_from):
+            assert empirical_quantile(data, p) == float(np.sort(data)[rank - 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3 * simulate_mod._TAIL_FROM), levels=st.sampled_from([1, 2, 5, None]),
+           layout=st.sampled_from(["drawn", "sorted", "reversed", "strided"]), seed=st.integers(0, 2**32 - 1),
+           p=st.floats(1e-6, 1 - 1e-6) | st.sampled_from([1e-6, 0.5, 0.9, 0.99, 1 - 1e-6]))
+    # the strided sample sees only the large values: the threshold leaves too
+    # few samples above it, and the whole sample is copied
+    @example(n=2 * simulate_mod._TAIL_FROM, levels=None, layout="strided", seed=0, p=0.5)
+    def test_large_samples_equal_sort_then_index(self, n, levels, layout, seed, p):
+        rng = np.random.default_rng(seed)
+        data = rng.exponential(1.0, n) if levels is None else rng.integers(0, levels, n).astype(float)
+        if layout == "sorted":
+            data.sort()
+        elif layout == "reversed":
+            data = np.sort(data)[::-1]
+        elif layout == "strided":  # the largest values where a strided sample reads
+            stride = max(n // simulate_mod._TAIL_SAMPLE, 1)
+            data[::stride] = data.max() + 1.0
+        rank = min(max(math.ceil(p * n), 1), n)
+        want = float(np.sort(data)[rank - 1])
+        copy = data.copy()
+        assert empirical_quantile(data, p) == want
+        assert np.array_equal(data, copy)  # the caller's sample is left as it was
 

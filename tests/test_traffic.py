@@ -15,7 +15,7 @@ from hapticsched import (
     leftover_arrivals,
 )
 from hapticsched.simulate import _BLOCK
-from hapticsched.traffic import StreamedTimeline, period_arrival_offsets_ns
+from hapticsched.traffic import StreamedTimeline, _check_times, period_arrival_offsets_ns
 
 TABLE = dict(t_p=1.0, t_b=0.2, t_ib=2e-3, t_nb=50e-3)
 
@@ -158,8 +158,9 @@ def unique_reference(model, horizon, seed):
     times = np.unique(times[times <= horizon])
     if model.size_distribution is SizeDistribution.DETERMINISTIC:
         sizes = np.full(len(times), float(model.sigma))
-    else:
-        sizes = np.maximum(rng.exponential(model.sigma, len(times)), np.finfo(float).tiny)
+    else:  # from a stream of their own
+        size_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        sizes = np.maximum(size_rng.exponential(model.sigma, len(times)), np.finfo(float).tiny)
     return times, sizes
 
 
@@ -179,6 +180,32 @@ class ZeroingGenerator:
         out[-self._drawn % self._every :: self._every] = 0.0
         self._drawn += size
         return out
+
+
+class GivenGaps:
+    """A generator whose exponential draws are the given gaps in turn, then
+    gaps of 10 s."""
+
+    def __init__(self, gaps):
+        self._gaps = list(gaps)
+
+    def exponential(self, scale, size):
+        out = np.full(size, 10.0)
+        head, self._gaps = self._gaps[:size], self._gaps[size:]
+        out[:len(head)] = head
+        return out
+
+
+class Recording:
+    """A seeded generator that records the size of each exponential draw."""
+
+    def __init__(self, seed):
+        self._rng = _default_rng(seed)
+        self.sizes = []
+
+    def exponential(self, scale, size):
+        self.sizes.append(size)
+        return self._rng.exponential(scale, size)
 
 
 class EvenGaps:
@@ -223,7 +250,12 @@ class TestLeftoverArrivalsEqualUniqueReference:
         assert got.times_s.tobytes() == times.tobytes()
 
 
-class TestStreamedSizesEqualWholeDraw:
+def generator(rng):
+    """A default_rng stand-in: the real one, even gaps, or every rng-th value zero."""
+    return {"default": _default_rng, "even": EvenGaps}.get(rng) or (lambda s: ZeroingGenerator(s, rng))
+
+
+class TestStreamedTimelineEqualsWholeDraw:
     @settings(max_examples=60, deadline=None)
     @given(
         lam=st.floats(0.5, 300.0),
@@ -237,28 +269,58 @@ class TestStreamedSizesEqualWholeDraw:
     # every other gap zero: the first chunk of gaps falls short of the
     # horizon, so the times take the extension-chunk path
     @example(lam=4.0, sigma=12000.0, law=SizeDistribution.EXPONENTIAL_MEAN, horizon=200.0, seed=9, rng=2, block=7)
-    def test_block_draws_concatenate_to_the_whole_draw(self, lam, sigma, law, horizon, seed, rng, block):
+    def test_blocks_concatenate_to_the_whole_draw(self, lam, sigma, law, horizon, seed, rng, block):
         model = LeftoverTrafficModel(lam, sigma, law)
-        factory = {"default": _default_rng, "even": EvenGaps}.get(rng) or (lambda s: ZeroingGenerator(s, rng))
-        with mock.patch.object(np.random, "default_rng", factory):
+        with mock.patch.object(np.random, "default_rng", generator(rng)):
+            times, sizes = unique_reference(model, horizon, seed)
             whole = leftover_arrivals(model, horizon, seed)
-            streamed = leftover_arrivals(model, horizon, seed, stream_sizes=True)
-        assert isinstance(streamed, StreamedTimeline) and streamed.horizon_s == horizon
-        assert streamed.times_s.tobytes() == whole.times_s.tobytes()
-        n = len(streamed)
-        sizes = [streamed.next_sizes(min(block, n - lo)) for lo in range(0, n, block)]
-        assert np.concatenate([np.empty(0), *sizes]).tobytes() == whole.sizes_bits.tobytes()
+            streamed = leftover_arrivals(model, horizon, seed, streamed=True)
+            assert isinstance(streamed, StreamedTimeline) and streamed.horizon_s == horizon
+            blocks = list(streamed.time_blocks(block))
+            draw = streamed.size_draw()
+            drawn = [draw(len(b)) for b in blocks]
+            assert len(streamed) == len(times) and streamed.times_s.tobytes() == times.tobytes()
+        assert all(0 < len(b) <= block for b in blocks)
+        assert np.concatenate([np.empty(0), *blocks]).tobytes() == times.tobytes()
+        assert np.concatenate([np.empty(0), *drawn]).tobytes() == sizes.tobytes()
+        assert whole.times_s.tobytes() == times.tobytes() and whole.sizes_bits.tobytes() == sizes.tobytes()
 
-    @pytest.mark.parametrize("law", list(SizeDistribution))
-    def test_block_draws_leave_the_generator_where_a_whole_draw_does(self, law):
-        model = LeftoverTrafficModel(300.0, 1200.0, law)
-        blocks = leftover_arrivals(model, 20.0, seed=5, stream_sizes=True)
-        whole = leftover_arrivals(model, 20.0, seed=5, stream_sizes=True)
-        n = len(whole)
-        for lo in range(0, n, 7):
-            blocks.next_sizes(min(7, n - lo))
-        whole.next_sizes(n)
-        assert blocks.rng.bit_generator.state == whole.rng.bit_generator.state
+    @pytest.mark.parametrize("block", [1, 2, 7, _BLOCK])
+    def test_blocks_on_the_extension_chunk_path(self, block):
+        # every other gap zero: 1,099 gaps per chunk, of mean 1/4 s, sum to
+        # about 137 s against a 200 s horizon
+        model = LeftoverTrafficModel(4.0, 12000.0)
+        streamed = leftover_arrivals(model, 200.0, 9, streamed=True)
+        made = []
+        with mock.patch.object(np.random, "default_rng", lambda s: made.append(ZeroingGenerator(s, 2)) or made[-1]):
+            times, _ = unique_reference(model, 200.0, 9)
+            blocks = list(streamed.time_blocks(block))
+        assert [rng._drawn > streamed.count_bound for rng in made] == [True, True]
+        assert np.concatenate(blocks).tobytes() == times.tobytes()
+
+    @pytest.mark.parametrize("lam, horizon, first", [(4.0, 50.0, 357), (300.0, 2000.0, _BLOCK)])
+    def test_the_first_draw_is_at_most_the_bound(self, lam, horizon, first):
+        # 4/s over 50 s: 200 expected arrivals, a bound of 200 + 10 sqrt(200) + 16
+        streamed = leftover_arrivals(LeftoverTrafficModel(lam, 1200.0), horizon, 1, streamed=True)
+        made = []
+        with mock.patch.object(np.random, "default_rng", lambda s: made.append(Recording(s)) or made[-1]):
+            next(streamed.time_blocks(_BLOCK))
+        assert made[0].sizes == [first]
+
+    def test_a_size_stream_only_for_exponential_sizes(self):
+        streamed = leftover_arrivals(LeftoverTrafficModel(4.0, 12000.0), 20.0, 1, streamed=True)
+        with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("built")):
+            assert streamed.size_draw()(3).tolist() == [12000.0] * 3
+
+    def test_a_repeated_instant_across_two_blocks_is_dropped(self):
+        # every other gap zero from the first: blocks of two gaps each start
+        # on a zero gap, which repeats the last instant of the block before
+        model = LeftoverTrafficModel(4.0, 12000.0)
+        with mock.patch.object(np.random, "default_rng", lambda s: ZeroingGenerator(s, 2)):
+            times, _ = unique_reference(model, 20.0, 3)
+            blocks = list(leftover_arrivals(model, 20.0, 3, streamed=True).time_blocks(2))
+        assert [len(b) for b in blocks[1:-1]] == [1] * (len(blocks) - 2)
+        assert np.concatenate(blocks).tobytes() == times.tobytes()
 
 
 class TestTimelineContainer:
@@ -272,12 +334,31 @@ class TestTimelineContainer:
         ([-0.1, 0.5], "arrival times must lie within \\[0, horizon\\]"),
         ([0.5, 1.5], "arrival times must lie within \\[0, horizon\\]"),
     ])
-    def test_streamed_timeline_checks_times_as_the_whole_one(self, times, message):
-        model = LeftoverTrafficModel(4.0, 12000.0)
+    def test_hand_built_times_checked_whole(self, times, message):
         with pytest.raises(ValueError, match=message):
             ArrivalTimeline(np.array(times), np.full(len(times), 1.0), 1.0)
+
+    @pytest.mark.parametrize("times, message", [
+        ([0.5, 0.7], "arrival times must be strictly increasing"),
+        ([0.4, 0.7], "arrival times must be strictly increasing"),
+        ([0.6, 1.5], "arrival times must lie within \\[0, horizon\\]"),
+    ])
+    def test_a_block_checked_on_from_the_last(self, times, message):
         with pytest.raises(ValueError, match=message):
-            StreamedTimeline(np.array(times), 1.0, model, np.random.default_rng(0))
+            _check_times(np.array(times), 1.0, last=0.5)
+        _check_times(np.array([0.6, 0.7]), 1.0, last=0.5)
+
+    @pytest.mark.parametrize("gaps, message", [
+        ([0.1, 0.1, -0.05, 0.1], "arrival times must be strictly increasing"),  # the second block starts behind the first
+        ([-0.1, 0.2], "arrival times must lie within \\[0, horizon\\]"),
+    ])
+    def test_drawn_blocks_checked(self, gaps, message):
+        streamed = leftover_arrivals(LeftoverTrafficModel(4.0, 12000.0), 1.0, 1, streamed=True)
+        with mock.patch.object(np.random, "default_rng", lambda s: GivenGaps(gaps)):
+            with pytest.raises(ValueError, match=message):
+                list(streamed.time_blocks(2))
+            with pytest.raises(ValueError, match=message):
+                leftover_arrivals(LeftoverTrafficModel(4.0, 12000.0), 1.0, 1)
 
 
 class TestModelValidation:
