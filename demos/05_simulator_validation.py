@@ -14,7 +14,7 @@ from hapticsched import (
     SimConfig,
     drop_walk,
     empirical_quantile,
-    leftover_delay_bound,
+    leftover_delay_bound_details,
     remainder_of_service,
     run,
     validate_against_walk,
@@ -34,7 +34,7 @@ for scheme in S:
     walk = drop_walk(scheme, cfg, h, slotted=True)
     analytic_rem = remainder_of_service(scheme, cfg, h)
     q90 = empirical_quantile(report.leftover_delays, 0.90)
-    bound90 = leftover_delay_bound(scheme, cfg, h, leftover, 1e-1)
+    bound90 = leftover_delay_bound_details(scheme, cfg, h, leftover, 1e-1).d0_s
     print(f"{scheme.value:4s} walk-equivalence: {'yes' if agrees else 'NO'}   "
           f"drop rate sim {report.haptic_drop_rate:.3f} / walk {walk.drop_rate:.3f}   "
           f"remainder sim {report.remainder_bits_per_period:9.0f} / analytic {analytic_rem:9.0f}   "

@@ -15,7 +15,6 @@ from .curves import (
     crossing_time,
     effective_bandwidth,
     horizontal_distance,
-    leftover_delay_bound,
     leftover_delay_bound_details,
     max_stable_theta,
 )

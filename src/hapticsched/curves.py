@@ -201,16 +201,6 @@ def leftover_delay_bound_details(
     return DelayBoundResult(scheme, epsilon, theta, x, d0, rate)
 
 
-def leftover_delay_bound(
-    scheme: SchedulingScheme,
-    radio: RadioConfig,
-    haptic: HapticTrafficModel,
-    leftover: LeftoverTrafficModel,
-    epsilon: float,
-) -> float:
-    return leftover_delay_bound_details(scheme, radio, haptic, leftover, epsilon).d0_s
-
-
 def horizontal_distance(arrival: ArrivalCurve, x: float, curve: LeftoverServiceCurve, horizon: float) -> float:
     """Rigorous-mode bound: the largest horizontal gap between the arrival
     envelope lifted by x and the service envelope, computed exactly in O(1).

@@ -28,10 +28,11 @@ walk depends on no seed and no background model, so the last one is
 memoised, keyed on (scheme, radio, haptic, n_periods), and every run
 gathers only its counts.
 
-The background queue is walked in blocks of packets as the timeline draws
-them.  Each block draws its arrival times and its sizes, each from a
-stream of its own, and sums its sizes on from the block before, so of the
-background flow only the kept completion delays span the horizon.
+The background queue is walked in blocks of packets as the timeline of
+leftover_arrivals draws them on demand.  Each block draws its arrival
+times and its sizes, each from a stream of its own, and sums its sizes on
+from the block before, so of the background flow only the kept completion
+delays span the horizon.
 """
 
 from __future__ import annotations
@@ -411,8 +412,8 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: f
     times come checked from the time draw, its sizes from the size draw,
     and its sizes are summed on from the last block's total, in the order
     of one pass over the timeline, with the running maximum carried from
-    block to block.  So the bytes are those of whole-timeline draws and
-    sums, and nothing spans the timeline but the kept delays, in a buffer
+    block to block.  So the bytes are those of one draw and one sum over
+    the timeline, and nothing spans it but the kept delays, in a buffer
     of the time draw's bound that grows only when the draw runs past it.
 
     Completion times are nondecreasing and a target past the horizon is
@@ -424,7 +425,7 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: f
 
     Raises InfeasibleError when the queue grows superlinearly.
     """
-    timeline = leftover_arrivals(config.leftover, horizon_s, config.seed, streamed=True)
+    timeline = leftover_arrivals(config.leftover, horizon_s, config.seed)
     tables = _tables_pay(config.leftover.lambda_rate * horizon_s, profile.slots)
     if tables:  # on a copy: the profile itself is shared by every run of its configuration
         profile = copy.copy(profile)

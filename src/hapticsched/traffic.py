@@ -1,5 +1,6 @@
 """Traffic models: the periodic bursty latency-critical flow and the
-compound-Poisson background flow, plus concrete arrival timelines."""
+compound-Poisson background flow, with the seeded background arrival
+timeline drawn from it."""
 
 from __future__ import annotations
 
@@ -95,44 +96,22 @@ class LeftoverTrafficModel:
             raise ConfigError(problems)
 
 
-def _check_times(times: np.ndarray, horizon: float, last: float = -math.inf) -> None:
-    """A timeline's checks on its arrival times, which are not empty: a
-    whole timeline's, or one block's after a block that ended at last."""
+def _check_times(times: np.ndarray, horizon: float, last: float) -> None:
+    """A block's checks on its arrival times, which are not empty, after a
+    block that ended at last."""
     if times[0] <= last or np.any(times[1:] <= times[:-1]):
         raise ValueError("arrival times must be strictly increasing")
     if times[0] < 0 or times[-1] > horizon:
         raise ValueError("arrival times must lie within [0, horizon]")
 
 
-@dataclass
-class ArrivalTimeline:
-    """Ordered (arrival time, size) pairs over a finite horizon."""
-
-    times_s: np.ndarray
-    sizes_bits: np.ndarray
-    horizon_s: float
-
-    def __post_init__(self):
-        self.times_s = np.asarray(self.times_s, dtype=float)
-        self.sizes_bits = np.asarray(self.sizes_bits, dtype=float)
-        if self.times_s.shape != self.sizes_bits.shape:
-            raise ValueError("times and sizes must have matching lengths")
-        if len(self.times_s):
-            _check_times(self.times_s, self.horizon_s)
-            if np.any(self.sizes_bits <= 0):
-                raise ValueError("sizes must be positive")
-
-    def __len__(self) -> int:
-        return len(self.times_s)
-
-
 @dataclass(frozen=True)
-class StreamedTimeline:
+class ArrivalTimeline:
     """The seeded background timeline of leftover_arrivals, drawn on demand.
     time_blocks and size_draw each start a fresh draw from the seed, so the
-    blocks concatenate to the ArrivalTimeline's times however they fall,
-    and the sizes drawn in any pieces concatenate to its sizes.  times_s
-    and len() draw the whole times once, for a caller that wants them."""
+    blocks concatenate to the same times however they fall, and the sizes
+    drawn in any pieces concatenate to the same sizes.  times_s and len()
+    draw all the times once, for a caller that wants them."""
 
     model: LeftoverTrafficModel
     horizon_s: float
@@ -157,7 +136,7 @@ class StreamedTimeline:
         over the chunk; the generator uses up its stream value by value, so
         the times are the same however the blocks fall.  An instant drawn
         twice (a zero gap, or one lost to rounding) is kept once, and each
-        block gets ArrivalTimeline's checks, carried on from the last.
+        block is checked on from the last (see _check_times).
         """
         rng = np.random.default_rng(self.seed)
         mean_gap, chunk, horizon = 1.0 / self.model.lambda_rate, self.count_bound, self.horizon_s
@@ -229,22 +208,16 @@ def period_arrival_offsets_ns(model: HapticTrafficModel) -> np.ndarray:
     return model._period_offsets_ns
 
 
-def leftover_arrivals(model: LeftoverTrafficModel, horizon: float, seed: int, *,
-                      streamed: bool = False) -> ArrivalTimeline | StreamedTimeline:
+def leftover_arrivals(model: LeftoverTrafficModel, horizon: float, seed: int) -> ArrivalTimeline:
     """Seeded Poisson background timeline on [0, horizon].
 
     Gaps are exponential with mean 1/lambda_rate; sizes follow the model's
     size law, exponential sizes from a stream of their own, so they do not
     depend on how many gaps were drawn.  The same (model, horizon, seed)
-    always reproduces the same timeline.  With streamed, nothing is drawn
-    yet: the StreamedTimeline returned draws the times and the sizes block
-    by block on demand (see StreamedTimeline.time_blocks), with the same
-    bytes.
+    always reproduces the same timeline.  Nothing is drawn yet: the
+    timeline draws its times and sizes block by block on demand (see
+    ArrivalTimeline.time_blocks).
     """
-    if horizon <= 0:
-        raise ConfigError(f"horizon must be > 0, got {horizon!r}")
-    timeline = StreamedTimeline(model, horizon, seed)
-    if streamed:
-        return timeline
-    times = timeline.times_s
-    return ArrivalTimeline(times, timeline.size_draw()(len(times)), horizon)
+    if not 0 < horizon < math.inf:
+        raise ConfigError(f"horizon must be > 0 and finite, got {horizon!r}")
+    return ArrivalTimeline(model, horizon, seed)

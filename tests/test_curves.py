@@ -18,7 +18,7 @@ from hapticsched import (
     crossing_time,
     effective_bandwidth,
     horizontal_distance,
-    leftover_delay_bound,
+    leftover_delay_bound_details,
     max_stable_theta,
 )
 
@@ -199,35 +199,35 @@ class TestCrossingTime:
 
 class TestDelayBound:
     def test_monotone_in_outage_probability(self):
-        d_tight = leftover_delay_bound(S.DYNAMIC, radio(), haptic(), LEFTOVER, 1e-5)
-        d_loose = leftover_delay_bound(S.DYNAMIC, radio(), haptic(), LEFTOVER, 1e-2)
+        d_tight = leftover_delay_bound_details(S.DYNAMIC, radio(), haptic(), LEFTOVER, 1e-5).d0_s
+        d_loose = leftover_delay_bound_details(S.DYNAMIC, radio(), haptic(), LEFTOVER, 1e-2).d0_s
         assert d_tight >= d_loose
 
     def test_demand_schemes_agree_between_gates(self):
-        ds = leftover_delay_bound(S.DYNAMIC, radio(), haptic(2.5e-3), LEFTOVER, 1e-5)
-        fa = leftover_delay_bound(S.FAST_UPLINK, radio(), haptic(2.5e-3), LEFTOVER, 1e-5)
+        ds = leftover_delay_bound_details(S.DYNAMIC, radio(), haptic(2.5e-3), LEFTOVER, 1e-5).d0_s
+        fa = leftover_delay_bound_details(S.FAST_UPLINK, radio(), haptic(2.5e-3), LEFTOVER, 1e-5).d0_s
         assert ds == fa
 
     def test_antitone_in_demand(self):
         bounds = [
-            leftover_delay_bound(S.DYNAMIC, radio(demand=d), haptic(), LEFTOVER, 1e-5)
+            leftover_delay_bound_details(S.DYNAMIC, radio(demand=d), haptic(), LEFTOVER, 1e-5).d0_s
             for d in (0.5e-4, 1e-4, 2e-4)
         ]
         assert bounds == sorted(bounds)
 
     def test_near_certain_outage_approaches_zero_level_crossing(self):
         curve = LeftoverServiceCurve(S.DYNAMIC, radio(), haptic())
-        d = leftover_delay_bound(S.DYNAMIC, radio(), haptic(), LEFTOVER, 1 - 1e-12)
+        d = leftover_delay_bound_details(S.DYNAMIC, radio(), haptic(), LEFTOVER, 1 - 1e-12).d0_s
         assert d == pytest.approx(crossing_time(curve, 0.0), rel=1e-6)
 
     def test_infeasible_load_propagates(self):
         heavy = LeftoverTrafficModel(4.0, 5e5)
         with pytest.raises(InfeasibleError):
-            leftover_delay_bound(S.DYNAMIC, radio(), haptic(), heavy, 1e-5)
+            leftover_delay_bound_details(S.DYNAMIC, radio(), haptic(), heavy, 1e-5)
 
     def test_epsilon_validation(self):
         with pytest.raises(ConfigError):
-            leftover_delay_bound(S.DYNAMIC, radio(), haptic(), LEFTOVER, 0.0)
+            leftover_delay_bound_details(S.DYNAMIC, radio(), haptic(), LEFTOVER, 0.0)
 
 
 class TestHorizontalDistance:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from test_event_oracle import configs, make_config
 
 from hapticsched import (
-    ArrivalTimeline,
     ConfigError,
     HapticTrafficModel,
     InfeasibleError,
@@ -25,7 +24,7 @@ from hapticsched import (
     drop_walk,
     empirical_quantile,
     haptic_blocks,
-    leftover_delay_bound,
+    leftover_delay_bound_details,
     remainder_of_service,
     run,
     validate_against_walk,
@@ -33,7 +32,6 @@ from hapticsched import (
 from hapticsched import simulate as simulate_mod
 from hapticsched.experiments import load_config
 from hapticsched.scheduling import slot_periods, slotted_machine
-from hapticsched.traffic import StreamedTimeline
 
 S = SchedulingScheme
 LEFTOVER = LeftoverTrafficModel(4.0, 12000.0)
@@ -212,7 +210,7 @@ class TestLeftoverSide:
     def test_bound_holds_on_moderate_run(self):
         cfg = sim(S.FAST_UPLINK, horizon=2000.0, seed=3, rate=5e6)
         report = run(cfg)
-        bound = leftover_delay_bound(S.FAST_UPLINK, radio(rate=5e6), haptic(), LEFTOVER, 1e-1)
+        bound = leftover_delay_bound_details(S.FAST_UPLINK, radio(rate=5e6), haptic(), LEFTOVER, 1e-1).d0_s
         assert empirical_quantile(report.leftover_delays, 0.9) <= bound
 
     def test_unstable_run_shows_growing_delays(self):
@@ -577,11 +575,13 @@ def whole_array_run(config, haptic_layer=None):
     horizon_s = n_slots * radio.tti_ns / 1e9
     warmup_s = haptic.t_p_ns / 1e9
     profile, counts, haptic_delays, delay_counts, occupancy = (haptic_layer or simulate_mod._haptic_layer)(config)
-    timeline = simulate_mod.leftover_arrivals(config.leftover, horizon_s, config.seed)
-    arrivals, sizes = timeline.times_s, timeline.sizes_bits
+    arrivals = simulate_mod.leftover_arrivals(config.leftover, horizon_s, config.seed).times_s
+    sigma = float(config.leftover.sigma)
     if config.leftover.size_distribution is SizeDistribution.EXPONENTIAL_MEAN:  # drawn whole from their own stream
         rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-        sizes = np.maximum(rng.exponential(config.leftover.sigma, len(arrivals)), np.finfo(float).tiny)
+        sizes = np.maximum(rng.exponential(sigma, len(arrivals)), np.finfo(float).tiny)
+    else:
+        sizes = np.full(len(arrivals), sigma)
     leftover_delays = np.array([], dtype=float)
     if len(arrivals):
         supply_at_arrival = profile.supply_at(np.round(arrivals * 1e9).astype(np.int64))
@@ -643,26 +643,22 @@ def loaded_configs(draw):
     return dataclasses.replace(cfg, leftover=leftover, seed=draw(st.integers(0, 2**31)))
 
 
-def inject(timeline):
-    """Patch the simulator's background draw to return a hand-built timeline
-    of equal sizes: whole to whole_array_run, streamed to run, in blocks of
-    its times, with its sizes drawn by the deterministic law of that size."""
-    sigma = float(timeline.sizes_bits[0])
-    assert np.all(timeline.sizes_bits == sigma)
+def inject(times, size):
+    """Patch the simulator's background draw to return the hand-built
+    arrival times, whole to whole_array_run and in blocks to run, all of
+    the one size."""
 
     class HandBuilt:
-        count_bound = len(timeline)
+        times_s = times
+        count_bound = len(times)
 
         def time_blocks(self, block):
-            return (timeline.times_s[lo:lo + block] for lo in range(0, len(timeline), block))
+            return (times[lo:lo + block] for lo in range(0, len(times), block))
 
         def size_draw(self):
-            return StreamedTimeline(LeftoverTrafficModel(1.0, sigma), timeline.horizon_s, 0).size_draw()
+            return lambda n: np.full(n, float(size))
 
-    def draw(model, horizon, seed, *, streamed=False):
-        return HandBuilt() if streamed else timeline
-
-    return mock.patch.object(simulate_mod, "leftover_arrivals", draw)
+    return mock.patch.object(simulate_mod, "leftover_arrivals", lambda model, horizon, seed: HandBuilt())
 
 
 def lookup(tables: bool):
@@ -694,10 +690,9 @@ class TestBlockWalkEqualsWholeArrayPass:
         # mid-horizon.  200 packets in the first 0.2 s leave 190 queued at
         # 10 s; 2500 more in the second half leave 2680 at the end
         idle = RadioConfig(10, 1e6, 0.5e-3, 0.5e-3, 5e-3, 0.0)
-        cfg = SimConfig(idle, haptic(), LEFTOVER, S.SEMI_PERSISTENT, 20.0, 1)
+        cfg = SimConfig(idle, haptic(), LeftoverTrafficModel(4.0, 1e6), S.SEMI_PERSISTENT, 20.0, 1)
         times = np.concatenate([np.arange(200) / 1000, 10.0 + np.arange(1, 2501) / 256])
-        timeline = ArrivalTimeline(times, np.full(len(times), 1e6), 20.0)
-        with inject(timeline):
+        with inject(times, cfg.leftover.sigma):
             with pytest.raises(InfeasibleError) as want:
                 whole_array_run(cfg)
             for tables in (False, True):
@@ -721,7 +716,7 @@ class TestBlockWalkEqualsWholeArrayPass:
                 return self._rng.exponential(scale / 2, size)
 
         cfg = sim(S.DYNAMIC, horizon=200.0)
-        bound = simulate_mod.leftover_arrivals(cfg.leftover, 200.0, cfg.seed, streamed=True).count_bound
+        bound = simulate_mod.leftover_arrivals(cfg.leftover, 200.0, cfg.seed).count_bound
         with mock.patch.object(np.random, "default_rng", HalfGaps), mock.patch.object(simulate_mod, "_BLOCK", block):
             got = run(cfg)
             want = whole_array_run(cfg)
@@ -737,7 +732,7 @@ class TestBlockWalkEqualsWholeArrayPass:
         cfg = SimConfig(loaded.radio, loaded.haptic, leftover, S.SEMI_PERSISTENT, 700.0, 1)
         horizon_s, warmup_s = cfg.n_periods * cfg.haptic.t_p_ns / 1e9, cfg.haptic.t_p_ns / 1e9
         profile = simulate_mod._haptic_layer(cfg)[0]
-        timeline = simulate_mod.leftover_arrivals(leftover, horizon_s, cfg.seed, streamed=True)
+        timeline = simulate_mod.leftover_arrivals(leftover, horizon_s, cfg.seed)
         n, bound = len(timeline), timeline.count_bound
         block = 1024  # small blocks, so that their temporaries do not hide a whole-timeline array
         with mock.patch.object(simulate_mod, "_BLOCK", block):
@@ -871,10 +866,9 @@ class TestHapticLayerMemo:
         # a background load that blows up: run raises, the validation, which
         # reads only the latency-critical layer, draws no arrival at all
         idle = RadioConfig(10, 1e6, 0.5e-3, 0.5e-3, 5e-3, 0.0)
-        cfg = SimConfig(idle, haptic(), LEFTOVER, S.SEMI_PERSISTENT, 20.0, 1)
+        cfg = SimConfig(idle, haptic(), LeftoverTrafficModel(4.0, 1e6), S.SEMI_PERSISTENT, 20.0, 1)
         times = np.concatenate([np.arange(200) / 1000, 10.0 + np.arange(1, 2501) / 256])
-        timeline = ArrivalTimeline(times, np.full(len(times), 1e6), 20.0)
-        with inject(timeline):
+        with inject(times, cfg.leftover.sigma):
             with pytest.raises(InfeasibleError):
                 run(cfg)
         with mock.patch.object(simulate_mod, "leftover_arrivals", side_effect=AssertionError("drawn")):

@@ -15,7 +15,7 @@ from hapticsched import (
     leftover_arrivals,
 )
 from hapticsched.simulate import _BLOCK
-from hapticsched.traffic import StreamedTimeline, _check_times, period_arrival_offsets_ns
+from hapticsched.traffic import _check_times, period_arrival_offsets_ns
 
 TABLE = dict(t_p=1.0, t_b=0.2, t_ib=2e-3, t_nb=50e-3)
 
@@ -113,7 +113,7 @@ class TestLeftoverArrivals:
         a = leftover_arrivals(model, 200.0, seed=9)
         b = leftover_arrivals(model, 200.0, seed=9)
         assert a.times_s.tobytes() == b.times_s.tobytes()
-        assert a.sizes_bits.tobytes() == b.sizes_bits.tobytes()
+        assert a.size_draw()(len(a)).tobytes() == b.size_draw()(len(b)).tobytes()
         c = leftover_arrivals(model, 200.0, seed=10)
         assert len(c) == 0 or not np.array_equal(a.times_s, c.times_s)
 
@@ -127,18 +127,24 @@ class TestLeftoverArrivals:
         # 4 packets/s of 12000 bits each carry 48 kbit/s on average
         model = LeftoverTrafficModel(4.0, 12000.0, SizeDistribution.DETERMINISTIC)
         tl = leftover_arrivals(model, 1000.0, seed=3)
-        assert np.all(tl.sizes_bits == 12000.0)
-        rate = tl.sizes_bits.sum() / 1000.0
+        sizes = tl.size_draw()(len(tl))
+        assert np.all(sizes == 12000.0)
+        rate = sizes.sum() / 1000.0
         assert abs(rate - 48000.0) <= 5 * math.sqrt(4000) * 12.0
 
     def test_exponential_sizes_have_requested_mean(self):
         model = LeftoverTrafficModel(4.0, 12000.0, SizeDistribution.EXPONENTIAL_MEAN)
         tl = leftover_arrivals(model, 5000.0, seed=3)
-        assert abs(tl.sizes_bits.mean() - 12000.0) < 12000.0 * 0.05
+        assert abs(tl.size_draw()(len(tl)).mean() - 12000.0) < 12000.0 * 0.05
 
     def test_tiny_horizon_is_empty(self):
         model = LeftoverTrafficModel(4.0, 12000.0)
         assert len(leftover_arrivals(model, 1e-9, seed=1)) == 0
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0])
+    def test_rejects_a_horizon_not_positive_and_finite(self, horizon):
+        with pytest.raises(ConfigError, match=f"horizon must be > 0 and finite, got {horizon!r}"):
+            leftover_arrivals(LeftoverTrafficModel(4.0, 12000.0), horizon, seed=1)
 
 
 _default_rng = np.random.default_rng
@@ -235,8 +241,9 @@ class TestLeftoverArrivalsEqualUniqueReference:
         with mock.patch.object(np.random, "default_rng", factory):
             got = leftover_arrivals(model, horizon, seed)
             times, sizes = unique_reference(model, horizon, seed)
-        assert got.times_s.tobytes() == times.tobytes()
-        assert got.sizes_bits.tobytes() == sizes.tobytes()
+            got_sizes = got.size_draw()(len(got))
+            assert got.times_s.tobytes() == times.tobytes()
+        assert got_sizes.tobytes() == sizes.tobytes()
         assert got.horizon_s == horizon
 
 
@@ -244,10 +251,10 @@ class TestLeftoverArrivalsEqualUniqueReference:
         # gaps of exactly 1/4 s put the 200th arrival on the 50 s horizon
         model = LeftoverTrafficModel(4.0, 12000.0)
         with mock.patch.object(np.random, "default_rng", EvenGaps):
-            got = leftover_arrivals(model, 50.0, seed=1)
+            got = leftover_arrivals(model, 50.0, seed=1).times_s
             times, _ = unique_reference(model, 50.0, seed=1)
-        assert got.times_s[-1] == 50.0 and len(got) == 200
-        assert got.times_s.tobytes() == times.tobytes()
+        assert got[-1] == 50.0 and len(got) == 200
+        assert got.tobytes() == times.tobytes()
 
 
 def generator(rng):
@@ -273,44 +280,42 @@ class TestStreamedTimelineEqualsWholeDraw:
         model = LeftoverTrafficModel(lam, sigma, law)
         with mock.patch.object(np.random, "default_rng", generator(rng)):
             times, sizes = unique_reference(model, horizon, seed)
-            whole = leftover_arrivals(model, horizon, seed)
-            streamed = leftover_arrivals(model, horizon, seed, streamed=True)
-            assert isinstance(streamed, StreamedTimeline) and streamed.horizon_s == horizon
-            blocks = list(streamed.time_blocks(block))
-            draw = streamed.size_draw()
+            tl = leftover_arrivals(model, horizon, seed)
+            assert isinstance(tl, ArrivalTimeline) and tl.horizon_s == horizon
+            blocks = list(tl.time_blocks(block))
+            draw = tl.size_draw()
             drawn = [draw(len(b)) for b in blocks]
-            assert len(streamed) == len(times) and streamed.times_s.tobytes() == times.tobytes()
+            assert len(tl) == len(times) and tl.times_s.tobytes() == times.tobytes()
         assert all(0 < len(b) <= block for b in blocks)
         assert np.concatenate([np.empty(0), *blocks]).tobytes() == times.tobytes()
         assert np.concatenate([np.empty(0), *drawn]).tobytes() == sizes.tobytes()
-        assert whole.times_s.tobytes() == times.tobytes() and whole.sizes_bits.tobytes() == sizes.tobytes()
 
     @pytest.mark.parametrize("block", [1, 2, 7, _BLOCK])
     def test_blocks_on_the_extension_chunk_path(self, block):
         # every other gap zero: 1,099 gaps per chunk, of mean 1/4 s, sum to
         # about 137 s against a 200 s horizon
         model = LeftoverTrafficModel(4.0, 12000.0)
-        streamed = leftover_arrivals(model, 200.0, 9, streamed=True)
+        tl = leftover_arrivals(model, 200.0, 9)
         made = []
         with mock.patch.object(np.random, "default_rng", lambda s: made.append(ZeroingGenerator(s, 2)) or made[-1]):
             times, _ = unique_reference(model, 200.0, 9)
-            blocks = list(streamed.time_blocks(block))
-        assert [rng._drawn > streamed.count_bound for rng in made] == [True, True]
+            blocks = list(tl.time_blocks(block))
+        assert [rng._drawn > tl.count_bound for rng in made] == [True, True]
         assert np.concatenate(blocks).tobytes() == times.tobytes()
 
     @pytest.mark.parametrize("lam, horizon, first", [(4.0, 50.0, 357), (300.0, 2000.0, _BLOCK)])
     def test_the_first_draw_is_at_most_the_bound(self, lam, horizon, first):
         # 4/s over 50 s: 200 expected arrivals, a bound of 200 + 10 sqrt(200) + 16
-        streamed = leftover_arrivals(LeftoverTrafficModel(lam, 1200.0), horizon, 1, streamed=True)
+        tl = leftover_arrivals(LeftoverTrafficModel(lam, 1200.0), horizon, 1)
         made = []
         with mock.patch.object(np.random, "default_rng", lambda s: made.append(Recording(s)) or made[-1]):
-            next(streamed.time_blocks(_BLOCK))
+            next(tl.time_blocks(_BLOCK))
         assert made[0].sizes == [first]
 
     def test_a_size_stream_only_for_exponential_sizes(self):
-        streamed = leftover_arrivals(LeftoverTrafficModel(4.0, 12000.0), 20.0, 1, streamed=True)
+        tl = leftover_arrivals(LeftoverTrafficModel(4.0, 12000.0), 20.0, 1)
         with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("built")):
-            assert streamed.size_draw()(3).tolist() == [12000.0] * 3
+            assert tl.size_draw()(3).tolist() == [12000.0] * 3
 
     def test_a_repeated_instant_across_two_blocks_is_dropped(self):
         # every other gap zero from the first: blocks of two gaps each start
@@ -318,34 +323,25 @@ class TestStreamedTimelineEqualsWholeDraw:
         model = LeftoverTrafficModel(4.0, 12000.0)
         with mock.patch.object(np.random, "default_rng", lambda s: ZeroingGenerator(s, 2)):
             times, _ = unique_reference(model, 20.0, 3)
-            blocks = list(leftover_arrivals(model, 20.0, 3, streamed=True).time_blocks(2))
+            blocks = list(leftover_arrivals(model, 20.0, 3).time_blocks(2))
         assert [len(b) for b in blocks[1:-1]] == [1] * (len(blocks) - 2)
         assert np.concatenate(blocks).tobytes() == times.tobytes()
 
 
 class TestTimelineContainer:
-    def test_rejects_non_increasing_times(self):
-        with pytest.raises(ValueError):
-            ArrivalTimeline(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 1.0)
-
-    @pytest.mark.parametrize("times, message", [
-        ([0.5, 0.5], "arrival times must be strictly increasing"),
-        ([0.5, 0.2], "arrival times must be strictly increasing"),
-        ([-0.1, 0.5], "arrival times must lie within \\[0, horizon\\]"),
-        ([0.5, 1.5], "arrival times must lie within \\[0, horizon\\]"),
+    @pytest.mark.parametrize("times, last, message", [
+        ([0.5, 0.7], 0.5, "arrival times must be strictly increasing"),
+        ([0.4, 0.7], 0.5, "arrival times must be strictly increasing"),
+        ([0.6, 1.5], 0.5, "arrival times must lie within \\[0, horizon\\]"),
+        # the first block: only the order within it and the horizon checked
+        ([0.5, 0.5], -math.inf, "arrival times must be strictly increasing"),
+        ([0.5, 0.2], -math.inf, "arrival times must be strictly increasing"),
+        ([-0.1, 0.5], -math.inf, "arrival times must lie within \\[0, horizon\\]"),
+        ([0.5, 1.5], -math.inf, "arrival times must lie within \\[0, horizon\\]"),
     ])
-    def test_hand_built_times_checked_whole(self, times, message):
+    def test_a_block_checked_on_from_the_last(self, times, last, message):
         with pytest.raises(ValueError, match=message):
-            ArrivalTimeline(np.array(times), np.full(len(times), 1.0), 1.0)
-
-    @pytest.mark.parametrize("times, message", [
-        ([0.5, 0.7], "arrival times must be strictly increasing"),
-        ([0.4, 0.7], "arrival times must be strictly increasing"),
-        ([0.6, 1.5], "arrival times must lie within \\[0, horizon\\]"),
-    ])
-    def test_a_block_checked_on_from_the_last(self, times, message):
-        with pytest.raises(ValueError, match=message):
-            _check_times(np.array(times), 1.0, last=0.5)
+            _check_times(np.array(times), 1.0, last=last)
         _check_times(np.array([0.6, 0.7]), 1.0, last=0.5)
 
     @pytest.mark.parametrize("gaps, message", [
@@ -353,12 +349,12 @@ class TestTimelineContainer:
         ([-0.1, 0.2], "arrival times must lie within \\[0, horizon\\]"),
     ])
     def test_drawn_blocks_checked(self, gaps, message):
-        streamed = leftover_arrivals(LeftoverTrafficModel(4.0, 12000.0), 1.0, 1, streamed=True)
+        tl = leftover_arrivals(LeftoverTrafficModel(4.0, 12000.0), 1.0, 1)
         with mock.patch.object(np.random, "default_rng", lambda s: GivenGaps(gaps)):
             with pytest.raises(ValueError, match=message):
-                list(streamed.time_blocks(2))
+                list(tl.time_blocks(2))
             with pytest.raises(ValueError, match=message):
-                leftover_arrivals(LeftoverTrafficModel(4.0, 12000.0), 1.0, 1)
+                len(tl)
 
 
 class TestModelValidation:
