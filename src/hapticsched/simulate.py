@@ -192,20 +192,25 @@ class _CapacityProfile:
             self.ris_t, self.ris_S, self.ris_rate = self.seg_t[rising], self.seg_S[rising], self.seg_rate[rising]
         for array in (self.seg_t, self.seg_S, self.seg_rate, self._seg_slots, self.ris_t, self.ris_S, self.ris_rate):
             array.flags.writeable = False  # a profile is shared by every run of its configuration
-        self.slot_seg = self.bucket_seg = None  # lookup tables, see build_lookup_tables
+        self.slot_S = self.bucket_seg = None  # lookup tables, see build_lookup_tables
         self.total_bits = float(self.supply_at(horizon_slots * tti_ns))
 
     def build_lookup_tables(self) -> None:
         """Replace the binary searches of supply_at and time_of_supply by
         O(1) table lookups with the same results, at O(slots) to build.
 
-        Segment bounds lie on slot bounds, so each slot's segment is a table
-        entry.  Bit targets fall into one bucket per slot.  Each bucket
-        holds the last rising segment that starts in an earlier bucket (0
-        if none); the bucket map is nondecreasing, so that segment starts at
-        or before every target in the bucket, and a forward walk over the
-        segments that start inside the bucket finishes the lookup."""
-        self.slot_seg = np.repeat(np.arange(len(self.seg_t)), self._seg_slots)
+        Segment bounds lie on slot bounds, so each slot's segment start,
+        cumulative supply and rate are table entries: supply_at reads them
+        at the slot of each time.  Bit targets fall into one bucket per
+        slot.  Each bucket holds the last rising segment that starts in an
+        earlier bucket (0 if none); the bucket map is nondecreasing, so that
+        segment starts at or before every target in the bucket, and a
+        forward walk over the segments that start inside the bucket finishes
+        the lookup.  time_of_supply then reads the segment's cumulative
+        supply, rate and start, the start as the float its sum converts it
+        to."""
+        slot_seg = np.repeat(np.arange(len(self.seg_t)), self._seg_slots)
+        self.slot_t, self.slot_S, self.slot_rate = self.seg_t[slot_seg], self.seg_S[slot_seg], self.seg_rate[slot_seg]
         if len(self.ris_S):
             self._buckets_per_bit = self.slots / (self.prefix_bits + self.cycle_bits)
             own = self._bucket(self.ris_S)
@@ -213,6 +218,7 @@ class _CapacityProfile:
             self.bucket_seg = np.repeat(np.maximum(np.arange(-1, len(own)), 0),
                                         np.diff(own, prepend=-1, append=self.slots - 1))
             self._next_S = np.append(self.ris_S[1:], np.nan)  # NaN: the walk stops at the last segment
+            self._ris_t_float = self.ris_t.astype(float)
 
     def _bucket(self, bits: np.ndarray) -> np.ndarray:
         """Bucket of each bit target, nondecreasing in the target; NaN and
@@ -226,46 +232,99 @@ class _CapacityProfile:
         t = np.asarray(t_ns, dtype=np.int64)
         k = np.maximum(t - self.prefix_ns, 0) // self.cycle_ns  # times inside the prefix do not fold
         r = t - k * self.cycle_ns
-        if self.slot_seg is None:
+        if self.slot_S is None:
             j = np.searchsorted(self.seg_t, r, side="right") - 1
-        else:
-            j = self.slot_seg[r // self.tti_ns]
-        return k * self.cycle_bits + self.seg_S[j] + self.seg_rate[j] * (r - self.seg_t[j]) / 1e9
+            return k * self.cycle_bits + self.seg_S[j] + self.seg_rate[j] * (r - self.seg_t[j]) / 1e9
+        s = r // self.tti_ns  # in place below, in the search branch's order
+        r -= self.slot_t.take(s)
+        dbits = self.slot_rate.take(s)
+        dbits *= r
+        dbits /= 1e9
+        out = k * self.cycle_bits
+        out += self.slot_S.take(s)
+        out += dbits
+        return out
 
     def time_of_supply(self, bits) -> np.ndarray:
         """Earliest time (seconds) at which cumulative capacity reaches each
-        target; inf when the target lies past the horizon.  Targets that
-        fall on a zero-rate plateau resolve at the next rising segment.
-        A 0-d target gives a scalar, as in supply_at."""
+        target; inf when the target lies past the horizon, with no
+        arithmetic on it.  Targets that fall on a zero-rate plateau resolve
+        at the next rising segment.  A 0-d target gives a scalar, as in
+        supply_at.  The targets are only read.
+
+        Without lookup tables the segment is a binary search.  With them
+        (build_lookup_tables) it is a bucket lookup and a short walk, and
+        the fold into the cycle and the evaluation run in place on the
+        block's own arrays, in the same order of operations, so both give
+        the same bits."""
         bits = np.asarray(bits, dtype=float)
         shape, bits = bits.shape, bits.ravel()  # 0-d too: the fold and the walk below assign into arrays
         if len(self.ris_S) == 0:
             return np.full(shape, np.inf)[()]
-        if self.cycle_bits <= 0:  # nothing accrues after the prefix
-            k, res = np.zeros(bits.shape), bits
-        else:  # targets inside the prefix do not fold
-            k = np.maximum(np.floor((bits - self.prefix_bits) / self.cycle_bits), 0)
-            res = bits - k * self.cycle_bits
-            low = (res < self.prefix_bits) & (k > 0)
-            k[low] -= 1
-            res[low] += self.cycle_bits
-            high = res >= self.prefix_bits + self.cycle_bits
-            k[high] += 1
-            res[high] -= self.cycle_bits
-        if self.bucket_seg is None:
+        past = bits > self.total_bits * (1 + 1e-12)
+        any_past = past.any()
+        if any_past:  # folded, a target far past the horizon can overflow
+            bits = np.where(past, 0.0, bits)
+        if self.bucket_seg is not None:
+            out = self._table_time_of_supply(bits)
+        else:
+            if self.cycle_bits <= 0:  # nothing accrues after the prefix
+                k, res = np.zeros(bits.shape), bits
+            else:  # targets inside the prefix do not fold
+                k = np.maximum(np.floor((bits - self.prefix_bits) / self.cycle_bits), 0)
+                res = bits - k * self.cycle_bits
+                low = (res < self.prefix_bits) & (k > 0)
+                k[low] -= 1
+                res[low] += self.cycle_bits
+                high = res >= self.prefix_bits + self.cycle_bits
+                k[high] += 1
+                res[high] -= self.cycle_bits
             # searchsorted returns at most len(ris_S), so only 0 can be undershot
             j = np.maximum(np.searchsorted(self.ris_S, res, side="right") - 1, 0)
-        else:  # the last rising segment that starts at or before res, or 0
-            j = self.bucket_seg[self._bucket(res)]
-            walk = np.flatnonzero(self._next_S[j] <= res)
-            while len(walk):
-                j[walk] += 1
-                walk = walk[self._next_S[j[walk]] <= res[walk]]
-        dt_ns = (res - self.ris_S[j]) / self.ris_rate[j] * 1e9
-        t_ns = k * float(self.cycle_ns) + self.ris_t[j] + dt_ns
-        out = t_ns / 1e9
-        out[bits > self.total_bits * (1 + 1e-12)] = np.inf
+            dt_ns = (res - self.ris_S[j]) / self.ris_rate[j] * 1e9
+            t_ns = k * float(self.cycle_ns) + self.ris_t[j] + dt_ns
+            out = t_ns / 1e9
+        if any_past:
+            out[past] = np.inf
         return out.reshape(shape)[()]
+
+    def _table_time_of_supply(self, bits: np.ndarray) -> np.ndarray:
+        """time_of_supply's lookup-table branch on 1-d targets within the
+        horizon: the search branch's operations, each in the same order,
+        written into the block's own temporaries."""
+        if self.cycle_bits <= 0:
+            k, res = np.zeros(bits.shape), bits  # res may be the caller's: read only
+        else:
+            k = np.subtract(bits, self.prefix_bits)
+            k /= self.cycle_bits
+            np.floor(k, out=k)
+            np.maximum(k, 0, out=k)
+            res = np.multiply(k, self.cycle_bits)
+            np.subtract(bits, res, out=res)
+            low = res < self.prefix_bits
+            low &= k > 0
+            if low.any():
+                k[low] -= 1
+                res[low] += self.cycle_bits
+            high = res >= self.prefix_bits + self.cycle_bits
+            if high.any():
+                k[high] += 1
+                res[high] -= self.cycle_bits
+        # the last rising segment that starts at or before res, or 0
+        j = self.bucket_seg.take(self._bucket(res))
+        walk = np.flatnonzero(self._next_S.take(j) <= res)
+        while len(walk):
+            j[walk] += 1
+            walk = walk[self._next_S[j[walk]] <= res[walk]]
+        dt_ns = self.ris_S.take(j)
+        np.subtract(res, dt_ns, out=dt_ns)
+        dt_ns /= self.ris_rate.take(j)
+        dt_ns *= 1e9
+        t_ns = np.multiply(k, float(self.cycle_ns), out=k)
+        t_ns += self._ris_t_float.take(j)
+        t_ns += dt_ns
+        t_ns /= 1e9
+        return t_ns
 
 
 def _chunk_order(n_chunks: int, start: int, cycle: int, partial_at: int | None) -> np.ndarray:

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .units import positive_ns, to_ns
+from .units import NS_PER_S, positive_ns, to_ns
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,9 @@ class HapticTrafficModel:
     """Periodic bursty arrivals: each period of length t_p opens with a
     burst of duration t_b (spacing t_ib inside it) and continues with
     sparse arrivals every t_nb until the period ends.
+
+    t_p_ns, t_b_ns, t_ib_ns and t_nb_ns hold the four times snapped to
+    whole nanoseconds, set once the checks pass.
     """
 
     t_p: float
@@ -34,6 +37,8 @@ class HapticTrafficModel:
             value = getattr(self, name)
             if value > 0 and not positive_ns(value):
                 problems.append(f"haptic.{name}: must be at least 1 ns, got {value!r}")
+            elif math.isinf(value * NS_PER_S):
+                problems.append(f"haptic.{name}: must be finite in nanoseconds, got {value!r}")
         if not (0 < self.t_b < self.t_p):
             problems.append(f"haptic.t_b: must satisfy 0 < t_b < haptic.t_p, got t_b={self.t_b!r}, t_p={self.t_p!r}")
         if not (0 < self.t_ib <= self.t_b):
@@ -45,22 +50,12 @@ class HapticTrafficModel:
             )
         if problems:
             raise ConfigError(problems)
-
-    @cached_property
-    def t_p_ns(self) -> int:
-        return to_ns(self.t_p)
-
-    @cached_property
-    def t_b_ns(self) -> int:
-        return to_ns(self.t_b)
-
-    @cached_property
-    def t_ib_ns(self) -> int:
-        return to_ns(self.t_ib)
-
-    @cached_property
-    def t_nb_ns(self) -> int:
-        return to_ns(self.t_nb)
+        # plain attributes: a sweep builds a model per grid point and reads
+        # all four, which a cached_property's first read makes slower
+        object.__setattr__(self, "t_p_ns", to_ns(self.t_p))
+        object.__setattr__(self, "t_b_ns", to_ns(self.t_b))
+        object.__setattr__(self, "t_ib_ns", to_ns(self.t_ib))
+        object.__setattr__(self, "t_nb_ns", to_ns(self.t_nb))
 
     @cached_property
     def _period_offsets_ns(self) -> np.ndarray:

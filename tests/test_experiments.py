@@ -31,6 +31,9 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 # the haptic period of bench/configs/compare_offgrid.ini: 2001 slots, off the grant grid
 OFFGRID_INI = "[haptic]\nt_p = 1000.5 ms\n"
+# about 60k exponential-size background packets in 200 s against 2000
+# profile slots: two blocks of the queue walk, on the lookup tables
+HEAVY_INI = "[leftover]\nlambda_rate = 300\nsigma = 1200\nsize_distribution = exponential_mean\n"
 
 
 class TestConfigLoading:
@@ -301,6 +304,7 @@ class TestCsvContract:
         ("drop_offgrid", ["drop"], OFFGRID_INI),
         ("remainder_offgrid", ["remainder"], OFFGRID_INI),
         ("simulate_30s_seed3", ["simulate", "--horizon", "30s", "--seed", "3"], None),
+        ("simulate_heavy_200s_seed1", ["simulate", "--horizon", "200s", "--seed", "1"], HEAVY_INI),
     ])
     def test_stdout_is_pinned(self, tmp_path, capsys, name, argv, ini):
         if ini is not None:

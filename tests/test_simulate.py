@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -331,20 +332,44 @@ class TestCapacityProfile:
             with pytest.raises(ValueError):
                 ris[0] = 0
 
+    @pytest.mark.parametrize("tables", [False, True])
+    def test_targets_past_the_horizon_take_no_arithmetic(self, tables):
+        # at 1e-300 b/s a target of a few bits lies about 1e305 cycles out,
+        # whose time in ns overflows: it is past the horizon, so it is inf
+        # with no overflow on the way
+        profile = simulate_mod._CapacityProfile(
+            np.array([1]), prefix_slots=0, cycle_slots=4, horizon_slots=60_000, tti_ns=500_000,
+            total_rate=1e-300, reduced_rate=0.0
+        )
+        if tables:
+            profile.build_lookup_tables()
+        targets = np.array([0.0, profile.total_bits, 1200.0, 1e300, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = profile.time_of_supply(targets)
+            scalar = profile.time_of_supply(1200.0)
+        assert np.array_equal(got, [0.0, 30.0, np.inf, np.inf, np.inf]) and scalar == np.inf
+
 
 @st.composite
 def profile_lookups(draw):
     """A capacity profile's arguments, with or without a prefix, with
-    zero-rate plateaus and with the horizon ending mid-cycle; times in ns,
-    every slot bound and random instants; and one time for 0-d input."""
+    zero-rate plateaus and with the horizon ending mid-cycle after a few or
+    after thousands of cycles; times in ns, every slot bound of the first
+    and the last profile span, random slot bounds and random instants; and
+    one time for 0-d input."""
     tti = draw(st.sampled_from([125_000, 500_000, 1_000_000]))
     prefix = draw(st.sampled_from([0, 0, 1, 2, 7, 40]))
     cycle = draw(st.integers(1, 60))
-    horizon = prefix + cycle * draw(st.integers(1, 4)) + draw(st.integers(0, cycle - 1))
+    cycles = draw(st.one_of(st.integers(1, 4), st.integers(1000, 4000)))
+    horizon = prefix + cycle * cycles + draw(st.integers(0, cycle - 1))
     occupied = draw(st.lists(st.integers(0, prefix + cycle - 1), max_size=prefix + cycle))
     reduced = draw(st.sampled_from([0.0, 0.0, 1e4, 0.25e6, 1e6]))
     args = (np.array(occupied, dtype=np.int64), prefix, cycle, horizon, tti, 1e6, reduced)
-    times = np.concatenate([np.arange(horizon + 1) * tti,
+    span = prefix + cycle
+    slots = np.concatenate([np.arange(min(span, horizon) + 1), np.arange(max(horizon - span, 0), horizon + 1),
+                            draw(st.lists(st.integers(0, horizon), max_size=50))])
+    times = np.concatenate([np.unique(slots) * tti,
                             draw(st.lists(st.integers(0, horizon * tti), max_size=50))]).astype(np.int64)
     return args, times, draw(st.integers(0, horizon * tti))
 
@@ -358,15 +383,23 @@ class TestLookupTablesEqualSearch:
     # 30 slots at 1% of the rate after a prefix: each bucket holds a dozen segment starts
     @example(case=((np.arange(5, 35), 5, 30, 95, 500_000, 1e6, 1e4), np.arange(0, 95 * 500_000, 125_000), 3),
              seed=1)
+    # a cycle with no capacity: nothing folds, and the targets are read in place
+    @example(case=((np.arange(2, 7), 3, 4, 15, 1_000_000, 1e6, 0.0), np.arange(0, 15 * 1_000_000, 250_000), 5),
+             seed=2)
+    # 2000 cycles of 30 slots with a prefix: k * cycle_bits rounds at every fold
+    @example(case=((np.array([3, 8, 9, 20]), 2, 30, 2 + 30 * 2000 + 7, 500_000, 1e6, 0.25e6),
+                   np.arange(0, (2 + 30 * 2000 + 7) * 500_000, 1_250_007), 11), seed=3)
     def test_identical_arrays(self, case, seed):
         args, times, scalar = case
         search, tables = simulate_mod._CapacityProfile(*args), simulate_mod._CapacityProfile(*args)
         tables.build_lookup_tables()
-        assert search.slot_seg is None and tables.slot_seg is not None
+        assert search.slot_S is None and tables.slot_S is not None
+        times_before = times.copy()
         for t in (times, np.int64(scalar), np.array(scalar)):
             got, want = tables.supply_at(t), search.supply_at(t)
             assert type(got) is type(want) and got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
+        assert np.array_equal(times, times_before)  # the lookups only read their input
         rng = np.random.default_rng(seed)
         supply = search.supply_at(times)
         total = search.total_bits
@@ -374,9 +407,11 @@ class TestLookupTablesEqualSearch:
             supply, np.nextafter(supply, -np.inf), np.nextafter(supply, np.inf), search.ris_S,
             search.ris_S + search.cycle_bits, rng.uniform(-0.1, 1.5, 200) * total,
             [0.0, -1.0, total, total * (1 + 1e-12), total * 1.001, 1e300, np.inf, -np.inf, np.nan]])
+        targets_before = targets.copy()
         with np.errstate(invalid="ignore"):
             got, want = tables.time_of_supply(targets), search.time_of_supply(targets)
         assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(targets, targets_before, equal_nan=True)
         # a 0-d or scalar target gives the scalar a 1-d call gives for it
         for target in (search.supply_at(np.int64(scalar)), total * 1.001, -1.0):
             for bits in (target, np.array(target)):
@@ -837,7 +872,7 @@ class TestHapticLayerMemo:
         searched = []
 
         def spy(profile, t_ns):
-            searched.append(profile.slot_seg is None)
+            searched.append(profile.slot_S is None)
             return original(profile, t_ns)
 
         with mock.patch.object(simulate_mod._CapacityProfile, "supply_at", spy):
@@ -848,7 +883,7 @@ class TestHapticLayerMemo:
             with lookup(False):
                 search = run(cfg)
             assert searched and all(searched)
-        assert simulate_mod._haptic_layer(cfg)[0].slot_seg is None
+        assert simulate_mod._haptic_layer(cfg)[0].slot_S is None
         assert_reports_identical(search, tables)
 
     def test_an_entry_does_not_grow_with_the_horizon(self):

@@ -371,6 +371,14 @@ class TestModelValidation:
         with pytest.raises(ConfigError, match=f"haptic.{field}: must be at least 1 ns"):
             HapticTrafficModel(**dict(TABLE, **{field: 1e-10}))
 
+    @pytest.mark.parametrize("value", [1e300, float("inf")])
+    @pytest.mark.parametrize("field", ["t_p", "t_b", "t_ib", "t_nb"])
+    def test_time_past_the_nanosecond_range_rejected(self, field, value):
+        # the nanosecond times are set when the model is built, so a time
+        # that overflows in nanoseconds is refused there
+        with pytest.raises(ConfigError, match=f"haptic.{field}: must be finite in nanoseconds"):
+            HapticTrafficModel(**dict(TABLE, **{field: value}))
+
     def test_leftover_requires_positive_rate(self):
         with pytest.raises(ConfigError):
             LeftoverTrafficModel(0.0, 12000.0)
