@@ -22,7 +22,7 @@ from pathlib import Path
 from .curves import leftover_delay_bound_details
 from .errors import ConfigError, InfeasibleError
 from .radio import RadioConfig, SchedulingScheme
-from .scheduling import drop_walk, remainder_of_service
+from .scheduling import drop_counts, drop_walk, remainder_of_service
 from .simulate import SimConfig, empirical_quantile, run as run_simulation
 from .traffic import HapticTrafficModel, LeftoverTrafficModel, SizeDistribution
 
@@ -352,12 +352,14 @@ def _point_rows(point: LoadedConfig, mode: str) -> list[dict]:
     for scheme in point.schemes:
         row = {"scheme": scheme.value, "tti_s": point.radio.tti, "t_ib_s": point.haptic.t_ib,
                "epsilon": point.epsilon}
-        if mode in ("drop", "sweep", "compare"):
-            walk = drop_walk(scheme, point.radio, point.haptic)
-            row["drop_rate"] = walk.drop_rate
         if mode == "drop":
+            walk = drop_walk(scheme, point.radio, point.haptic)
             row.update(arrivals=walk.arrivals, transmitted=walk.transmitted, dropped=walk.dropped,
-                       max_access_delay_s=_largest(walk.per_packet_delays))
+                       drop_rate=walk.drop_rate, max_access_delay_s=_largest(walk.per_packet_delays))
+        elif mode in ("sweep", "compare"):
+            # the walk's counts without its delays; a period has at least one arrival
+            arrivals, transmitted = drop_counts(scheme, point.radio, point.haptic)
+            row["drop_rate"] = (arrivals - transmitted) / arrivals
         if mode in ("remainder", "sweep", "compare"):
             row["remainder_bits"] = remainder_of_service(scheme, point.radio, point.haptic)
         if mode in ("bound", "sweep", "compare"):

@@ -1,7 +1,8 @@
 """Per-scheme grant mechanics: the two grant rules as integer-tick
 kernels, the per-scheme machine that composes them on slots (the slotted
-drop walk and the simulator both run it), the exact one-period drop walk,
-the per-period slot charge and the remainder of service.
+drop walk and the simulator both run it), the exact one-period drop walk
+and its counts in closed form, the per-period slot charge and the
+remainder of service.
 
 Drop semantics follow the latest-data rule: at each transmission
 opportunity only the freshest pending packet is sent and every packet it
@@ -297,6 +298,42 @@ def drop_walk(
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
     return _make_report(scheme, arrivals, delays)
+
+
+def _windows(first: int, step: int, n: int, period: int) -> int:
+    """Distinct grant windows t // period among the n ticks first + i * step:
+    each tick its own when step >= period; otherwise consecutive ticks
+    differ by at most one window, so every window from the first tick's to
+    the last's."""
+    if step >= period or n < 2:
+        return n
+    return (first + (n - 1) * step) // period - first // period + 1
+
+
+def drop_counts(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel) -> tuple[int, int]:
+    """(arrivals, transmitted) of the unslotted drop_walk, from integer
+    nanosecond arithmetic alone: no arrival is laid out.
+
+    DS and FA send period_charge's count.  A standing grant sends one
+    arrival per grant window holding any, and the burst and the sparse
+    stretch are each evenly spaced, so SPS sends the burst's windows plus
+    the sparse stretch's, less one when the last burst arrival and t_b
+    share a window.  SRR sends the burst's windows (its grant is held
+    through the flush) plus the sparse arrivals the DS gate accepts.
+    drop_walk is the reference this is held to, count for count.
+    """
+    n_b, n_s = haptic.arrival_counts
+    t_b = haptic.t_b_ns
+    if scheme in (SchedulingScheme.DYNAMIC, SchedulingScheme.FAST_UPLINK):
+        return n_b + n_s, period_charge(scheme, radio, haptic)[0]
+    t_pg, t_ib = radio.t_pg_ns, haptic.t_ib_ns
+    burst = _windows(0, t_ib, n_b, t_pg)
+    if scheme is SchedulingScheme.SEMI_PERSISTENT:
+        shared = int(n_s > 0 and (n_b - 1) * t_ib // t_pg == t_b // t_pg)
+        return n_b + n_s, burst + _windows(t_b, haptic.t_nb_ns, n_s, t_pg) - shared
+    if scheme is SchedulingScheme.SOFT_RESERVATION:
+        return n_b + n_s, burst + _gated(to_ns(ds_grant_latency(radio)), haptic.t_p_ns - t_b, haptic.t_nb_ns)
+    raise ConfigError(f"unknown scheme {scheme!r}")
 
 
 def remainder_of_service(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel) -> float:

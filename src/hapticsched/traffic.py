@@ -5,6 +5,7 @@ timeline drawn from it."""
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -13,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .units import NS_PER_S, positive_ns, to_ns
+from .units import NS_PER_S, ceil_div, positive_ns, to_ns
 
 
 @dataclass(frozen=True)
@@ -23,7 +24,9 @@ class HapticTrafficModel:
     sparse arrivals every t_nb until the period ends.
 
     t_p_ns, t_b_ns, t_ib_ns and t_nb_ns hold the four times snapped to
-    whole nanoseconds, set once the checks pass.
+    whole nanoseconds, set once the checks pass, and arrival_counts the
+    arrivals of one period, (ceil(t_b / t_ib) in the burst, ceil((t_p -
+    t_b) / t_nb) after it), in those nanoseconds.
     """
 
     t_p: float
@@ -56,11 +59,23 @@ class HapticTrafficModel:
         object.__setattr__(self, "t_b_ns", to_ns(self.t_b))
         object.__setattr__(self, "t_ib_ns", to_ns(self.t_ib))
         object.__setattr__(self, "t_nb_ns", to_ns(self.t_nb))
+        object.__setattr__(self, "arrival_counts", (ceil_div(self.t_b_ns, self.t_ib_ns),
+                                                    ceil_div(self.t_p_ns - self.t_b_ns, self.t_nb_ns)))
 
     @cached_property
     def _period_offsets_ns(self) -> np.ndarray:
-        burst = np.arange(0, self.t_b_ns, self.t_ib_ns, dtype=np.int64)
-        sparse = np.arange(self.t_b_ns, self.t_p_ns, self.t_nb_ns, dtype=np.int64)
+        n_b, n_s = self.arrival_counts
+        t_ib, t_b, t_nb = self.t_ib_ns, self.t_b_ns, self.t_nb_ns
+        try:
+            if (n_b + n_s) * 8 > sys.maxsize:
+                raise OverflowError
+            # stops that are whole multiples of the steps, so that numpy's
+            # length, a true division, is each count exactly
+            burst = np.arange(0, n_b * t_ib, t_ib, dtype=np.int64)
+            sparse = np.arange(t_b, t_b + n_s * t_nb, t_nb, dtype=np.int64)
+        except OverflowError:  # more entries than an array holds, or a start or step past int64
+            raise ConfigError(f"haptic.t_p: one period of {n_b + n_s:.3g} arrivals over {self.t_p!r} s "
+                              f"does not fit an array of int64 nanoseconds") from None
         offsets = np.concatenate([burst, sparse])
         offsets.flags.writeable = False  # shared by every caller of this model
         return offsets
@@ -195,7 +210,9 @@ def period_arrival_offsets_ns(model: HapticTrafficModel) -> np.ndarray:
     """Arrival instants within one traffic period, in ns from the period start.
 
     The burst occupies [0, t_b) with spacing t_ib; sparse arrivals run from
-    t_b (inclusive) to the period end with spacing t_nb.
+    t_b (inclusive) to the period end with spacing t_nb: model.arrival_counts
+    of each, counted exactly in integers.  A period whose arrivals no int64
+    array can hold raises ConfigError naming haptic.t_p.
 
     The array is built once per model and shared by every call on it, so
     it is read-only: a caller that needs to write takes a copy.

@@ -305,6 +305,9 @@ class TestCsvContract:
         ("remainder_offgrid", ["remainder"], OFFGRID_INI),
         ("simulate_30s_seed3", ["simulate", "--horizon", "30s", "--seed", "3"], None),
         ("simulate_heavy_200s_seed1", ["simulate", "--horizon", "200s", "--seed", "1"], HEAVY_INI),
+        # t_ib crosses the 5 ms grant period; the TTI grid moves every grant period
+        ("sweep_tib", ["sweep", "--param", "t_ib", "--from", "0.1ms", "--to", "6ms", "--steps", "60"], None),
+        ("sweep_tti", ["sweep", "--param", "tti", "--values", "0.125ms,0.25ms,0.5ms,1ms"], None),
     ])
     def test_stdout_is_pinned(self, tmp_path, capsys, name, argv, ini):
         if ini is not None:
@@ -523,10 +526,12 @@ class TestCli:
             assert captured.out == ""
             assert captured.err == "configuration error: snc.epsilon: 1/epsilon must be finite, got 1e-320\n"
 
-    @pytest.mark.parametrize("ini", ["[leftover]\nlambda_rate = 1e-300\n", "[radio]\ntotal_rate = 1e308\n"])
+    @pytest.mark.parametrize("ini", ["[leftover]\nlambda_rate = 1e-300\n", "[radio]\ntotal_rate = 1e308\n",
+                                     "[haptic]\nt_p = 1e200\n"])
     def test_extreme_rates_give_finite_bound_rows(self, tmp_path, capsys, ini):
         """Either rate drives max_stable_theta's bracket past the range of
-        e^(theta sigma); the effective bandwidth there is above any rate."""
+        e^(theta sigma); the effective bandwidth there is above any rate.
+        A 1e200 s period, about 2e201 arrivals, is counted, not laid out."""
         cfg = tmp_path / "rate.ini"
         cfg.write_text(ini)
         for argv in (["bound"], ["sweep", "--param", "t_ib", "--values", "1ms,2ms"]):
@@ -538,6 +543,22 @@ class TestCli:
             numeric = [column for column in header if column not in ("scheme", "status", "config_hash")]
             assert all(row["status"] == "ok" for row in rows)
             assert all(math.isfinite(float(row[column])) for row in rows for column in numeric)
+
+    @pytest.mark.parametrize("ini", ["[haptic]\nt_p = 1e200\n", "[haptic]\nt_p = 1e11\nt_nb = 1e10\n"])
+    def test_period_past_an_array_refused_by_drop_and_compare(self, tmp_path, capsys, ini):
+        """1e200 s holds about 2e201 arrivals per period, more entries than
+        any array; 1e11 s holds 110, but a step of 1e19 ns is past int64.
+        drop and compare lay out the arrivals; sweep only counts them (see
+        test_extreme_rates_give_finite_bound_rows)."""
+        cfg = tmp_path / "period.ini"
+        cfg.write_text(ini)
+        for argv in (["drop"], ["compare", "--param", "t_ib", "--values", "1ms,2ms", "--horizon", "10s"]):
+            assert main([*argv, "--config", str(cfg)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("configuration error: haptic.t_p: one period of ")
+            assert captured.err.endswith("does not fit an array of int64 nanoseconds\n")
+            assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("ini, field", [("[radio]\ntotal_rate = 1e308\n", "radio.total_rate"),
                                             ("[leftover]\nsigma = 1e308\n", "leftover")])

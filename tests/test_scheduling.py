@@ -20,7 +20,14 @@ from hapticsched import (
     haptic_blocks,
     remainder_of_service,
 )
-from hapticsched.scheduling import SlotEvents, demand_gate, period_charge, slotted_machine, standing_grants
+from hapticsched.scheduling import (
+    SlotEvents,
+    demand_gate,
+    drop_counts,
+    period_charge,
+    slotted_machine,
+    standing_grants,
+)
 from hapticsched.traffic import period_arrival_offsets_ns
 from hapticsched.units import ceil_div, to_ns, to_s
 
@@ -398,6 +405,39 @@ class TestWalkEqualsReferenceLoops:
         slot_bits = haptic_blocks(radio_cfg) * radio_cfg.channel_rate * radio_cfg.tti
         expected = radio_cfg.total_rate * h.t_p - slot_bits * walk.transmitted
         assert remainder_of_service(scheme, radio_cfg, h) == expected
+
+
+class TestDropCountsEqualWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=walk_inputs(), scheme=st.sampled_from(list(S)))
+    # the burst spacing equal to, twice and 1 ns short of the grant period
+    @example(inputs=(radio(0.5e-3), haptic(5e-3)), scheme=S.SEMI_PERSISTENT)
+    @example(inputs=(radio(0.5e-3), haptic(10e-3)), scheme=S.SEMI_PERSISTENT)
+    @example(inputs=(radio(0.5e-3), haptic(5e-3 - 1e-9)), scheme=S.SEMI_PERSISTENT)
+    @example(inputs=(radio(0.5e-3), haptic(5e-3 - 1e-9)), scheme=S.SOFT_RESERVATION)
+    # the last burst arrival (199 ms) in t_b's grant window [198, 201) ms
+    @example(inputs=(radio(0.5e-3, t_pg=3e-3), haptic(1e-3)), scheme=S.SEMI_PERSISTENT)
+    # the sparse spacing equal to the grant period
+    @example(inputs=(radio(0.5e-3), haptic(2e-3, t_nb=5e-3)), scheme=S.SEMI_PERSISTENT)
+    @example(inputs=(radio(0.5e-3), haptic(2e-3, t_nb=5e-3)), scheme=S.SOFT_RESERVATION)
+    # a 1e5 s period: about 2e6 sparse arrivals, and 1e5 grants for SPS
+    @example(inputs=(radio(0.5e-3), haptic(2e-3, t_p=1e5)), scheme=S.SOFT_RESERVATION)
+    @example(inputs=(radio(0.5e-3, t_pg=1.0), haptic(2e-3, t_p=1e5, t_nb=10.0)), scheme=S.SEMI_PERSISTENT)
+    @example(inputs=(radio(0.5e-3), haptic(2e-3, t_p=1e5)), scheme=S.DYNAMIC)
+    def test_counts_and_drop_rate_are_the_walks(self, inputs, scheme):
+        radio_cfg, h = inputs
+        arrivals, transmitted = drop_counts(scheme, radio_cfg, h)
+        for walk in (reference_walk(scheme, radio_cfg, h), drop_walk(scheme, radio_cfg, h)):
+            assert (arrivals, transmitted) == (walk.arrivals, walk.transmitted)
+            assert (arrivals - transmitted) / arrivals == walk.drop_rate
+
+    def test_the_shared_window_example_shares(self):
+        cfg, h = radio(0.5e-3, t_pg=3e-3), haptic(1e-3)
+        offs = period_arrival_offsets_ns(h)
+        last_burst = offs[offs < h.t_b_ns][-1]
+        assert last_burst // cfg.t_pg_ns == h.t_b_ns // cfg.t_pg_ns
+        # 200 burst arrivals in 67 windows, 16 sparse ones in windows of their own, one shared
+        assert drop_counts(S.SEMI_PERSISTENT, cfg, h) == (216, 67 + 16 - 1)
 
 
 class TestSlottedWalkAgainstPerSlotOracle:

@@ -95,6 +95,28 @@ class TestCachedOffsets:
         assert np.array_equal(period_arrival_offsets_ns(model), expected)
 
 
+class TestArrivalCounts:
+    @pytest.mark.parametrize("model", [
+        HapticTrafficModel(**TABLE),
+        HapticTrafficModel(t_p=1.0, t_b=0.2, t_ib=2.3e-3, t_nb=49e-3),
+        # 1001 burst arrivals: t_b = 1000 t_ib + 24 ns, a quotient the float
+        # length of numpy's arange(0, t_b, t_ib) rounds down to 1000
+        HapticTrafficModel(t_p=9e9, t_b=8000000000.000001, t_ib=8000000.000000001, t_nb=9e9 - 8000000000.000001),
+    ])
+    def test_counts_are_the_runs_of_the_offsets(self, model):
+        assert burst_and_sparse(model) == model.arrival_counts
+        assert period_arrival_offsets_ns(model).tolist() == enumerate_expected(model)
+
+    @pytest.mark.parametrize("t_p, t_nb, count", [(1e200, 50e-3, "2e+201"), (1e11, 1e10, "110")])
+    def test_a_period_past_an_int64_array_refused(self, t_p, t_nb, count):
+        """Too many arrivals for any array, or a step past int64."""
+        model = HapticTrafficModel(t_p=t_p, t_b=0.2, t_ib=2e-3, t_nb=t_nb)
+        with pytest.raises(ConfigError) as info:
+            period_arrival_offsets_ns(model)
+        assert str(info.value) == (f"haptic.t_p: one period of {count} arrivals over {t_p!r} s "
+                                   "does not fit an array of int64 nanoseconds")
+
+
 class TestCounters:
     def test_table_defaults(self):
         assert burst_and_sparse(HapticTrafficModel(**TABLE)) == (100, 16)
