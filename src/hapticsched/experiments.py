@@ -15,8 +15,9 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 from .curves import leftover_delay_bound_details
@@ -25,6 +26,7 @@ from .radio import RadioConfig, SchedulingScheme
 from .scheduling import drop_counts, drop_walk, remainder_of_service
 from .simulate import SimConfig, empirical_quantile, run as run_simulation
 from .traffic import HapticTrafficModel, LeftoverTrafficModel, SizeDistribution
+from .units import NS_PER_S
 
 
 def parse_time(text: str, field: str) -> float:
@@ -141,6 +143,8 @@ KEYS = {
     },
 }
 _MODELS = {"radio": RadioConfig, "haptic": HapticTrafficModel, "leftover": LeftoverTrafficModel}
+# each scheme's JSON text in the configuration hash's payload
+_SCHEME_JSON = {scheme: json.dumps(scheme.value) for scheme in SchedulingScheme}
 
 
 @dataclass(frozen=True)
@@ -163,22 +167,26 @@ class LoadedConfig:
             raise ConfigError(f"snc.epsilon: must be in (0, 1), got {self.epsilon!r}")
         if not math.isfinite(1.0 / self.epsilon):
             raise ConfigError(f"snc.epsilon: 1/epsilon must be finite, got {self.epsilon!r}")
+        # checked here, not only by simulate's SimConfig, so that every verb
+        # rejects a horizon to_ns cannot snap, as it does such a radio time
+        if math.isinf(self.horizon * NS_PER_S):
+            raise ConfigError(f"experiment.horizon: must be finite in nanoseconds, got {self.horizon!r}")
 
     def at_point(self, tti: float | None = None, t_ib: float | None = None) -> "LoadedConfig":
         """Re-derive the configuration at a sweep grid point.  When the SR
-        or grant period was defaulted it keeps tracking the new TTI."""
-        radio = self.radio
-        haptic = self.haptic
+        or grant period was defaulted it keeps tracking the new TTI.  The
+        constructors are called directly, which costs a sweep row less
+        than dataclasses.replace; they run the same checks."""
+        radio, haptic = self.radio, self.haptic
         if tti is not None:
-            radio = replace(
-                radio,
-                tti=tti,
-                t_sr=tti if self.t_sr_tracks_tti else radio.t_sr,
-                t_pg=10 * tti if self.t_pg_tracks_tti else radio.t_pg,
-            )
+            radio = RadioConfig(radio.n_channels, radio.total_rate, tti,
+                                tti if self.t_sr_tracks_tti else radio.t_sr,
+                                10 * tti if self.t_pg_tracks_tti else radio.t_pg,
+                                radio.haptic_demand_norm)
         if t_ib is not None:
-            haptic = replace(haptic, t_ib=t_ib)
-        return replace(self, radio=radio, haptic=haptic)
+            haptic = HapticTrafficModel(haptic.t_p, haptic.t_b, t_ib, haptic.t_nb)
+        return LoadedConfig(radio, haptic, self.leftover, self.epsilon, self.horizon, self.seeds,
+                            self.schemes, self.t_sr_tracks_tti, self.t_pg_tracks_tti)
 
     @cached_property
     def _hash_text(self) -> tuple[str, str]:
@@ -202,7 +210,7 @@ class LoadedConfig:
         """The first 12 hex digits of the SHA-256 of the configuration's JSON
         payload with this scheme and seed."""
         head, tail = self._hash_text
-        scheme_text = json.dumps(scheme.value) if scheme else "null"
+        scheme_text = _SCHEME_JSON[scheme] if scheme else "null"
         seed_text = "null" if seed is None else json.dumps(seed)
         text = f'{head}"scheme": {scheme_text}, "seed": {seed_text}{tail}'
         return hashlib.sha256(text.encode()).hexdigest()[:12]
@@ -323,12 +331,6 @@ def linear_grid(start: float, stop: float, steps: int) -> tuple[float, ...]:
     return tuple(round(v * 1e9) / 1e9 for v in vals)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def _largest(delays) -> float:
     return float(delays.max()) if len(delays) else 0.0
 
@@ -406,7 +408,9 @@ def run_experiment(spec: ExperimentSpec) -> int:
         points = (loaded.at_point(**{spec.sweep_param: value}) for value in spec.sweep_values)
     rows = [row for point in points for row in _point_rows(point, spec.mode)]
     columns = ("scheme", "tti_s", "t_ib_s", *COLUMNS[spec.mode], "config_hash")
-    lines = [",".join(columns)] + [",".join(_fmt(row[column]) for column in columns) for row in rows]
+    # str of a float is its repr, the shortest text that reads back the same
+    cells = itemgetter(*columns)
+    lines = [",".join(columns)] + [",".join(map(str, cells(row))) for row in rows]
     text = "\n".join(lines) + "\n"
     if spec.out in (None, "-"):
         sys.stdout.write(text)

@@ -13,7 +13,7 @@ from enum import Enum
 from functools import cached_property
 
 from .errors import ConfigError
-from .units import ceil_div, positive_ns, to_ns, to_s
+from .units import NS_PER_S, ceil_div, positive_ns, to_ns, to_s
 
 
 class SchedulingScheme(Enum):
@@ -44,6 +44,9 @@ class RadioConfig:
     t_pg:                pre-allocated grant period (SPS/SRR), seconds
     haptic_demand_norm:  per-packet resource demand divided by total rate,
                          seconds; zero means no latency-critical load
+
+    The hash is that of the field tuple, computed once: every row of a
+    sweep looks the model up in several caches.
     """
 
     n_channels: int
@@ -59,10 +62,12 @@ class RadioConfig:
             problems.append(f"radio.n_channels: must be an integer >= 1, got {self.n_channels!r}")
         if not 0 < self.total_rate < math.inf:
             problems.append(f"radio.total_rate: must be > 0 and finite, got {self.total_rate!r}")
-        for name in ("tti", "t_sr"):
+        for name in ("tti", "t_sr", "t_pg", "haptic_demand_norm"):
             value = getattr(self, name)
-            if not positive_ns(value):
+            if name in ("tti", "t_sr") and not positive_ns(value):
                 problems.append(f"radio.{name}: must be at least 1 ns, got {value!r}")
+            elif not math.isfinite(value * NS_PER_S):  # to_ns could not snap it
+                problems.append(f"radio.{name}: must be finite in nanoseconds, got {value!r}")
         if self.tti > 0 and self.t_pg < self.tti:
             problems.append(f"radio.t_pg: must be >= radio.tti, got t_pg={self.t_pg!r}, tti={self.tti!r}")
         if self.haptic_demand_norm < 0:
@@ -70,6 +75,11 @@ class RadioConfig:
         if problems:
             raise ConfigError(problems)
         haptic_blocks(self)  # raises when one packet needs more blocks than there are channels
+        object.__setattr__(self, "_hash", hash((self.n_channels, self.total_rate, self.tti, self.t_sr,
+                                                 self.t_pg, self.haptic_demand_norm)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def tti_ns(self) -> int:

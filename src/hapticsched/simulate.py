@@ -56,7 +56,7 @@ from .traffic import (
     leftover_arrivals,
     period_arrival_offsets_ns,
 )
-from .units import to_ns
+from .units import NS_PER_S, to_ns
 
 log = logging.getLogger(__name__)
 
@@ -96,6 +96,8 @@ class SimConfig:
             problems.append(f"seed: must be an integer >= 0, got {self.seed!r}")
         if not math.isfinite(self.horizon):
             problems.append(f"horizon: must be finite, got {self.horizon!r}")
+        elif math.isinf(self.horizon * NS_PER_S):  # n_periods could not snap it
+            problems.append(f"horizon: must be finite in nanoseconds, got {self.horizon!r}")
         elif self.n_periods < 10:
             problems.append(
                 f"horizon: must cover at least 10 traffic periods, got {self.horizon!r} s "

@@ -26,7 +26,8 @@ class HapticTrafficModel:
     t_p_ns, t_b_ns, t_ib_ns and t_nb_ns hold the four times snapped to
     whole nanoseconds, set once the checks pass, and arrival_counts the
     arrivals of one period, (ceil(t_b / t_ib) in the burst, ceil((t_p -
-    t_b) / t_nb) after it), in those nanoseconds.
+    t_b) / t_nb) after it), in those nanoseconds.  The hash is that of the
+    field tuple, computed once with them.
     """
 
     t_p: float
@@ -61,6 +62,10 @@ class HapticTrafficModel:
         object.__setattr__(self, "t_nb_ns", to_ns(self.t_nb))
         object.__setattr__(self, "arrival_counts", (ceil_div(self.t_b_ns, self.t_ib_ns),
                                                     ceil_div(self.t_p_ns - self.t_b_ns, self.t_nb_ns)))
+        object.__setattr__(self, "_hash", hash((self.t_p, self.t_b, self.t_ib, self.t_nb)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def _period_offsets_ns(self) -> np.ndarray:
@@ -90,7 +95,8 @@ class SizeDistribution(Enum):
 class LeftoverTrafficModel:
     """Background traffic: Poisson arrivals at lambda_rate packets/s with
     per-packet size parameter sigma in bits.  The simulator draws either
-    fixed sizes of sigma or exponential sizes with mean sigma."""
+    fixed sizes of sigma or exponential sizes with mean sigma.  The hash is
+    that of the field tuple, computed once."""
 
     lambda_rate: float
     sigma: float
@@ -104,6 +110,10 @@ class LeftoverTrafficModel:
                 problems.append(f"leftover.{name}: must be > 0 and finite, got {value!r}")
         if problems:
             raise ConfigError(problems)
+        object.__setattr__(self, "_hash", hash((self.lambda_rate, self.sigma, self.size_distribution)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def _check_times(times: np.ndarray, horizon: float, last: float) -> None:

@@ -3,9 +3,10 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from hapticsched import (
 )
 from hapticsched.cli import entry, main
 from hapticsched.experiments import KEYS, LoadedConfig, parse_time
+from hapticsched.simulate import SimConfig
 
 S = SchedulingScheme
 ROOT = Path(__file__).resolve().parents[1]
@@ -234,6 +236,77 @@ class TestConfigHash:
         assert loaded.config_hash() == reference_hash(loaded, None, None)
 
 
+class TestModelHashEqualsFieldTuple:
+    """Each frozen model computes its hash once; it must be the hash that
+    dataclass's own __hash__ gave, that of the field tuple."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(loaded=loaded_configs())
+    def test_hash_is_the_field_tuple_hash(self, loaded):
+        for model in (loaded.radio, loaded.haptic, loaded.leftover):
+            values = tuple(getattr(model, f.name) for f in fields(model))
+            assert hash(model) == hash(values)
+            twin = type(model)(*values)
+            assert twin is not model and twin == model and hash(twin) == hash(model)
+
+    def test_signed_zero_demand_hashes_equal(self):
+        radios = [RadioConfig(10, 1e6, 5e-4, 5e-4, 5e-3, zero) for zero in (0.0, -0.0)]
+        assert radios[0] == radios[1] and hash(radios[0]) == hash(radios[1])
+
+
+def replaced_point(loaded, tti=None, t_ib=None):
+    """at_point as two dataclasses.replace calls per point."""
+    radio, haptic = loaded.radio, loaded.haptic
+    if tti is not None:
+        radio = replace(radio, tti=tti, t_sr=tti if loaded.t_sr_tracks_tti else radio.t_sr,
+                        t_pg=10 * tti if loaded.t_pg_tracks_tti else radio.t_pg)
+    if t_ib is not None:
+        haptic = replace(haptic, t_ib=t_ib)
+    return replace(loaded, radio=radio, haptic=haptic)
+
+
+def point_or_problems(build):
+    try:
+        return build()
+    except ConfigError as exc:
+        return exc.problems
+
+
+class TestAtPointEqualsReplace:
+    @settings(max_examples=200, deadline=None)
+    @given(loaded=loaded_configs(), tracks=st.tuples(st.booleans(), st.booleans()),
+           param=st.sampled_from(["tti", "t_ib"]), scale=st.floats(1e-3, 1e3))
+    def test_equals_replace(self, loaded, tracks, param, scale):
+        loaded = replace(loaded, t_sr_tracks_tti=tracks[0], t_pg_tracks_tti=tracks[1])
+        value = scale * getattr(loaded.radio if param == "tti" else loaded.haptic, param)
+        point = point_or_problems(lambda: loaded.at_point(**{param: value}))
+        reference = point_or_problems(lambda: replaced_point(loaded, **{param: value}))
+        assert point == reference
+        if isinstance(point, LoadedConfig):
+            assert hash(point.radio) == hash(reference.radio) and hash(point.haptic) == hash(reference.haptic)
+            assert (point.t_sr_tracks_tti, point.t_pg_tracks_tti) == tracks
+
+
+def reference_cell(value) -> str:
+    """The CSV cell as it was written before cells were str of the value."""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+# where repr switches notation or precision, and the floats with no digits
+EDGE_FLOATS = [1e16, 1e16 - 2, 1e-4, 1e-5, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               0.0, -0.0, math.inf, -math.inf, math.nan, 0.1, 1 / 3]
+
+
+class TestCellsEqualFmt:
+    @settings(max_examples=1000, deadline=None)
+    @given(value=st.one_of(st.floats(), st.floats().map(np.float64), st.sampled_from(EDGE_FLOATS),
+                           st.sampled_from(EDGE_FLOATS).map(np.float64), st.integers(), st.text()))
+    def test_str_is_the_old_cell(self, value):
+        assert str(value) == reference_cell(value)
+
+
 class TestRunExperiment:
     def test_sweep_row_count_and_order(self, tmp_path):
         loaded = load_config(None)
@@ -308,6 +381,9 @@ class TestCsvContract:
         # t_ib crosses the 5 ms grant period; the TTI grid moves every grant period
         ("sweep_tib", ["sweep", "--param", "t_ib", "--from", "0.1ms", "--to", "6ms", "--steps", "60"], None),
         ("sweep_tti", ["sweep", "--param", "tti", "--values", "0.125ms,0.25ms,0.5ms,1ms"], None),
+        # set SR and grant periods, which do not track the TTI
+        ("sweep_tti_fixed_periods", ["sweep", "--param", "tti", "--values", "0.125ms,0.25ms,0.5ms,1ms"],
+         "[radio]\nt_sr = 2ms\nt_pg = 4ms\n"),
     ])
     def test_stdout_is_pinned(self, tmp_path, capsys, name, argv, ini):
         if ini is not None:
@@ -316,6 +392,56 @@ class TestCsvContract:
             argv = [*argv, "--config", str(cfg)]
         assert main(argv) == 0
         assert capsys.readouterr().out == (GOLDEN / f"{name}.csv").read_text()
+
+
+# each verb at its smallest valid grid; simulate and compare at the default horizon
+VERB_ARGS = {"bound": [], "sweep": ["--param", "t_ib", "--values", "1ms,2ms"], "simulate": [],
+             "compare": ["--param", "t_ib", "--values", "1ms,2ms"]}
+
+
+class TestNanosecondOverflow:
+    """A time whose count of nanoseconds is no finite float (its product
+    with 1e9 is inf) is a configuration error under every verb, not a
+    traceback."""
+
+    @staticmethod
+    def assert_one_config_error(capsys, argv, problem):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: {problem}")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("verb", VERB_ARGS)
+    @pytest.mark.parametrize("ini, problem", [
+        ("[radio]\ntti = 1e300\n", "radio.tti: must be finite in nanoseconds, got 1e+300"),
+        ("[radio]\nt_sr = 1e300\n", "radio.t_sr: must be finite in nanoseconds, got 1e+300"),
+        ("[radio]\nt_pg = 1e300\n", "radio.t_pg: must be finite in nanoseconds, got 1e+300"),
+        ("[radio]\nhaptic_demand_norm = 1e300\n",
+         "radio.haptic_demand_norm: must be finite in nanoseconds, got 1e+300"),
+        ("[experiment]\nhorizon = 1e300\n", "experiment.horizon: must be finite in nanoseconds, got 1e+300"),
+    ], ids=["tti", "t_sr", "t_pg", "haptic_demand_norm", "horizon"])
+    def test_config_key(self, tmp_path, capsys, verb, ini, problem):
+        cfg = tmp_path / "overflow.ini"
+        cfg.write_text(ini)
+        # a TTI of 1e300 s leaves the SR and grant periods that track it overflowing too
+        self.assert_one_config_error(capsys, [verb, *VERB_ARGS[verb], "--config", str(cfg)], problem)
+
+    @pytest.mark.parametrize("argv, problem", [
+        (["simulate", "--horizon", "1e300"], "experiment.horizon: must be finite in nanoseconds, got 1e+300"),
+        (["compare", "--param", "t_ib", "--values", "1ms,2ms", "--horizon", "1e300"],
+         "experiment.horizon: must be finite in nanoseconds, got 1e+300"),
+        (["sweep", "--param", "tti", "--values", "1ms,1e300"], "radio.tti: must be finite in nanoseconds, got 1e+300"),
+        (["compare", "--param", "tti", "--values", "1ms,1e300"],
+         "radio.tti: must be finite in nanoseconds, got 1e+300"),
+    ], ids=["simulate-horizon", "compare-horizon", "sweep-tti", "compare-tti"])
+    def test_flag(self, capsys, argv, problem):
+        self.assert_one_config_error(capsys, argv, problem)
+
+    def test_simulation_horizon(self):
+        loaded = load_config(None)
+        with pytest.raises(ConfigError, match=r"^horizon: must be finite in nanoseconds, got 1e\+300$"):
+            SimConfig(loaded.radio, loaded.haptic, loaded.leftover, S.DYNAMIC, 1e300, 1)
 
 
 class TestCli:

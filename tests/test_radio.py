@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hapticsched import (
@@ -115,6 +117,17 @@ class TestValidation:
         field = "t_sr" if "t_sr" in kw else "tti"
         with pytest.raises(ConfigError, match=f"radio.{field}: must be at least 1 ns"):
             radio(**kw)
+
+    @pytest.mark.parametrize("value", [1e300, float("nan")])
+    @pytest.mark.parametrize("field", ["tti", "t_sr", "t_pg", "haptic_demand_norm"])
+    def test_time_without_a_finite_ns_count_rejected(self, field, value):
+        # to_ns would raise OverflowError or ValueError; a nan TTI or SR
+        # period is already under 1 ns
+        kw = dict(n_channels=10, total_rate=1e6, tti=0.5e-3, t_sr=0.5e-3, t_pg=5e-3, haptic_demand_norm=1e-4)
+        problem = "must be at least 1 ns" if value != value and field in ("tti", "t_sr") else \
+            "must be finite in nanoseconds"
+        with pytest.raises(ConfigError, match=re.escape(f"radio.{field}: {problem}, got {value!r}")):
+            RadioConfig(**{**kw, field: value})
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
     def test_non_finite_rate_rejected(self, rate):
