@@ -145,6 +145,16 @@ KEYS = {
 _MODELS = {"radio": RadioConfig, "haptic": HapticTrafficModel, "leftover": LeftoverTrafficModel}
 # each scheme's JSON text in the configuration hash's payload
 _SCHEME_JSON = {scheme: json.dumps(scheme.value) for scheme in SchedulingScheme}
+# the hash payload's sections but scheme and seed, each a list of values, in
+# key order.  True and "violation" fill the slots of two removed settings,
+# so existing result files keep matching their configurations
+_HASH_SECTIONS = {
+    "haptic": lambda c: [c.haptic.t_p, c.haptic.t_b, c.haptic.t_ib, c.haptic.t_nb, True],
+    "leftover": lambda c: [c.leftover.lambda_rate, c.leftover.sigma, c.leftover.size_distribution.value],
+    "radio": lambda c: [c.radio.n_channels, c.radio.total_rate, c.radio.tti, c.radio.t_sr, c.radio.t_pg,
+                        c.radio.haptic_demand_norm],
+    "snc": lambda c: [c.epsilon, "violation"],
+}
 
 
 @dataclass(frozen=True)
@@ -185,26 +195,30 @@ class LoadedConfig:
                                 radio.haptic_demand_norm)
         if t_ib is not None:
             haptic = HapticTrafficModel(haptic.t_p, haptic.t_b, t_ib, haptic.t_nb)
-        return LoadedConfig(radio, haptic, self.leftover, self.epsilon, self.horizon, self.seeds,
-                            self.schemes, self.t_sr_tracks_tti, self.t_pg_tracks_tti)
+        point = LoadedConfig(radio, haptic, self.leftover, self.epsilon, self.horizon, self.seeds,
+                             self.schemes, self.t_sr_tracks_tti, self.t_pg_tracks_tti)
+        # the point serialises only the section it changed; the dict is where
+        # cached_property keeps its value
+        sections = point.__dict__["_section_json"] = dict(self._section_json)
+        if tti is not None:
+            sections["radio"] = json.dumps(_HASH_SECTIONS["radio"](point))
+        if t_ib is not None:
+            sections["haptic"] = json.dumps(_HASH_SECTIONS["haptic"](point))
+        return point
+
+    @cached_property
+    def _section_json(self) -> dict[str, str]:
+        """Each section's JSON text in the hash payload, by key."""
+        return {key: json.dumps(values(self)) for key, values in _HASH_SECTIONS.items()}
 
     @cached_property
     def _hash_text(self) -> tuple[str, str]:
         """The hash payload's JSON, sorted by key, split around its scheme and
-        seed entries.  True and "violation" fill the slots of two removed
-        settings, so existing result files keep matching their configurations."""
-        payload = {
-            "radio": [self.radio.n_channels, self.radio.total_rate, self.radio.tti,
-                      self.radio.t_sr, self.radio.t_pg, self.radio.haptic_demand_norm],
-            "haptic": [self.haptic.t_p, self.haptic.t_b, self.haptic.t_ib, self.haptic.t_nb, True],
-            "leftover": [self.leftover.lambda_rate, self.leftover.sigma,
-                         self.leftover.size_distribution.value],
-            "snc": [self.epsilon, "violation"],
-            "scheme": None,
-            "seed": None,
-        }
-        head, tail = json.dumps(payload, sort_keys=True).split('"scheme": null, "seed": null')
-        return head, tail
+        seed entries: json.dumps(payload, sort_keys=True) puts each section's
+        text between its key and the next, so the sections are joined here."""
+        sections = self._section_json
+        head = "".join(f'"{key}": {sections[key]}, ' for key in ("haptic", "leftover", "radio"))
+        return "{" + head, f', "snc": {sections["snc"]}}}'
 
     def config_hash(self, scheme: SchedulingScheme | None = None, seed: int | None = None) -> str:
         """The first 12 hex digits of the SHA-256 of the configuration's JSON

@@ -62,8 +62,12 @@ def standing_grants(ticks: np.ndarray, period: int, last_grant: int | None = Non
     grant = (ticks // period + 1) * period
     served = np.ones(len(ticks), dtype=bool)
     served[:-1] = grant[1:] != grant[:-1]
-    resolved = np.ones(len(ticks), dtype=bool) if last_grant is None else grant <= last_grant
-    return grant, served & resolved, ~served & resolved
+    superseded = ~served
+    if last_grant is not None:
+        resolved = grant <= last_grant
+        served &= resolved
+        superseded &= resolved
+    return grant, served, superseded
 
 
 def demand_gate(slots: np.ndarray, k_sr: int | None, busy: int = 0):
@@ -79,10 +83,9 @@ def demand_gate(slots: np.ndarray, k_sr: int | None, busy: int = 0):
     first slot at which the gate accepts again).
     """
     if k_sr is None:
-        free, data = slots + 1, slots + 2
+        free = slots + 1
     else:
-        sr = -(-slots // k_sr) * k_sr
-        free, data = sr + 3, sr + 4
+        free = -(-slots // k_sr) * k_sr + 3
     successor = np.searchsorted(slots, free).tolist()
     accepted, i, n = [], int(np.searchsorted(slots, busy)), len(slots)
     while i < n:
@@ -91,7 +94,8 @@ def demand_gate(slots: np.ndarray, k_sr: int | None, busy: int = 0):
     acc = np.array(accepted, dtype=np.int64)
     if len(acc):
         busy = int(free[acc[-1]])
-    return acc, data[acc], data[acc] - slots[acc] + 2, busy
+    data = free[acc] + 1  # one slot past the slot the gate frees
+    return acc, data, data - slots[acc] + 2, busy
 
 
 def _gated(gate_ns: int, window_ns: int, spacing_ns: int) -> int:
@@ -228,10 +232,9 @@ def slotted_machine(scheme: SchedulingScheme, radio: RadioConfig, haptic: Haptic
     """
     tti = radio.tti_ns
     k_pg = radio.t_pg_ns // tti
-    no_slots = np.array([], dtype=np.int64)
-    granted, gated, reserved, last_grant = no_slots, sa, no_slots, None
+    granted, gated, reserved, last_grant = sa[:0], sa, sa[:0], None
     if scheme is SchedulingScheme.SEMI_PERSISTENT:
-        granted, gated, last_grant = sa, no_slots, n_slots
+        granted, gated, last_grant = sa, sa[:0], n_slots
         reserved = np.arange(0, n_slots, k_pg, dtype=np.int64)
     elif scheme is SchedulingScheme.SOFT_RESERVATION:
         k_p, k_b = ceil_div(haptic.t_p_ns, tti), haptic.t_b_ns // tti
@@ -239,24 +242,25 @@ def slotted_machine(scheme: SchedulingScheme, radio: RadioConfig, haptic: Haptic
         granted, gated = sa[in_burst], sa[~in_burst]
         reserved = np.arange(0, n_slots, k_pg, dtype=np.int64)
         reserved = reserved[reserved % k_p < k_b]
-    k_sr = None if scheme is SchedulingScheme.FAST_UPLINK else radio.t_sr_ns // tti
-    # an empty set resolves to the empty results each rule would return
-    grant, served, superseded = granted, np.array([], dtype=bool), np.array([], dtype=bool)
+    # each rule's (data slots, sent arrivals, delays in slots, dropped
+    # arrivals), from a non-empty set only: an empty one gives empty arrays
+    parts = []
     if len(granted):
         grant, served, superseded = standing_grants(granted, k_pg, last_grant)
-    acc, data, delay = no_slots, gated, gated
+        sent = granted[served]
+        data = grant[served]
+        parts.append((data, sent, data - sent + 4, granted[superseded]))
     if len(gated):
+        k_sr = None if scheme is SchedulingScheme.FAST_UPLINK else radio.t_sr_ns // tti
         acc, data, delay, busy = demand_gate(gated, k_sr, busy)
-    rejected = np.ones(len(gated), dtype=bool)
-    rejected[acc] = False
-    return SlotEvents(
-        np.concatenate([grant[served], data]),
-        reserved,
-        np.concatenate([granted[served], gated[acc]]),
-        np.concatenate([grant[served] - granted[served] + 4, delay]) * tti / 1e9,
-        np.concatenate([granted[superseded], gated[rejected]]),
-        busy,
-    )
+        rejected = np.ones(len(gated), dtype=bool)
+        rejected[acc] = False
+        parts.append((data, gated[acc], delay, gated[rejected]))
+    if len(parts) == 1:
+        data, sent, delay, dropped = parts[0]
+    else:  # SRR's burst first, or no arrival at all
+        data, sent, delay, dropped = (np.concatenate(field) for field in zip(*parts or [(sa[:0],) * 4]))
+    return SlotEvents(data, reserved, sent, delay * tti / 1e9, dropped, busy)
 
 
 def drop_walk(

@@ -140,14 +140,6 @@ class SimReport:
     horizon_s: float
 
 
-def _sorted_unique(slots: np.ndarray) -> np.ndarray:
-    """np.unique for integer slots: a sort and an adjacent-difference mask."""
-    slots = np.sort(slots)
-    keep = np.ones(len(slots), dtype=bool)
-    keep[1:] = slots[1:] != slots[:-1]
-    return slots[keep]
-
-
 def _replication_blocker(scheme: SchedulingScheme, radio: RadioConfig, k_p: int, events: SlotEvents) -> str | None:
     """For the path record: why one period's events do not repeat verbatim
     (grant and SR phases must realign at the period end and no state may
@@ -173,26 +165,36 @@ class _CapacityProfile:
                  horizon_slots: int, tti_ns: int, total_rate: float, reduced_rate: float):
         self.prefix_ns, self.cycle_ns = prefix_slots * tti_ns, cycle_slots * tti_ns
         end = prefix_slots + cycle_slots
-        occ = _sorted_unique(np.asarray(occupied_slots, dtype=np.int64))
-        if len(occ) and (occ[0] < 0 or occ[-1] >= end):
+        occ = np.asarray(occupied_slots, dtype=np.int64)  # any order, repeats allowed
+        if len(occ) and (occ.min() < 0 or occ.max() >= end):
             raise ValueError("occupied slots outside the profile")
-        # a reduced-rate segment per occupied slot, a full-rate one per gap
-        # between them, and the cycle starting a segment of its own
-        bounds = _sorted_unique(np.concatenate([[0, prefix_slots, end], occ, occ + 1]))
-        self.seg_rate = np.full(len(bounds) - 1, float(total_rate))
-        self.seg_rate[np.searchsorted(bounds, occ)] = reduced_rate
+        # one mark per slot bound, in one pass and no sort: a reduced-rate
+        # segment per occupied slot, a full-rate one per gap between them,
+        # and the cycle starting a segment of its own
+        occupied = np.zeros(end + 1, dtype=bool)  # slot `end` stays free: it only bounds the last segment
+        occupied[occ] = True
+        mark = occupied.copy()
+        mark[1:] |= occupied[:-1]
+        mark[[0, prefix_slots, end]] = True
+        bounds = np.flatnonzero(mark)
+        starts = bounds[:-1]
+        self.occupied = occupied[:end]  # per slot of the profile
+        self.seg_rate = np.where(occupied[starts], float(reduced_rate), float(total_rate))
         self.slots, self.tti_ns, self._seg_slots = end, tti_ns, np.diff(bounds)
-        bounds = bounds * tti_ns
-        self.seg_t = bounds[:-1]
-        seg_bits = self.seg_rate * (np.diff(bounds) / 1e9)
-        self.seg_S = np.concatenate([[0.0], np.cumsum(seg_bits)[:-1]])
+        self.seg_t = starts * tti_ns
+        seg_bits = self._seg_slots * tti_ns / 1e9
+        seg_bits *= self.seg_rate
+        self.seg_S = np.empty(len(seg_bits))
+        self.seg_S[0] = 0.0
+        np.cumsum(seg_bits[:-1], out=self.seg_S[1:])
         cut = int(np.searchsorted(self.seg_t, self.prefix_ns))
         self.prefix_bits, self.cycle_bits = float(self.seg_S[cut]), float(np.sum(seg_bits[cut:]))
         rising = self.seg_rate > 0
         self.ris_t, self.ris_S, self.ris_rate = self.seg_t, self.seg_S, self.seg_rate
         if not rising.all():  # the rising segments are all of them unless a plateau exists
             self.ris_t, self.ris_S, self.ris_rate = self.seg_t[rising], self.seg_S[rising], self.seg_rate[rising]
-        for array in (self.seg_t, self.seg_S, self.seg_rate, self._seg_slots, self.ris_t, self.ris_S, self.ris_rate):
+        for array in (self.occupied, self.seg_t, self.seg_S, self.seg_rate, self._seg_slots,
+                      self.ris_t, self.ris_S, self.ris_rate):
             array.flags.writeable = False  # a profile is shared by every run of its configuration
         self.slot_S = self.bucket_seg = None  # lookup tables, see build_lookup_tables
         self.total_bits = float(self.supply_at(horizon_slots * tti_ns))
@@ -231,19 +233,25 @@ class _CapacityProfile:
         return b.astype(np.intp)
 
     def supply_at(self, t_ns) -> np.ndarray:
+        """Cumulative capacity, bits, at each time, ns.  The segment of a
+        time is a binary search, or with lookup tables (build_lookup_tables)
+        its slot's entry; either way the evaluation runs in place, in one
+        order of operations.  A 0-d time gives a scalar."""
         t = np.asarray(t_ns, dtype=np.int64)
         k = np.maximum(t - self.prefix_ns, 0) // self.cycle_ns  # times inside the prefix do not fold
         r = t - k * self.cycle_ns
         if self.slot_S is None:
-            j = np.searchsorted(self.seg_t, r, side="right") - 1
-            return k * self.cycle_bits + self.seg_S[j] + self.seg_rate[j] * (r - self.seg_t[j]) / 1e9
-        s = r // self.tti_ns  # in place below, in the search branch's order
-        r -= self.slot_t.take(s)
-        dbits = self.slot_rate.take(s)
+            j = self.seg_t.searchsorted(r, side="right") - 1
+            seg_t, seg_S, seg_rate = self.seg_t, self.seg_S, self.seg_rate
+        else:  # the tables hold each slot's segment values
+            j = r // self.tti_ns
+            seg_t, seg_S, seg_rate = self.slot_t, self.slot_S, self.slot_rate
+        r -= seg_t.take(j)
+        dbits = seg_rate.take(j)
         dbits *= r
         dbits /= 1e9
         out = k * self.cycle_bits
-        out += self.slot_S.take(s)
+        out += seg_S.take(j)
         out += dbits
         return out
 
@@ -255,10 +263,10 @@ class _CapacityProfile:
         supply_at.  The targets are only read.
 
         Without lookup tables the segment is a binary search.  With them
-        (build_lookup_tables) it is a bucket lookup and a short walk, and
-        the fold into the cycle and the evaluation run in place on the
-        block's own arrays, in the same order of operations, so both give
-        the same bits."""
+        (build_lookup_tables) it is a bucket lookup and a short walk.  The
+        fold into the cycle and the evaluation are the same either way and
+        run in place on the call's own temporaries, so both give the same
+        bits."""
         bits = np.asarray(bits, dtype=float)
         shape, bits = bits.shape, bits.ravel()  # 0-d too: the fold and the walk below assign into arrays
         if len(self.ris_S) == 0:
@@ -267,36 +275,9 @@ class _CapacityProfile:
         any_past = past.any()
         if any_past:  # folded, a target far past the horizon can overflow
             bits = np.where(past, 0.0, bits)
-        if self.bucket_seg is not None:
-            out = self._table_time_of_supply(bits)
-        else:
-            if self.cycle_bits <= 0:  # nothing accrues after the prefix
-                k, res = np.zeros(bits.shape), bits
-            else:  # targets inside the prefix do not fold
-                k = np.maximum(np.floor((bits - self.prefix_bits) / self.cycle_bits), 0)
-                res = bits - k * self.cycle_bits
-                low = (res < self.prefix_bits) & (k > 0)
-                k[low] -= 1
-                res[low] += self.cycle_bits
-                high = res >= self.prefix_bits + self.cycle_bits
-                k[high] += 1
-                res[high] -= self.cycle_bits
-            # searchsorted returns at most len(ris_S), so only 0 can be undershot
-            j = np.maximum(np.searchsorted(self.ris_S, res, side="right") - 1, 0)
-            dt_ns = (res - self.ris_S[j]) / self.ris_rate[j] * 1e9
-            t_ns = k * float(self.cycle_ns) + self.ris_t[j] + dt_ns
-            out = t_ns / 1e9
-        if any_past:
-            out[past] = np.inf
-        return out.reshape(shape)[()]
-
-    def _table_time_of_supply(self, bits: np.ndarray) -> np.ndarray:
-        """time_of_supply's lookup-table branch on 1-d targets within the
-        horizon: the search branch's operations, each in the same order,
-        written into the block's own temporaries."""
-        if self.cycle_bits <= 0:
+        if self.cycle_bits <= 0:  # nothing accrues after the prefix
             k, res = np.zeros(bits.shape), bits  # res may be the caller's: read only
-        else:
+        else:  # targets inside the prefix do not fold
             k = np.subtract(bits, self.prefix_bits)
             k /= self.cycle_bits
             np.floor(k, out=k)
@@ -313,20 +294,29 @@ class _CapacityProfile:
                 k[high] += 1
                 res[high] -= self.cycle_bits
         # the last rising segment that starts at or before res, or 0
-        j = self.bucket_seg.take(self._bucket(res))
-        walk = np.flatnonzero(self._next_S.take(j) <= res)
-        while len(walk):
-            j[walk] += 1
-            walk = walk[self._next_S[j[walk]] <= res[walk]]
+        if self.bucket_seg is None:
+            j = self.ris_S.searchsorted(res, side="right")
+            j -= 1
+            np.maximum(j, 0, out=j)  # searchsorted returns at most len(ris_S), so only 0 can be undershot
+            starts = self.ris_t  # converted to float as the sum below converts it
+        else:
+            j = self.bucket_seg.take(self._bucket(res))
+            walk = np.flatnonzero(self._next_S.take(j) <= res)
+            while len(walk):
+                j[walk] += 1
+                walk = walk[self._next_S[j[walk]] <= res[walk]]
+            starts = self._ris_t_float
         dt_ns = self.ris_S.take(j)
         np.subtract(res, dt_ns, out=dt_ns)
         dt_ns /= self.ris_rate.take(j)
         dt_ns *= 1e9
         t_ns = np.multiply(k, float(self.cycle_ns), out=k)
-        t_ns += self._ris_t_float.take(j)
+        t_ns += starts.take(j)
         t_ns += dt_ns
         t_ns /= 1e9
-        return t_ns
+        if any_past:
+            t_ns[past] = np.inf
+        return t_ns.reshape(shape)[()]
 
 
 def _chunk_order(n_chunks: int, start: int, cycle: int, partial_at: int | None) -> np.ndarray:
@@ -352,7 +342,8 @@ class _WalkedHorizon(NamedTuple):
     delays: np.ndarray         # each walked chunk's post-warm-up access delays once
     delay_counts: np.ndarray   # chunks of the horizon that repeat each delay
     occupancy: float           # mean occupied slots per period after warm-up
-    record: tuple              # the path record's arguments
+    record: tuple              # the path record's arguments but the last, the replication blocker
+    first: SlotEvents          # chunk 0's events, which the blocker reads when the record is written
 
 
 @functools.lru_cache(maxsize=1)
@@ -394,7 +385,9 @@ def _walk_horizon(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTr
         spill = np.concatenate([e.data_slots for e in walked])
         spill = spill[spill >= span]
         if len(spill):  # reserved slots are the same in every full chunk
-            spill = spill[~np.isin(spill % span, walked[0].reserved_slots, kind="table")]
+            is_reserved = np.zeros(span, dtype=bool)
+            is_reserved[walked[0].reserved_slots] = True
+            spill = spill[~is_reserved[spill % span]]
         reach = int(spill.max()) // span if len(spill) else 0
         prefix_slots, end = (start + reach) * span, (start + reach + cycle) * span
     partial_at = None
@@ -407,9 +400,10 @@ def _walk_horizon(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTr
 
     # each chunk's counts span a full chunk's periods; runs gather them in the
     # chunk order and cut them off at the horizon
-    counts = np.stack([np.stack([np.bincount(arrivals // k_p, minlength=span // k_p)
-                                 for arrivals in (e.tx_arrival_slots, e.dropped_arrival_slots)], axis=1)
-                       for e in walked])
+    counts = np.zeros((len(walked), span // k_p, 2), dtype=np.intp)
+    for c, e in enumerate(walked):
+        counts[c, :, 0] = np.bincount(e.tx_arrival_slots // k_p, minlength=span // k_p)
+        counts[c, :, 1] = np.bincount(e.dropped_arrival_slots // k_p, minlength=span // k_p)
     # chunk 0 on its own (its first period is warm-up), then each walked
     # chunk that the chunks after it repeat, once with its repeat count
     repeats = np.bincount(order[1:n_chunks], minlength=len(walked)).tolist()
@@ -418,23 +412,27 @@ def _walk_horizon(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTr
     delays = np.concatenate(parts)
     delay_counts = np.repeat(np.array(weights, dtype=np.int64), [len(p) for p in parts])
 
-    slots = np.concatenate([np.concatenate([walked[i].data_slots, walked[i].reserved_slots]) + c * span
-                            for c, i in enumerate(order[:-(-end // span)].tolist())])
-    occ = _sorted_unique(slots[slots < min(end, n_slots)])
+    # the slots of the chunks the profile spans, repeats and all: the
+    # profile marks each once.  A partial chunk's reserved slots are a full
+    # one's cut at its end, as the horizon cuts them here
+    laid = order[:-(-end // span)].tolist()
+    reserved = (np.arange(len(laid), dtype=np.int64)[:, None] * span + walked[0].reserved_slots).ravel()
+    slots = np.concatenate([reserved,
+                            *[walked[i].data_slots + c * span for c, i in enumerate(laid)]])
     cycle_slots = end - prefix_slots
-    profile = _CapacityProfile(occ, prefix_slots, cycle_slots, n_slots, tti, radio.total_rate,
-                               (radio.n_channels - haptic_blocks(radio)) * radio.channel_rate)
+    profile = _CapacityProfile(slots[slots < min(end, n_slots)], prefix_slots, cycle_slots, n_slots, tti,
+                               radio.total_rate, (radio.n_channels - haptic_blocks(radio)) * radio.channel_rate)
     # occupied slots after period 0, the cycle's counted once per completed cycle
+    occ = profile.occupied
     q = max(n_slots - prefix_slots, 0) // cycle_slots
-    occupied = q * (len(occ) - occ.searchsorted(prefix_slots)) + occ.searchsorted(n_slots - q * cycle_slots)
-    occupancy = int(occupied - occ.searchsorted(k_p)) / (n_periods - 1)
+    occupied = q * np.count_nonzero(occ[prefix_slots:]) + np.count_nonzero(occ[:n_slots - q * cycle_slots])
+    occupancy = int(occupied - np.count_nonzero(occ[:k_p])) / (n_periods - 1)
 
     for array in (counts, delays, delay_counts):
         array.flags.writeable = False  # shared by every run of the configuration
-    record = (scheme.value, span // k_p, prefix_slots // span if cycle else n_full, cycle, len(walked),
-              _replication_blocker(scheme, radio, k_p, walked[0]) or "clean")
+    record = (scheme.value, span // k_p, prefix_slots // span if cycle else n_full, cycle, len(walked))
     return _WalkedHorizon(profile, counts, (n_chunks, start, cycle, partial_at), delays, delay_counts, occupancy,
-                          record)
+                          record, walked[0])
 
 
 def _haptic_layer(config: SimConfig):
@@ -451,7 +449,8 @@ def _haptic_layer(config: SimConfig):
     walk = _walk_horizon(config.scheme, config.radio, config.haptic, config.n_periods)
     counts = walk.chunk_counts[_chunk_order(*walk.order_args)].reshape(-1, 2)[:config.n_periods]
     if log.isEnabledFor(logging.DEBUG):
-        log.debug(_PATH_RECORD, *walk.record)
+        blocker = _replication_blocker(config.scheme, config.radio, config.slots_per_period, walk.first)
+        log.debug(_PATH_RECORD, *walk.record, blocker or "clean")
     return walk.profile, counts, walk.delays, walk.delay_counts, walk.occupancy
 
 
@@ -498,7 +497,7 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: f
     peak, carry, walking = -np.inf, 0.0, True
     for a in timeline.time_blocks(_BLOCK):
         n += len(a)
-        arrived_mid += int(np.searchsorted(a, t_mid, side="right"))
+        arrived_mid += int(a.searchsorted(t_mid, side="right"))
         if not walking:
             continue
         blocks += 1
@@ -516,10 +515,10 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: f
         peak = level[-1]
         level += cum
         completion = profile.time_of_supply(level)
-        done = int(np.searchsorted(completion, np.inf))
+        done = int(completion.searchsorted(np.inf))
         finished += done
-        finished_mid += int(np.searchsorted(completion, t_mid, side="right"))
-        start = min(int(np.searchsorted(a, warmup_s, side="left")), done)
+        finished_mid += int(completion.searchsorted(t_mid, side="right"))
+        start = min(int(a.searchsorted(warmup_s)), done)
         if kept + done - start > len(delays):  # the time draw ran past its bound
             delays = np.concatenate([delays[:kept], np.empty(len(delays) + len(a))])
         np.subtract(completion[start:done], a[start:done], out=delays[kept:kept + done - start])

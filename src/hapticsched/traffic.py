@@ -119,7 +119,7 @@ class LeftoverTrafficModel:
 def _check_times(times: np.ndarray, horizon: float, last: float) -> None:
     """A block's checks on its arrival times, which are not empty, after a
     block that ended at last."""
-    if times[0] <= last or np.any(times[1:] <= times[:-1]):
+    if times[0] <= last or (times[1:] <= times[:-1]).any():
         raise ValueError("arrival times must be strictly increasing")
     if times[0] < 0 or times[-1] > horizon:
         raise ValueError("arrival times must lie within [0, horizon]")
@@ -174,7 +174,7 @@ class ArrivalTimeline:
                 base, total, drawn = times[-1], 0.0, 0
             # a cumsum of nonnegative gaps is nondecreasing: the arrivals up
             # to the horizon are a prefix, and a repeated instant is adjacent
-            end = int(np.searchsorted(times, horizon, side="right"))
+            end = int(times.searchsorted(horizon, side="right"))
             times = times[:end]
             if end:
                 repeated = times[1:] == times[:-1]
@@ -202,7 +202,7 @@ class ArrivalTimeline:
             else:
                 sizes = rng.exponential(sigma, n)
                 np.maximum(sizes, np.finfo(float).tiny, out=sizes)
-            if np.any(sizes <= 0):
+            if (sizes <= 0).any():
                 raise ValueError("sizes must be positive")
             return sizes
 

@@ -192,9 +192,9 @@ class TestSpecValidation:
         assert 1.25e-3 in values and 2.5e-3 in values
 
 
-def reference_hash(loaded, scheme, seed):
-    """The configuration hash as the whole payload serialised per call."""
-    payload = {
+def reference_payload(loaded, scheme=None, seed=None):
+    """The configuration hash's payload, built whole."""
+    return {
         "radio": [loaded.radio.n_channels, loaded.radio.total_rate, loaded.radio.tti,
                   loaded.radio.t_sr, loaded.radio.t_pg, loaded.radio.haptic_demand_norm],
         "haptic": [loaded.haptic.t_p, loaded.haptic.t_b, loaded.haptic.t_ib, loaded.haptic.t_nb, True],
@@ -203,6 +203,11 @@ def reference_hash(loaded, scheme, seed):
         "scheme": scheme.value if scheme else None,
         "seed": seed,
     }
+
+
+def reference_hash(loaded, scheme, seed):
+    """The configuration hash as the whole payload serialised per call."""
+    payload = reference_payload(loaded, scheme, seed)
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
 
 
@@ -287,6 +292,26 @@ class TestAtPointEqualsReplace:
             assert (point.t_sr_tracks_tti, point.t_pg_tracks_tti) == tracks
 
 
+class TestHashTextEqualsSortedDumps:
+    """The hash text is joined from each section's JSON, and a grid point
+    serialises only the section it changed, reusing its base's text for the
+    rest: the text must be the whole payload's sorted json.dumps, at the
+    base and at the point."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(loaded=loaded_configs(), tracks=st.tuples(st.booleans(), st.booleans()),
+           param=st.sampled_from(["tti", "t_ib"]), scale=st.floats(1e-3, 1e3),
+           scheme=st.none() | st.sampled_from(S), seed=st.none() | st.integers(0, 2**63))
+    def test_text_is_the_sorted_dump(self, loaded, tracks, param, scale, scheme, seed):
+        loaded = replace(loaded, t_sr_tracks_tti=tracks[0], t_pg_tracks_tti=tracks[1])
+        value = scale * getattr(loaded.radio if param == "tti" else loaded.haptic, param)
+        point = point_or_problems(lambda: loaded.at_point(**{param: value}))
+        for config in [loaded] + [point] * isinstance(point, LoadedConfig):
+            head, tail = config._hash_text
+            assert f'{head}"scheme": null, "seed": null{tail}' == json.dumps(reference_payload(config), sort_keys=True)
+            assert config.config_hash(scheme, seed) == reference_hash(config, scheme, seed)
+
+
 def reference_cell(value) -> str:
     """The CSV cell as it was written before cells were str of the value."""
     if isinstance(value, float):
@@ -369,28 +394,35 @@ class TestCsvContract:
             assert len(lines) > 1
             assert all(len(line.split(",")) == len(header.split(",")) for line in lines[1:])
 
-    @pytest.mark.parametrize("name, argv, ini", [
-        ("bound", ["bound"], None),
-        ("drop", ["drop"], None),
-        ("remainder", ["remainder"], None),
-        ("bound_offgrid", ["bound"], OFFGRID_INI),
-        ("drop_offgrid", ["drop"], OFFGRID_INI),
-        ("remainder_offgrid", ["remainder"], OFFGRID_INI),
-        ("simulate_30s_seed3", ["simulate", "--horizon", "30s", "--seed", "3"], None),
-        ("simulate_heavy_200s_seed1", ["simulate", "--horizon", "200s", "--seed", "1"], HEAVY_INI),
+    @pytest.mark.parametrize("name, argv, ini, status", [
+        ("bound", ["bound"], None, 0),
+        ("drop", ["drop"], None, 0),
+        ("remainder", ["remainder"], None, 0),
+        ("bound_offgrid", ["bound"], OFFGRID_INI, 0),
+        ("drop_offgrid", ["drop"], OFFGRID_INI, 0),
+        ("remainder_offgrid", ["remainder"], OFFGRID_INI, 0),
+        ("simulate_30s_seed3", ["simulate", "--horizon", "30s", "--seed", "3"], None, 0),
+        ("simulate_heavy_200s_seed1", ["simulate", "--horizon", "200s", "--seed", "1"], HEAVY_INI, 0),
         # t_ib crosses the 5 ms grant period; the TTI grid moves every grant period
-        ("sweep_tib", ["sweep", "--param", "t_ib", "--from", "0.1ms", "--to", "6ms", "--steps", "60"], None),
-        ("sweep_tti", ["sweep", "--param", "tti", "--values", "0.125ms,0.25ms,0.5ms,1ms"], None),
+        ("sweep_tib", ["sweep", "--param", "t_ib", "--from", "0.1ms", "--to", "6ms", "--steps", "60"], None, 0),
+        ("sweep_tti", ["sweep", "--param", "tti", "--values", "0.125ms,0.25ms,0.5ms,1ms"], None, 0),
         # set SR and grant periods, which do not track the TTI
         ("sweep_tti_fixed_periods", ["sweep", "--param", "tti", "--values", "0.125ms,0.25ms,0.5ms,1ms"],
-         "[radio]\nt_sr = 2ms\nt_pg = 4ms\n"),
+         "[radio]\nt_sr = 2ms\nt_pg = 4ms\n", 0),
+        # every scheme on the event-by-event path, as bench/configs/compare_offgrid.ini
+        # runs it; some rows fail their check, so the exit status is 2
+        ("compare_offgrid_50s_seed1",
+         ["compare", "--param", "t_ib", "--values", "1ms,2ms", "--horizon", "50s", "--seed", "1"], OFFGRID_INI, 2),
+        # on the grant grid, two seeds per row
+        ("compare_30s_seeds12", ["compare", "--param", "t_ib", "--values", "1.5ms,2ms", "--horizon", "30s",
+                                 "--seed", "1,2"], None, 2),
     ])
-    def test_stdout_is_pinned(self, tmp_path, capsys, name, argv, ini):
+    def test_stdout_is_pinned(self, tmp_path, capsys, name, argv, ini, status):
         if ini is not None:
             cfg = tmp_path / "config.ini"
             cfg.write_text(ini)
             argv = [*argv, "--config", str(cfg)]
-        assert main(argv) == 0
+        assert main(argv) == status
         assert capsys.readouterr().out == (GOLDEN / f"{name}.csv").read_text()
 
 

@@ -257,27 +257,32 @@ class TestCapacityProfile:
         self.check_supply_against_per_slot_integration(13)
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_segments_equal_a_per_slot_loop(self, seed):
+    @pytest.mark.parametrize("prefix", [0, 1, 13])
+    def test_segments_equal_a_per_slot_loop(self, seed, prefix):
         # reference: one full-rate segment per gap and one reduced-rate segment
-        # per occupied slot, built slot by slot; the float cumsum depends on it
+        # per occupied slot, and the cycle starting a segment of its own,
+        # built slot by slot; the float cumsum depends on it.  The occupied
+        # slots come unsorted and with repeats, and some draws hold the slots
+        # around the cycle start and the last slot, where a per-slot mark of
+        # the bounds can go wrong
         rng = np.random.default_rng(seed)
         period = int(rng.integers(1, 60))
-        occupied = rng.choice(period, size=int(rng.integers(0, period + 1)), replace=False)
-        occupied = np.concatenate([occupied, occupied[:3], [0, period - 1][: seed % 3]])
+        end = prefix + period
+        occupied = rng.choice(end, size=int(rng.integers(0, end + 1)), replace=False)
+        edges = [0, end - 1] if prefix == 0 else [prefix - 1, prefix, end - 1]
+        occupied = np.concatenate([occupied, occupied[:3], edges[: seed % (len(edges) + 1)]])
+        rng.shuffle(occupied)
         tti, full, reduced = 500_000, 1e6, 0.3e6
-        seg_t, seg_rate = [0], []
-        for s in sorted(set(occupied.tolist())):
-            if s * tti > seg_t[-1]:
+        occ = set(occupied.tolist())
+        seg_t, seg_rate = [], []
+        for s in range(end):
+            if s in (0, prefix) or s in occ or s - 1 in occ:
                 seg_t.append(s * tti)
-                seg_rate.append(full)
-            seg_t.append((s + 1) * tti)
-            seg_rate.append(reduced)
-        if seg_t[-1] < period * tti:
-            seg_t.append(period * tti)
-            seg_rate.append(full)
-        profile = simulate_mod._CapacityProfile(occupied, 0, period, 2 * period, tti, full, reduced)
-        assert np.array_equal(profile.seg_t, np.array(seg_t[:-1], dtype=np.int64))
+                seg_rate.append(reduced if s in occ else full)
+        profile = simulate_mod._CapacityProfile(occupied, prefix, period, end + 2 * period, tti, full, reduced)
+        assert np.array_equal(profile.seg_t, np.array(seg_t, dtype=np.int64))
         assert np.array_equal(profile.seg_rate, np.array(seg_rate))
+        assert np.array_equal(profile.occupied, np.isin(np.arange(end), occupied))
 
     def test_inversion_round_trip(self):
         rng = np.random.default_rng(1)
