@@ -213,6 +213,16 @@ class SlotEvents:
     busy_end: int                # first slot at which a new SR procedure could start
 
 
+def _in_burst(slots: np.ndarray, k_p: int, k_b: int) -> np.ndarray:
+    """slots % k_p < k_b, each slot less its whole periods: an int64
+    remainder pass costs more than a floor division, a product and a
+    difference, and the two agree on every slot, a nonnegative int64."""
+    within = slots // k_p
+    within *= k_p
+    np.subtract(slots, within, out=within)
+    return within < k_b
+
+
 def slotted_machine(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel,
                     sa: np.ndarray, n_slots: int, busy: int = 0) -> SlotEvents:
     """Run the scheme's grant machine over n_slots slots that start on a
@@ -238,10 +248,10 @@ def slotted_machine(scheme: SchedulingScheme, radio: RadioConfig, haptic: Haptic
         reserved = np.arange(0, n_slots, k_pg, dtype=np.int64)
     elif scheme is SchedulingScheme.SOFT_RESERVATION:
         k_p, k_b = ceil_div(haptic.t_p_ns, tti), haptic.t_b_ns // tti
-        in_burst = (sa % k_p) < k_b
+        in_burst = _in_burst(sa, k_p, k_b)
         granted, gated = sa[in_burst], sa[~in_burst]
         reserved = np.arange(0, n_slots, k_pg, dtype=np.int64)
-        reserved = reserved[reserved % k_p < k_b]
+        reserved = reserved[_in_burst(reserved, k_p, k_b)]
     # each rule's (data slots, sent arrivals, delays in slots, dropped
     # arrivals), from a non-empty set only: an empty one gives empty arrays
     parts = []

@@ -32,7 +32,11 @@ The background queue is walked in blocks of packets as the timeline of
 leftover_arrivals draws them on demand.  Each block draws its arrival
 times and its sizes, each from a stream of its own, and sums its sizes on
 from the block before, so of the background flow only the kept completion
-delays span the horizon.
+delays span the horizon.  Every scheme and grid point of a seed reads the
+same timeline, so one whose draw bound fits one block is drawn once and
+kept, with the per-block arrays that depend on it alone, and every later
+run of the same (model, horizon, seed) reads it; the last such draw is
+memoised.  A longer timeline streams and keeps nothing.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import functools
 import logging
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,6 +56,7 @@ from .errors import ConfigError, InfeasibleError
 from .radio import RadioConfig, SchedulingScheme, haptic_blocks
 from .scheduling import SlotEvents, drop_walk, slot_grid_problems, slot_periods, slotted_machine
 from .traffic import (
+    ArrivalTimeline,
     HapticTrafficModel,
     LeftoverTrafficModel,
     leftover_arrivals,
@@ -62,7 +68,8 @@ log = logging.getLogger(__name__)
 
 _PATH_RECORD = "%s: chunks of %d periods, prefix %d + cycle %d chunks, %d chunks walked (%s)"
 _BACKGROUND_RECORD = ("%s: background %d packets arrived, %d finished, %d unfinished, "
-                      "%d kept after warm-up, %d blocks walked, %s lookup (%d packets vs %d profile slots)")
+                      "%d kept after warm-up, %d blocks walked, %s lookup (%d packets vs %d profile slots), "
+                      "timeline %s")
 
 # background packets per block of the queue walk: the block's temporaries
 # stay in cache, and the per-block overhead is small next to its work
@@ -460,6 +467,47 @@ def _tables_pay(n_packets: float, profile_slots: int) -> bool:
     return n_packets >= profile_slots
 
 
+class _Block(NamedTuple):
+    """One block of the background timeline with the arrays of it that the
+    queue walk reads and that depend on the timeline alone."""
+
+    times: np.ndarray    # arrival times, s
+    ns: np.ndarray       # the times rounded to whole nanoseconds
+    cum: np.ndarray      # the running size sum through each packet, on from the blocks before
+    before: np.ndarray   # the running size sum before each packet
+    arrived_mid: int     # arrivals up to mid-horizon
+
+
+def _timeline_blocks(timeline: ArrivalTimeline, times: Iterator[np.ndarray]) -> Iterator[_Block]:
+    """The blocks of times, the timeline's time blocks, as they are drawn:
+    each block's sizes from the size draw, summed on from the last block's
+    total in the order of one pass over the timeline."""
+    t_mid = 0.5 * timeline.horizon_s
+    next_sizes = timeline.size_draw()
+    carry = 0.0
+    for a in times:
+        sizes = next_sizes(len(a))
+        cum = sizes.copy()
+        cum[0] += carry
+        np.cumsum(cum, out=cum)
+        carry = cum[-1]
+        before = np.subtract(cum, sizes, out=sizes)
+        yield _Block(a, np.round(a * 1e9).astype(np.int64), cum, before, int(a.searchsorted(t_mid, side="right")))
+
+
+@functools.lru_cache(maxsize=1)
+def _kept_blocks(timeline: ArrivalTimeline) -> tuple[_Block, ...]:
+    """The blocks of a timeline whose draw bound fits one block, drawn once
+    and kept read-only.  Every scheme and grid point of a seed reads the
+    same timeline, and an invocation runs them in a row, so one entry,
+    keyed on the timeline's (model, horizon, seed), serves them all."""
+    blocks = tuple(_timeline_blocks(timeline, timeline.time_blocks(_BLOCK)))
+    for block in blocks:
+        for array in block[:4]:
+            array.flags.writeable = False
+    return blocks
+
+
 def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: float,
                       warmup_s: float) -> np.ndarray:
     """Drain the background FIFO queue through the leftover capacity and
@@ -468,52 +516,52 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: f
 
     Packet i finishes when cumulative capacity reaches
     max_{j <= i}(supply(a_j) - cum_{j-1}) + cum_i.  The packets are walked
-    in blocks of _BLOCK as the timeline draws them: each block's arrival
-    times come checked from the time draw, its sizes from the size draw,
-    and its sizes are summed on from the last block's total, in the order
-    of one pass over the timeline, with the running maximum carried from
-    block to block.  So the bytes are those of one draw and one sum over
-    the timeline, and nothing spans it but the kept delays, in a buffer
-    of the time draw's bound that grows only when the draw runs past it.
+    in blocks of _BLOCK (_timeline_blocks), with the running maximum
+    carried from block to block, so the bytes are those of one draw and one
+    sum over the timeline.  A timeline whose draw bound fits one block is
+    drawn once and kept (_kept_blocks), and every later run of the same
+    (model, horizon, seed) reads it; a longer one streams, and nothing spans
+    it but the kept delays, in a buffer of the time draw's bound that grows
+    only when the draw runs past it.  Every run calls leftover_arrivals for
+    its timeline, kept or not.
 
     Completion times are nondecreasing and a target past the horizon is
     unreachable, so the unfinished packets are a suffix: a binary search
     for inf finds the first of them, the walk stops at the block that holds
-    it, and the arrivals after it are only counted.  When the expected
+    it, and the arrival times after it are only counted.  When the expected
     packet count is at least the profile's slots, the profile's lookup
     tables are built first.
 
     Raises InfeasibleError when the queue grows superlinearly.
     """
     timeline = leftover_arrivals(config.leftover, horizon_s, config.seed)
+    if timeline.count_bound <= _BLOCK:
+        hits = _kept_blocks.cache_info().hits
+        blocks = iter(_kept_blocks(timeline))
+        rest = (block.times for block in blocks)  # the same iterator: what the walk leaves
+        source = "kept" if _kept_blocks.cache_info().hits > hits else "drawn and kept"
+    else:
+        rest = timeline.time_blocks(_BLOCK)
+        blocks, source = _timeline_blocks(timeline, rest), "drawn"
     tables = _tables_pay(config.leftover.lambda_rate * horizon_s, profile.slots)
     if tables:  # on a copy: the profile itself is shared by every run of its configuration
         profile = copy.copy(profile)
         profile.build_lookup_tables()
     t_mid = 0.5 * horizon_s
     delays = np.empty(timeline.count_bound)
-    next_sizes = timeline.size_draw()
-    n = arrived_mid = kept = finished = finished_mid = blocks = 0
-    peak, carry, walking = -np.inf, 0.0, True
-    for a in timeline.time_blocks(_BLOCK):
+    n = arrived_mid = kept = finished = finished_mid = walked = 0
+    peak = -np.inf
+    for block in blocks:
+        a = block.times
         n += len(a)
-        arrived_mid += int(a.searchsorted(t_mid, side="right"))
-        if not walking:
-            continue
-        blocks += 1
-        sizes = next_sizes(len(a))
-        # the cumulative sizes, summed on from the last block's total in
-        # the order of one pass over the timeline
-        cum = sizes.copy()
-        cum[0] += carry
-        np.cumsum(cum, out=cum)
-        carry = cum[-1]
-        level = profile.supply_at(np.round(a * 1e9).astype(np.int64))
-        level -= cum - sizes
+        arrived_mid += block.arrived_mid
+        walked += 1
+        level = profile.supply_at(block.ns)
+        level -= block.before
         level[0] = max(level[0], peak)
         np.maximum.accumulate(level, out=level)
         peak = level[-1]
-        level += cum
+        level += block.cum
         completion = profile.time_of_supply(level)
         done = int(completion.searchsorted(np.inf))
         finished += done
@@ -523,9 +571,13 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: f
             delays = np.concatenate([delays[:kept], np.empty(len(delays) + len(a))])
         np.subtract(completion[start:done], a[start:done], out=delays[kept:kept + done - start])
         kept += done - start
-        walking = done == len(a)
-    log.debug(_BACKGROUND_RECORD, config.scheme.value, n, finished, n - finished, kept, blocks,
-              "table" if tables else "search", n, profile.slots)
+        if done < len(a):
+            break
+    for a in rest:  # past the first unfinished packet: counted, with no sizes drawn
+        n += len(a)
+        arrived_mid += int(a.searchsorted(t_mid, side="right"))
+    log.debug(_BACKGROUND_RECORD, config.scheme.value, n, finished, n - finished, kept, walked,
+              "table" if tables else "search", n, profile.slots, source)
 
     q_mid = arrived_mid - finished_mid
     q_end = n - finished

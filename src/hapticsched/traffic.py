@@ -131,7 +131,11 @@ class ArrivalTimeline:
     time_blocks and size_draw each start a fresh draw from the seed, so the
     blocks concatenate to the same times however they fall, and the sizes
     drawn in any pieces concatenate to the same sizes.  times_s and len()
-    draw all the times once, for a caller that wants them."""
+    draw all the times once, for a caller that wants them.
+
+    A timeline is a value: equal (model, horizon_s, seed) give equal
+    timelines with the same hash and the same draws, so a caller may key a
+    kept draw on it, as the simulator does."""
 
     model: LeftoverTrafficModel
     horizon_s: float
@@ -238,7 +242,9 @@ def leftover_arrivals(model: LeftoverTrafficModel, horizon: float, seed: int) ->
     depend on how many gaps were drawn.  The same (model, horizon, seed)
     always reproduces the same timeline.  Nothing is drawn yet: the
     timeline draws its times and sizes block by block on demand (see
-    ArrivalTimeline.time_blocks).
+    ArrivalTimeline.time_blocks).  The simulator calls this once per run
+    and keeps the draw of the last short timeline it walked, for the runs
+    of the same timeline after it.
     """
     if not 0 < horizon < math.inf:
         raise ConfigError(f"horizon must be > 0 and finite, got {horizon!r}")

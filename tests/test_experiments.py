@@ -618,6 +618,24 @@ class TestCli:
         info = simulate_mod._walk_horizon.cache_info()
         assert (info.misses, info.hits, info.maxsize) == (4, 8, 1)
 
+    def test_compare_draws_the_background_once_for_every_run(self, tmp_path, monkeypatch):
+        import hapticsched.simulate as simulate_mod
+
+        simulate_mod._kept_blocks.cache_clear()
+        seeded, timelines = [], []
+        default_rng, leftover_arrivals = np.random.default_rng, simulate_mod.leftover_arrivals
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: seeded.append(seed) or default_rng(seed))
+        monkeypatch.setattr(simulate_mod, "leftover_arrivals",
+                            lambda *args: timelines.append(args) or leftover_arrivals(*args))
+        out = tmp_path / "cmp.csv"
+        rc = main(["compare", "--seed", "5", "--param", "t_ib", "--values", "2ms,3ms", "--horizon", "12s",
+                   "--out", str(out)])
+        assert rc in (0, 2) and len(out.read_text().splitlines()) == 1 + 2 * 4
+        # deterministic sizes draw no stream of their own: one seeding, the
+        # time draw's, serves the 8 runs of the 2 grid points and 4 schemes
+        assert seeded == [5]
+        assert len(timelines) == 8 and len(set(timelines)) == 1
+
     def test_empty_seed_list_stops_compare(self, capsys):
         assert main(["compare", "--scheme", "DS", "--seed", ",", "--param", "t_ib", "--values", "1ms,2ms"]) == 1
         captured = capsys.readouterr()

@@ -22,9 +22,11 @@ from hapticsched import (
 )
 from hapticsched.scheduling import (
     SlotEvents,
+    _in_burst,
     demand_gate,
     drop_counts,
     period_charge,
+    slot_grid_problems,
     slotted_machine,
     standing_grants,
 )
@@ -353,20 +355,22 @@ def reference_walk(scheme, radio, haptic, slotted=False):
 
 
 @st.composite
-def walk_inputs(draw):
+def walk_inputs(draw, slotted_srr=False):
     """Radio and traffic in whole ns; SR, grant and burst lengths are
-    sometimes off the slot grid, which the slotted walk must reject."""
+    sometimes off the slot grid, which the slotted walk must reject.  With
+    slotted_srr they are always on it, as slotted SRR needs; t_p still
+    falls on or off it."""
     tti = draw(st.sampled_from([125_000, 250_000, 500_000, 1_000_000, 333_333]))
     k_p = draw(st.integers(3, 300))
     t_p = k_p * tti + draw(st.sampled_from([0, 0, 1, tti // 3]))
     t_b = draw(st.integers(1, t_p - 1))
-    if draw(st.booleans()):
+    if slotted_srr or draw(st.booleans()):
         t_b = min(max(tti, t_b // tti * tti), t_p - 1)
     t_ib = draw(st.integers(max(1, t_b // 200), t_b))
     t_nb = draw(st.integers(max(1, (t_p - t_b) // 200), t_p - t_b))
     on_grid = st.integers(1, 24).map(lambda k: k * tti)
-    t_sr = draw(on_grid | st.integers(1, 24 * tti))
-    t_pg = draw(on_grid | st.integers(tti, 24 * tti))
+    t_sr = draw(on_grid if slotted_srr else on_grid | st.integers(1, 24 * tti))
+    t_pg = draw(on_grid if slotted_srr else on_grid | st.integers(tti, 24 * tti))
     try:
         radio = RadioConfig(10, 1e6, to_s(tti), to_s(t_sr), to_s(t_pg), 1e-5)
         return radio, HapticTrafficModel(to_s(t_p), to_s(t_b), to_s(t_ib), to_s(t_nb))
@@ -524,3 +528,52 @@ class TestSlottedMachineSkipsEmptySets:
             assert np.array_equal(getattr(got, name), getattr(expected, name)), name
         assert got.busy_end == expected.busy_end
         assert type(got.busy_end) is type(expected.busy_end)
+
+
+class TestSlottedBurstSplitEqualsRemainder:
+    """SRR's burst test of its arrivals and of its grants, taken as each slot
+    less its whole periods, equals the % form it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(slots=st.lists(st.integers(0, 2**62), max_size=50), k_p=st.integers(1, 2**40), data=st.data())
+    @example(slots=[0, 399, 400, 2000, 2001, 2401, 20009], k_p=2001, data=None)
+    def test_in_burst_equals_the_remainder(self, slots, k_p, data):
+        k_b = data.draw(st.integers(0, k_p), label="k_b") if data else 400
+        x = np.array(slots, dtype=np.int64)
+        got = _in_burst(x, k_p, k_b)
+        assert got.dtype == bool and np.array_equal(got, x % k_p < k_b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=walk_inputs(slotted_srr=True), data=st.data())
+    def test_machine_equals_the_remainder_form(self, inputs, data):
+        """A run of several periods' arrivals, t_p on or off the grant grid
+        and on or off the slot grid, cut at any slot, from any gate state:
+        every field equals the machine with the % form and both rules
+        called."""
+        radio_cfg, h = inputs
+        assert not slot_grid_problems(S.SOFT_RESERVATION, radio_cfg, h)
+        k_p = ceil_div(h.t_p_ns, radio_cfg.tti_ns)
+        periods = data.draw(st.integers(1, 6), label="periods")
+        n_slots = data.draw(st.integers(1, periods * k_p + radio_cfg.t_pg_ns // radio_cfg.tti_ns), label="n_slots")
+        self.assert_equals_remainder_form(radio_cfg, h, periods, n_slots, data.draw(st.integers(0, k_p + 8), label="busy"))
+
+    @pytest.mark.parametrize("t_p", [1.0, 1.0005], ids=["on-grid", "off-grid"])
+    @pytest.mark.parametrize("n_slots", [20_010, 12_345])
+    def test_a_chunk_of_the_compare_configurations(self, t_p, n_slots):
+        # the documented defaults and bench/configs/compare_offgrid.ini: 2000 or
+        # 2001 slots per period against a 10-slot grant period; a full chunk of
+        # the off-grid one is 10 periods, 20,010 slots
+        self.assert_equals_remainder_form(radio(0.5e-3), haptic(2e-3, t_p=t_p), 10, n_slots, 3)
+
+    @staticmethod
+    def assert_equals_remainder_form(radio_cfg, h, periods, n_slots, busy):
+        tti = radio_cfg.tti_ns
+        k_p = ceil_div(h.t_p_ns, tti)
+        sa = (np.arange(periods, dtype=np.int64)[:, None] * k_p + period_arrival_offsets_ns(h) // tti).ravel()
+        sa = sa[sa < n_slots]
+        got = slotted_machine(S.SOFT_RESERVATION, radio_cfg, h, sa, n_slots, busy)
+        expected = machine_with_both_rules(S.SOFT_RESERVATION, radio_cfg, h, sa, n_slots, busy)
+        for name in ("data_slots", "reserved_slots", "tx_arrival_slots", "delays_s", "dropped_arrival_slots"):
+            assert getattr(got, name).dtype == getattr(expected, name).dtype, name
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+        assert got.busy_end == expected.busy_end

@@ -692,13 +692,26 @@ def inject(times, size):
         times_s = times
         count_bound = len(times)
 
+        def __init__(self, horizon):
+            self.horizon_s = horizon
+
         def time_blocks(self, block):
             return (times[lo:lo + block] for lo in range(0, len(times), block))
 
         def size_draw(self):
             return lambda n: np.full(n, float(size))
 
-    return mock.patch.object(simulate_mod, "leftover_arrivals", lambda model, horizon, seed: HandBuilt())
+    return mock.patch.object(simulate_mod, "leftover_arrivals", lambda model, horizon, seed: HandBuilt(horizon))
+
+
+@pytest.fixture
+def fresh_draws():
+    """An empty kept-draw memo before and after the test: a test that patches
+    the draw (the generator or the timeline) neither reads a draw kept
+    before it nor leaves its own behind."""
+    simulate_mod._kept_blocks.cache_clear()
+    yield
+    simulate_mod._kept_blocks.cache_clear()
 
 
 def lookup(tables: bool):
@@ -724,7 +737,7 @@ class TestBlockWalkEqualsWholeArrayPass:
             assert_reports_identical(got, whole_array_run(cfg))
 
     @pytest.mark.parametrize("block", [1, 2, 7, simulate_mod._BLOCK])
-    def test_blowup_raises_the_same_error(self, block):
+    def test_blowup_raises_the_same_error(self, block, fresh_draws):
         # no latency-critical load and 1 Mbit packets on a 1 Mb/s channel: a
         # backlogged packet finishes on a whole second, the tenth exactly at
         # mid-horizon.  200 packets in the first 0.2 s leave 190 queued at
@@ -743,7 +756,7 @@ class TestBlockWalkEqualsWholeArrayPass:
         assert "(190 packets at mid-horizon, 2680 at the end)" in str(want.value)
 
     @pytest.mark.parametrize("block", [7, simulate_mod._BLOCK])
-    def test_the_delay_buffer_grows_past_the_time_draws_bound(self, block):
+    def test_the_delay_buffer_grows_past_the_time_draws_bound(self, block, fresh_draws):
         # gaps of half their mean: about 1,600 arrivals in 200 s at 4/s, past
         # the time draw's bound of 1,099, so the draw takes an extension chunk
         default_rng = np.random.default_rng
@@ -794,13 +807,93 @@ class TestBlockWalkEqualsWholeArrayPass:
                 report = run(cfg)
             records = [r for r in caplog.records if r.msg is simulate_mod._BACKGROUND_RECORD]
             assert len(records) == 1
-            _, arrived, finished, unfinished, kept, blocks, lookup_path, packets, slots = records[0].args
+            _, arrived, finished, unfinished, kept, blocks, lookup_path, packets, slots, source = records[0].args
             timeline = simulate_mod.leftover_arrivals(cfg.leftover, report.horizon_s, cfg.seed)
             assert arrived == len(timeline) and finished + unfinished == arrived
             assert unfinished > 0
             assert kept == len(report.leftover_delays)
             assert blocks == finished // 16 + 1  # the walk stops at the first unfinished packet
             assert lookup_path == path and packets == arrived and slots == cfg.slots_per_period
+            assert source == "drawn"  # a draw bound past 16-packet blocks streams
+
+
+def rate_for_bound(bound, horizon):
+    """The background rate whose time draw over horizon has the bound."""
+    root = (-10 + math.sqrt(100 + 4 * (bound - 15.5))) / 2  # e + 10 sqrt(e) + 16 = bound + 0.5
+    lam = root * root / horizon
+    assert simulate_mod.leftover_arrivals(LeftoverTrafficModel(lam, 1.0), horizon, 1).count_bound == bound
+    return lam
+
+
+def background_sources(caplog):
+    """Whether each run drew its timeline or read the kept one, from the
+    background records."""
+    return [r.args[-1] for r in caplog.records if r.msg is simulate_mod._BACKGROUND_RECORD]
+
+
+class TestKeptDrawEqualsFreshDraw:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=loaded_configs(), other=st.sampled_from(list(S)), tables=st.booleans())
+    def test_every_field_identical(self, cfg, other, tables):
+        """The run that draws and keeps the timeline, another scheme that
+        reads it, then the first configuration again, reading it: its
+        report is the fresh draw's, byte for byte."""
+        simulate_mod._kept_blocks.cache_clear()
+        with lookup(tables):
+            try:
+                fresh = run(cfg)
+            except InfeasibleError:
+                reject()
+            try:  # the same timeline under another scheme, which must not write it
+                run(dataclasses.replace(cfg, scheme=other))
+            except (ConfigError, InfeasibleError):
+                pass
+            kept = run(cfg)
+        info = simulate_mod._kept_blocks.cache_info()
+        assert info.misses == 1 and info.hits >= 1 and info.currsize == 1
+        assert_reports_identical(kept, fresh)
+
+    @pytest.mark.parametrize("law", list(SizeDistribution))
+    @pytest.mark.parametrize("bound", [0, simulate_mod._BLOCK - 1, simulate_mod._BLOCK])
+    def test_bounds_up_to_one_block_are_kept(self, bound, law, caplog):
+        # bound 0 stands for a horizon with no arrival: 1.5e-5 expected in 15 s
+        lam = rate_for_bound(bound, 15.0) if bound else 1e-6
+        cfg = sim(S.DYNAMIC, leftover=LeftoverTrafficModel(lam, 0.4e6 / max(lam, 1.0), law))
+        simulate_mod._kept_blocks.cache_clear()
+        with caplog.at_level(logging.DEBUG, "hapticsched.simulate"):
+            fresh = run(cfg)
+            run(dataclasses.replace(cfg, scheme=S.SEMI_PERSISTENT))
+            kept = run(cfg)
+        assert background_sources(caplog) == ["drawn and kept", "kept", "kept"]
+        assert_reports_identical(kept, fresh)
+        blocks = simulate_mod._kept_blocks(simulate_mod.leftover_arrivals(cfg.leftover, fresh.horizon_s, cfg.seed))
+        if not bound:
+            assert blocks == () and len(fresh.leftover_delays) == 0
+        else:
+            assert len(blocks) == 1 and len(fresh.leftover_delays) > 25_000
+            for array in blocks[0][:4]:
+                with pytest.raises(ValueError):  # shared by every run of the timeline
+                    array[0] = 0
+
+    @pytest.mark.parametrize("law", list(SizeDistribution))
+    def test_a_bound_past_one_block_streams_and_keeps_nothing(self, law, caplog):
+        lam = rate_for_bound(simulate_mod._BLOCK + 1, 15.0)
+        cfg = sim(S.DYNAMIC, leftover=LeftoverTrafficModel(lam, 0.4e6 / lam, law))
+        simulate_mod._kept_blocks.cache_clear()
+        with caplog.at_level(logging.DEBUG, "hapticsched.simulate"):
+            first, second = run(cfg), run(cfg)
+        assert background_sources(caplog) == ["drawn", "drawn"]
+        info = simulate_mod._kept_blocks.cache_info()
+        assert (info.hits, info.misses, info.currsize, info.maxsize) == (0, 0, 0, 1)
+        assert_reports_identical(second, first)
+
+    def test_the_memo_holds_the_last_kept_draw_only(self, caplog):
+        simulate_mod._kept_blocks.cache_clear()
+        with caplog.at_level(logging.DEBUG, "hapticsched.simulate"):
+            for seed in (1, 2, 1):
+                run(sim(S.FAST_UPLINK, seed=seed))
+        assert background_sources(caplog) == ["drawn and kept"] * 3
+        assert simulate_mod._kept_blocks.cache_info().currsize == 1
 
 
 def walk_entry(cfg):
