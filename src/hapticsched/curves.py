@@ -17,8 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConfigError, InfeasibleError
 from .radio import RadioConfig, SchedulingScheme
 from .scheduling import period_charge

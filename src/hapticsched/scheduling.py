@@ -15,8 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConfigError
 from .radio import (
     RadioConfig,
@@ -206,7 +205,6 @@ class SlotEvents:
     """Resolved outcome of a scheme's slotted machine over one span of slots."""
 
     data_slots: np.ndarray       # slots carrying a latency-critical transmission
-    reserved_slots: np.ndarray   # slots claimed by standing grants whether used or not
     tx_arrival_slots: np.ndarray
     delays_s: np.ndarray
     dropped_arrival_slots: np.ndarray
@@ -242,16 +240,12 @@ def slotted_machine(scheme: SchedulingScheme, radio: RadioConfig, haptic: Haptic
     """
     tti = radio.tti_ns
     k_pg = radio.t_pg_ns // tti
-    granted, gated, reserved, last_grant = sa[:0], sa, sa[:0], None
+    granted, gated, last_grant = sa[:0], sa, None
     if scheme is SchedulingScheme.SEMI_PERSISTENT:
         granted, gated, last_grant = sa, sa[:0], n_slots
-        reserved = np.arange(0, n_slots, k_pg, dtype=np.int64)
     elif scheme is SchedulingScheme.SOFT_RESERVATION:
-        k_p, k_b = ceil_div(haptic.t_p_ns, tti), haptic.t_b_ns // tti
-        in_burst = _in_burst(sa, k_p, k_b)
+        in_burst = _in_burst(sa, ceil_div(haptic.t_p_ns, tti), haptic.t_b_ns // tti)
         granted, gated = sa[in_burst], sa[~in_burst]
-        reserved = np.arange(0, n_slots, k_pg, dtype=np.int64)
-        reserved = reserved[_in_burst(reserved, k_p, k_b)]
     # each rule's (data slots, sent arrivals, delays in slots, dropped
     # arrivals), from a non-empty set only: an empty one gives empty arrays
     parts = []
@@ -270,7 +264,23 @@ def slotted_machine(scheme: SchedulingScheme, radio: RadioConfig, haptic: Haptic
         data, sent, delay, dropped = parts[0]
     else:  # SRR's burst first, or no arrival at all
         data, sent, delay, dropped = (np.concatenate(field) for field in zip(*parts or [(sa[:0],) * 4]))
-    return SlotEvents(data, reserved, sent, delay * tti / 1e9, dropped, busy)
+    return SlotEvents(data, sent, delay * tti / 1e9, dropped, busy)
+
+
+def reserved_slots(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel,
+                   n_slots: int) -> np.ndarray:
+    """The slots of n_slots, from a period start that is also a grant
+    instant, that standing grants claim whether used or not: every grant
+    slot for SPS, those in a burst (as slotted_machine splits them) for SRR,
+    none for DS and FA.  They depend on the configuration alone, so the
+    simulator lays them out once per configuration, not per chunk."""
+    if scheme not in (SchedulingScheme.SEMI_PERSISTENT, SchedulingScheme.SOFT_RESERVATION):
+        return np.empty(0, dtype=np.int64)
+    tti = radio.tti_ns
+    reserved = np.arange(0, n_slots, radio.t_pg_ns // tti, dtype=np.int64)
+    if scheme is SchedulingScheme.SOFT_RESERVATION:
+        reserved = reserved[_in_burst(reserved, ceil_div(haptic.t_p_ns, tti), haptic.t_b_ns // tti)]
+    return reserved
 
 
 def drop_walk(

@@ -50,11 +50,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConfigError, InfeasibleError
 from .radio import RadioConfig, SchedulingScheme, haptic_blocks
-from .scheduling import SlotEvents, drop_walk, slot_grid_problems, slot_periods, slotted_machine
+from .scheduling import SlotEvents, drop_walk, reserved_slots, slot_grid_problems, slot_periods, slotted_machine
 from .traffic import (
     ArrivalTimeline,
     HapticTrafficModel,
@@ -374,6 +373,7 @@ def _walk_horizon(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTr
     n_full, rest = divmod(n_slots, span)
     period_sa = period_arrival_offsets_ns(haptic) // tti
     chunk_sa = (np.arange(min(span, n_slots) // k_p, dtype=np.int64)[:, None] * k_p + period_sa).ravel()
+    chunk_reserved = reserved_slots(scheme, radio, haptic, span)  # the same in every full chunk
 
     walked, seen, busy = [], {}, 0  # seen: entry busy -> index into walked
     while len(walked) < n_full and busy not in seen:
@@ -391,9 +391,9 @@ def _walk_horizon(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTr
         # from start + reach on only cycle chunks spill into a chunk
         spill = np.concatenate([e.data_slots for e in walked])
         spill = spill[spill >= span]
-        if len(spill):  # reserved slots are the same in every full chunk
+        if len(spill):
             is_reserved = np.zeros(span, dtype=bool)
-            is_reserved[walked[0].reserved_slots] = True
+            is_reserved[chunk_reserved] = True
             spill = spill[~is_reserved[spill % span]]
         reach = int(spill.max()) // span if len(spill) else 0
         prefix_slots, end = (start + reach) * span, (start + reach + cycle) * span
@@ -423,7 +423,7 @@ def _walk_horizon(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTr
     # profile marks each once.  A partial chunk's reserved slots are a full
     # one's cut at its end, as the horizon cuts them here
     laid = order[:-(-end // span)].tolist()
-    reserved = (np.arange(len(laid), dtype=np.int64)[:, None] * span + walked[0].reserved_slots).ravel()
+    reserved = (np.arange(len(laid), dtype=np.int64)[:, None] * span + chunk_reserved).ravel()
     slots = np.concatenate([reserved,
                             *[walked[i].data_slots + c * span for c, i in enumerate(laid)]])
     cycle_slots = end - prefix_slots

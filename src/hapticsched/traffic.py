@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConfigError
 from .units import NS_PER_S, ceil_div, positive_ns, to_ns
 

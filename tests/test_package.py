@@ -1,12 +1,24 @@
-"""Checks on the package as a whole: its documented entry point runs, and
-it needs nothing beyond numpy and the standard library."""
+"""Checks on the package as a whole: its documented entry point runs, it
+needs nothing beyond numpy and the standard library, and it loads numpy on
+first array use only.  The suite imports numpy itself, so the loading is
+checked in fresh interpreters."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports the package from src."""
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=False)
 
 
 def test_readme_quick_start_runs():
@@ -32,3 +44,46 @@ def test_src_depends_on_numpy_only():
                 continue
             foreign += [f"{path.name}: {m}" for m in modules if m.partition(".")[0] not in allowed]
     assert not foreign
+
+
+@pytest.mark.parametrize("hide", [
+    'sys.modules["numpy"] = None',
+    'sys.path[:] = [p for p in sys.path if "-packages" not in p]',
+], ids=["import-blocked", "not-installed"])
+def test_a_missing_numpy_fails_at_import(hide):
+    code = f"""
+import sys
+{hide}
+try:
+    import hapticsched
+except ModuleNotFoundError as exc:
+    print(exc.name)
+"""
+    done = fresh_python(code)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "numpy\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound"],
+    ["remainder"],
+    ["sweep", "--param", "t_ib", "--from", "1ms", "--to", "3ms", "--steps", "41"],
+    ["sweep", "--param", "tti", "--values", "0.125ms,0.25ms,0.5ms,1ms"],
+], ids=["bound", "remainder", "sweep-t_ib", "sweep-tti"])
+def test_closed_form_verbs_never_load_numpy(argv):
+    code = """
+import contextlib, io, sys
+from hapticsched.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    status = main(sys.argv[1:])
+print(status, len(out.getvalue().splitlines()) > 1, "numpy._core" in sys.modules)
+"""
+    done = fresh_python(code, *argv)
+    assert (done.stdout, done.stderr) == ("0 True False\n", "")
+
+
+def test_simulate_loads_numpy_on_first_use():
+    """The documented command's stdout, byte for byte, with numpy loaded by
+    the first array the run builds rather than by the import."""
+    done = fresh_python("from hapticsched.cli import entry; entry()", "simulate", "--horizon", "30s", "--seed", "3")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (ROOT / "tests" / "golden" / "simulate_30s_seed3.csv").read_text()

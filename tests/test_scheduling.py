@@ -26,6 +26,7 @@ from hapticsched.scheduling import (
     demand_gate,
     drop_counts,
     period_charge,
+    reserved_slots,
     slot_grid_problems,
     slotted_machine,
     standing_grants,
@@ -479,7 +480,8 @@ class TestPeriodChargeCache:
 
 def machine_with_both_rules(scheme, radio, haptic, sa, n_slots, busy):
     """slotted_machine with both rules called directly on every arrival
-    set, empty or not: the reference for skipping an empty set."""
+    set, empty or not, and the slots its standing grants reserve: the
+    reference for skipping an empty set and for reserved_slots."""
     tti = radio.tti_ns
     k_pg = radio.t_pg_ns // tti
     no_slots = np.array([], dtype=np.int64)
@@ -500,12 +502,26 @@ def machine_with_both_rules(scheme, radio, haptic, sa, n_slots, busy):
     rejected[acc] = False
     return SlotEvents(
         np.concatenate([grant[served], data]),
-        reserved,
         np.concatenate([granted[served], gated[acc]]),
         np.concatenate([grant[served] - granted[served] + 4, delay]) * tti / 1e9,
         np.concatenate([granted[superseded], gated[rejected]]),
         busy,
-    )
+    ), reserved
+
+
+def assert_machine_equals_both_rules(scheme, radio_cfg, h, sa, n_slots, busy):
+    """Every field of slotted_machine, and reserved_slots over the same
+    slots, equal machine_with_both_rules, dtypes included."""
+    got = slotted_machine(scheme, radio_cfg, h, sa, n_slots, busy)
+    expected, expected_reserved = machine_with_both_rules(scheme, radio_cfg, h, sa, n_slots, busy)
+    pairs = [(getattr(got, name), getattr(expected, name), name)
+             for name in ("data_slots", "tx_arrival_slots", "delays_s", "dropped_arrival_slots")]
+    pairs.append((reserved_slots(scheme, radio_cfg, h, n_slots), expected_reserved, "reserved_slots"))
+    for got_field, expected_field, name in pairs:
+        assert got_field.dtype == expected_field.dtype, name
+        assert np.array_equal(got_field, expected_field), name
+    assert got.busy_end == expected.busy_end
+    assert type(got.busy_end) is type(expected.busy_end)
 
 
 class TestSlottedMachineSkipsEmptySets:
@@ -521,13 +537,7 @@ class TestSlottedMachineSkipsEmptySets:
         lo = data.draw(st.integers(0, len(offs)), label="lo")
         sa = offs[lo:data.draw(st.integers(lo, len(offs)), label="hi")]
         busy = data.draw(st.integers(0, k_p + 8), label="busy")
-        got = slotted_machine(cfg.scheme, cfg.radio, cfg.haptic, sa, k_p, busy)
-        expected = machine_with_both_rules(cfg.scheme, cfg.radio, cfg.haptic, sa, k_p, busy)
-        for name in ("data_slots", "reserved_slots", "tx_arrival_slots", "delays_s", "dropped_arrival_slots"):
-            assert getattr(got, name).dtype == getattr(expected, name).dtype, name
-            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
-        assert got.busy_end == expected.busy_end
-        assert type(got.busy_end) is type(expected.busy_end)
+        assert_machine_equals_both_rules(cfg.scheme, cfg.radio, cfg.haptic, sa, k_p, busy)
 
 
 class TestSlottedBurstSplitEqualsRemainder:
@@ -571,9 +581,4 @@ class TestSlottedBurstSplitEqualsRemainder:
         k_p = ceil_div(h.t_p_ns, tti)
         sa = (np.arange(periods, dtype=np.int64)[:, None] * k_p + period_arrival_offsets_ns(h) // tti).ravel()
         sa = sa[sa < n_slots]
-        got = slotted_machine(S.SOFT_RESERVATION, radio_cfg, h, sa, n_slots, busy)
-        expected = machine_with_both_rules(S.SOFT_RESERVATION, radio_cfg, h, sa, n_slots, busy)
-        for name in ("data_slots", "reserved_slots", "tx_arrival_slots", "delays_s", "dropped_arrival_slots"):
-            assert getattr(got, name).dtype == getattr(expected, name).dtype, name
-            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
-        assert got.busy_end == expected.busy_end
+        assert_machine_equals_both_rules(S.SOFT_RESERVATION, radio_cfg, h, sa, n_slots, busy)

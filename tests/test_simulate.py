@@ -32,7 +32,7 @@ from hapticsched import (
 )
 from hapticsched import simulate as simulate_mod
 from hapticsched.experiments import load_config
-from hapticsched.scheduling import slot_periods, slotted_machine
+from hapticsched.scheduling import reserved_slots, slot_periods, slotted_machine
 
 S = SchedulingScheme
 LEFTOVER = LeftoverTrafficModel(4.0, 12000.0)
@@ -505,16 +505,18 @@ def reference_haptic_layer(config):
             walked.append(slotted_machine(config.scheme, config.radio, config.haptic, chunk_sa, span, busy))
         order.append(seen[busy])
         busy = max(walked[order[-1]].busy_end - span, 0)
+    reserved = [reserved_slots(config.scheme, radio, haptic, span)] * len(walked)
     rest = n_slots % span
     if rest:
         order.append(len(walked))
         walked.append(slotted_machine(config.scheme, config.radio, config.haptic, chunk_sa[chunk_sa < rest], rest, busy))
+        reserved.append(reserved_slots(config.scheme, radio, haptic, rest))
 
     def tiled(field, shift=span):
         return tile_gather([getattr(e, field) for e in walked], order, shift)
 
     tx_slots, dropped_slots = tiled("tx_arrival_slots"), tiled("dropped_arrival_slots")
-    occupied = np.unique(np.concatenate([tiled("data_slots"), tiled("reserved_slots")]))
+    occupied = np.unique(np.concatenate([tiled("data_slots"), tile_gather(reserved, order, span)]))
     occupied = occupied[occupied < n_slots]
     reduced = (radio.n_channels - haptic_blocks(radio)) * radio.channel_rate
     profile = FlatProfile(occupied, n_slots, tti, radio.total_rate, reduced)
@@ -950,6 +952,14 @@ class TestHapticLayerMemo:
         # the per-period counts span the horizon: each run gathers its own
         assert a.haptic_period_counts is not b.haptic_period_counts
         assert a.haptic_period_counts.flags.writeable
+
+    def test_a_multi_chunk_walk_lays_out_the_reserved_slots_once(self):
+        cfg = offgrid(S.SOFT_RESERVATION)
+        simulate_mod._walk_horizon.cache_clear()
+        with mock.patch.object(simulate_mod, "reserved_slots", wraps=reserved_slots) as laid:
+            walked_chunks = walk_entry(cfg).record[-1]
+        assert walked_chunks > 2
+        assert laid.call_count == 1
 
     def test_every_run_writes_its_path_record(self, caplog):
         cfg = offgrid(S.SOFT_RESERVATION)
