@@ -211,31 +211,43 @@ class _CapacityProfile:
 
         Segment bounds lie on slot bounds, so each slot's segment start,
         cumulative supply and rate are table entries: supply_at reads them
-        at the slot of each time.  Bit targets fall into one bucket per
-        slot.  Each bucket holds the last rising segment that starts in an
-        earlier bucket (0 if none); the bucket map is nondecreasing, so that
-        segment starts at or before every target in the bucket, and a
-        forward walk over the segments that start inside the bucket finishes
-        the lookup.  time_of_supply then reads the segment's cumulative
-        supply, rate and start, the start as the float its sum converts it
-        to."""
+        at the slot of each time.  Bit targets fall into equal buckets, of
+        the profile's bits split finer than its narrowest rising segment,
+        but at most two per slot.  Each bucket holds the last rising segment
+        that starts in an earlier bucket (0 if none); the bucket map is
+        nondecreasing, so that segment starts at or before every target in
+        the bucket, and the segments that start inside the bucket finish
+        the lookup.  When no bucket holds two starts, as _bucket places
+        them, that is one step, to the next segment or not (one_step);
+        otherwise it is a forward walk.  time_of_supply then reads the
+        segment's cumulative supply, rate and start, the start as the float
+        its sum converts it to."""
         slot_seg = np.repeat(np.arange(len(self.seg_t)), self._seg_slots)
         self.slot_t, self.slot_S, self.slot_rate = self.seg_t[slot_seg], self.seg_S[slot_seg], self.seg_rate[slot_seg]
         if len(self.ris_S):
-            self._buckets_per_bit = self.slots / (self.prefix_bits + self.cycle_bits)
+            total = self.prefix_bits + self.cycle_bits
+            narrowest = float(np.min(self.ris_rate * self._seg_slots[self.seg_rate > 0])) * self.tti_ns / 1e9
+            need = total / narrowest if narrowest else math.inf  # buckets of the narrowest segment's width
+            self._buckets = int(min(need, 2 * self.slots - 1)) + 1
+            self._buckets_per_bit = self._buckets / total
             own = self._bucket(self.ris_S)
+            self.one_step = bool(np.all(own[1:] != own[:-1]))
             # buckets 0..own[0] hold segment 0, and own[j]+1..own[j+1] hold j
             self.bucket_seg = np.repeat(np.maximum(np.arange(-1, len(own)), 0),
-                                        np.diff(own, prepend=-1, append=self.slots - 1))
+                                        np.diff(own, prepend=-1, append=self._buckets - 1))
             self._next_S = np.append(self.ris_S[1:], np.nan)  # NaN: the walk stops at the last segment
             self._ris_t_float = self.ris_t.astype(float)
 
-    def _bucket(self, bits: np.ndarray) -> np.ndarray:
+    def _bucket(self, bits: np.ndarray, lo: float = math.nan, hi: float = math.nan) -> np.ndarray:
         """Bucket of each bit target, nondecreasing in the target; NaN and
-        targets outside the profile go to the first or the last bucket."""
+        targets outside the profile go to the first or the last bucket.
+        Targets known to lie in [lo, hi] need no clamp when that range maps
+        inside the buckets: a rounded product by a positive factor keeps
+        the order of its operands."""
         b = np.multiply(bits, self._buckets_per_bit)
-        np.fmax(b, 0, out=b)
-        np.fmin(b, self.slots - 1, out=b)
+        if not (lo >= 0 and hi * self._buckets_per_bit < self._buckets):
+            np.fmax(b, 0, out=b)
+            np.fmin(b, self._buckets - 1, out=b)
         return b.astype(np.intp)
 
     def supply_at(self, t_ns) -> np.ndarray:
@@ -269,18 +281,22 @@ class _CapacityProfile:
         supply_at.  The targets are only read.
 
         Without lookup tables the segment is a binary search.  With them
-        (build_lookup_tables) it is a bucket lookup and a short walk.  The
+        (build_lookup_tables) it is a bucket lookup and one step, or a
+        short walk where a bucket holds more than one segment start.  The
         fold into the cycle and the evaluation are the same either way and
         run in place on the call's own temporaries, so both give the same
         bits."""
         bits = np.asarray(bits, dtype=float)
         shape, bits = bits.shape, bits.ravel()  # 0-d too: the fold and the walk below assign into arrays
-        if len(self.ris_S) == 0:
+        if len(self.ris_S) == 0 or len(bits) == 0:
             return np.full(shape, np.inf)[()]
-        past = bits > self.total_bits * (1 + 1e-12)
-        any_past = past.any()
-        if any_past:  # folded, a target far past the horizon can overflow
+        # a maximum or minimum over the targets decides whether a mask is
+        # needed at all; a NaN among them makes it NaN, and the mask decides
+        limit, past = self.total_bits * (1 + 1e-12), None
+        if not bits.max() <= limit:  # folded, a target far past the horizon can overflow
+            past = bits > limit
             bits = np.where(past, 0.0, bits)
+        lo = hi = math.nan  # bounds on res, where known
         if self.cycle_bits <= 0:  # nothing accrues after the prefix
             k, res = np.zeros(bits.shape), bits  # res may be the caller's: read only
         else:  # targets inside the prefix do not fold
@@ -290,15 +306,20 @@ class _CapacityProfile:
             np.maximum(k, 0, out=k)
             res = np.multiply(k, self.cycle_bits)
             np.subtract(bits, res, out=res)
-            low = res < self.prefix_bits
-            low &= k > 0
-            if low.any():
-                k[low] -= 1
-                res[low] += self.cycle_bits
-            high = res >= self.prefix_bits + self.cycle_bits
-            if high.any():
-                k[high] += 1
-                res[high] -= self.cycle_bits
+            lo, hi = res.min(), res.max()
+            if not lo >= self.prefix_bits:  # below it, a target of the prefix or one folded a cycle too far
+                low = res < self.prefix_bits
+                low &= k > 0
+                if low.any():
+                    k[low] -= 1
+                    res[low] += self.cycle_bits
+                    lo = hi = math.nan
+            if not hi < self.prefix_bits + self.cycle_bits:
+                high = res >= self.prefix_bits + self.cycle_bits
+                if high.any():
+                    k[high] += 1
+                    res[high] -= self.cycle_bits
+                    lo = hi = math.nan
         # the last rising segment that starts at or before res, or 0
         if self.bucket_seg is None:
             j = self.ris_S.searchsorted(res, side="right")
@@ -306,11 +327,14 @@ class _CapacityProfile:
             np.maximum(j, 0, out=j)  # searchsorted returns at most len(ris_S), so only 0 can be undershot
             starts = self.ris_t  # converted to float as the sum below converts it
         else:
-            j = self.bucket_seg.take(self._bucket(res))
-            walk = np.flatnonzero(self._next_S.take(j) <= res)
-            while len(walk):
-                j[walk] += 1
-                walk = walk[self._next_S[j[walk]] <= res[walk]]
+            j = self.bucket_seg.take(self._bucket(res, lo, hi))
+            if self.one_step:  # the bucket's own segment start, if any, is the next one
+                j += self._next_S.take(j) <= res
+            else:
+                walk = np.flatnonzero(self._next_S.take(j) <= res)
+                while len(walk):
+                    j[walk] += 1
+                    walk = walk[self._next_S[j[walk]] <= res[walk]]
             starts = self._ris_t_float
         dt_ns = self.ris_S.take(j)
         np.subtract(res, dt_ns, out=dt_ns)
@@ -320,7 +344,7 @@ class _CapacityProfile:
         t_ns += starts.take(j)
         t_ns += dt_ns
         t_ns /= 1e9
-        if any_past:
+        if past is not None:
             t_ns[past] = np.inf
         return t_ns.reshape(shape)[()]
 
@@ -493,6 +517,7 @@ def _timeline_blocks(timeline: ArrivalTimeline, times: Iterator[np.ndarray]) -> 
         carry = cum[-1]
         before = np.subtract(cum, sizes, out=sizes)
         yield _Block(a, np.round(a * 1e9).astype(np.int64), cum, before, int(a.searchsorted(t_mid, side="right")))
+        del a, sizes, cum, before  # released before the next block is drawn
 
 
 @functools.lru_cache(maxsize=1)
@@ -573,6 +598,7 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: f
         kept += done - start
         if done < len(a):
             break
+        del block, a, level, completion  # released before the next block is drawn
     for a in rest:  # past the first unfinished packet: counted, with no sizes drawn
         n += len(a)
         arrived_mid += int(a.searchsorted(t_mid, side="right"))

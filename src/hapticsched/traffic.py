@@ -152,14 +152,18 @@ class ArrivalTimeline:
         """The arrival times in order, in blocks of at most block values.
 
         Gaps are exponential with mean 1/lambda_rate, drawn count_bound at a
-        time: the first chunk's cumulative sums are the first times, and
-        while the last time is within the horizon each further chunk adds
-        its own sums to it.  A block draws at most block gaps of one chunk
-        and sums them on from the block before, in the order of one pass
-        over the chunk; the generator uses up its stream value by value, so
-        the times are the same however the blocks fall.  An instant drawn
+        time as standard exponentials scaled in place by the mean: numpy's
+        exponential(scale) is scale times a standard exponential, so these
+        are its bits.  The first chunk's cumulative sums are the first
+        times, and while the last time is within the horizon each further
+        chunk adds its own sums to it.  A block draws at most block gaps of
+        one chunk and sums them on from the block before, in the order of
+        one pass over the chunk; the generator uses up its stream value by
+        value, so the times are the same however the blocks fall.  An instant drawn
         twice (a zero gap, or one lost to rounding) is kept once, and each
-        block is checked on from the last (see _check_times).
+        block is checked on from the last (see _check_times); one pass over
+        the block finds both, and the dedupe and the full check run only
+        when it does.
         """
         rng = np.random.default_rng(self.seed)
         mean_gap, chunk, horizon = 1.0 / self.model.lambda_rate, self.count_bound, self.horizon_s
@@ -167,7 +171,8 @@ class ArrivalTimeline:
         drawn, last = 0, -math.inf  # gaps drawn of this chunk, the last time yielded
         while True:
             n = min(block, chunk - drawn)
-            times = rng.exponential(mean_gap, n)
+            times = rng.standard_exponential(n)
+            times *= mean_gap
             times[0] += total
             np.cumsum(times, out=times)
             total, drawn = times[-1], drawn + n
@@ -179,14 +184,17 @@ class ArrivalTimeline:
             # to the horizon are a prefix, and a repeated instant is adjacent
             end = int(times.searchsorted(horizon, side="right"))
             times = times[:end]
-            if end:
-                repeated = times[1:] == times[:-1]
-                if times[0] == last or repeated.any():
-                    times = times[np.concatenate([[times[0] != last], ~repeated])]
+            # one pass finds a repeated instant and a time out of order
+            # alike: without either, a block that starts at 0 or later is
+            # strictly increasing from last and, cut at the horizon, within it
+            if end and (times[0] <= last or times[0] < 0 or (times[1:] <= times[:-1]).any()):
+                times = times[np.concatenate([[times[0] != last], times[1:] != times[:-1]])]
+                if len(times):
+                    _check_times(times, horizon, last)
             if len(times):
-                _check_times(times, horizon, last)
                 last = times[-1]
                 yield times
+            del times  # released before the next block is drawn
             if end < n:
                 return
 
@@ -194,7 +202,9 @@ class ArrivalTimeline:
         """A function that draws the next n sizes, in arrival order, of a
         fresh size draw.  Exponential sizes come from a stream of their
         own, SeedSequence(seed).spawn(1)[0], which uses up its values one
-        by one, so one draw and a draw in pieces give the same sizes."""
+        by one, so one draw and a draw in pieces give the same sizes; they
+        are standard exponentials scaled in place by sigma, the bits of
+        exponential(sigma), as in time_blocks."""
         sigma, rng = float(self.model.sigma), None
         if self.model.size_distribution is SizeDistribution.EXPONENTIAL_MEAN:
             rng = np.random.default_rng(np.random.SeedSequence(self.seed).spawn(1)[0])
@@ -203,7 +213,8 @@ class ArrivalTimeline:
             if rng is None:
                 sizes = np.full(n, sigma)
             else:
-                sizes = rng.exponential(sigma, n)
+                sizes = rng.standard_exponential(n)
+                sizes *= sigma
                 np.maximum(sizes, np.finfo(float).tiny, out=sizes)
             if (sizes <= 0).any():
                 raise ValueError("sizes must be positive")

@@ -394,6 +394,14 @@ class TestLookupTablesEqualSearch:
     # 2000 cycles of 30 slots with a prefix: k * cycle_bits rounds at every fold
     @example(case=((np.array([3, 8, 9, 20]), 2, 30, 2 + 30 * 2000 + 7, 500_000, 1e6, 0.25e6),
                    np.arange(0, (2 + 30 * 2000 + 7) * 500_000, 1_250_007), 11), seed=3)
+    # every other slot at 0.8 of the rate, as under a latency-critical load:
+    # buckets narrower than a segment, so one step resolves every target
+    @example(case=((np.arange(0, 40, 2), 3, 40, 3 + 40 * 50 + 9, 500_000, 1e6, 0.8e6),
+                   np.arange(0, (3 + 40 * 50 + 9) * 500_000, 312_501), 13), seed=4)
+    # the same at 0.2 of the rate: such buckets would number past two per
+    # slot, so the map stops there and a bucket can hold two starts (a walk)
+    @example(case=((np.arange(0, 40, 2), 3, 40, 3 + 40 * 50 + 9, 500_000, 1e6, 0.2e6),
+                   np.arange(0, (3 + 40 * 50 + 9) * 500_000, 312_501), 13), seed=5)
     def test_identical_arrays(self, case, seed):
         args, times, scalar = case
         search, tables = simulate_mod._CapacityProfile(*args), simulate_mod._CapacityProfile(*args)
@@ -408,9 +416,10 @@ class TestLookupTablesEqualSearch:
         rng = np.random.default_rng(seed)
         supply = search.supply_at(times)
         total = search.total_bits
+        starts = np.concatenate([search.ris_S, search.ris_S + search.cycle_bits])
         targets = np.concatenate([
-            supply, np.nextafter(supply, -np.inf), np.nextafter(supply, np.inf), search.ris_S,
-            search.ris_S + search.cycle_bits, rng.uniform(-0.1, 1.5, 200) * total,
+            supply, np.nextafter(supply, -np.inf), np.nextafter(supply, np.inf), starts,
+            np.nextafter(starts, -np.inf), np.nextafter(starts, np.inf), rng.uniform(-0.1, 1.5, 200) * total,
             [0.0, -1.0, total, total * (1 + 1e-12), total * 1.001, 1e300, np.inf, -np.inf, np.nan]])
         targets_before = targets.copy()
         with np.errstate(invalid="ignore"):
@@ -423,6 +432,26 @@ class TestLookupTablesEqualSearch:
                 got, want = tables.time_of_supply(bits), search.time_of_supply(bits)
                 assert type(got) is type(want) is np.float64
                 assert got == want == search.time_of_supply(np.array([target]))[0]
+
+    @pytest.mark.parametrize("reduced, buckets, one_step", [
+        (0.8e6, 46, True),   # 18,000 bits, the narrowest segment 400 of them: 45 buckets wide enough, one more
+        (0.2e6, 80, False),  # 12,000 bits, the narrowest 100: 120 buckets, capped at two per slot
+    ])
+    def test_the_path_a_profile_takes(self, reduced, buckets, one_step):
+        # 40 slots, every other one occupied; segment starts ±1 ulp, 0, NaN
+        # and targets past the horizon resolve as the binary search does
+        args = (np.arange(0, 40, 2), 0, 40, 40 * 50, 500_000, 1e6, reduced)
+        search, tables = simulate_mod._CapacityProfile(*args), simulate_mod._CapacityProfile(*args)
+        tables.build_lookup_tables()
+        assert (tables._buckets, tables.one_step) == (buckets, one_step)
+        starts = search.ris_S + 7 * search.cycle_bits
+        targets = np.concatenate([starts, np.nextafter(starts, -np.inf), np.nextafter(starts, np.inf),
+                                  [0.0, np.nan, search.total_bits * 1.001, np.inf]])
+        with np.errstate(invalid="ignore"):
+            got, want = tables.time_of_supply(targets), search.time_of_supply(targets)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got[:len(starts)], (search.ris_t + 7 * search.cycle_ns) / 1e9)  # a start is its own segment's
+        assert got[-4] == 0.0 and np.isnan(got[-3]) and got[-2] == got[-1] == np.inf
 
 
 def tile_gather(parts: list[np.ndarray], order: list[int], span: int) -> np.ndarray:
@@ -767,8 +796,8 @@ class TestBlockWalkEqualsWholeArrayPass:
             def __init__(self, seed):
                 self._rng = default_rng(seed)
 
-            def exponential(self, scale, size):
-                return self._rng.exponential(scale / 2, size)
+            def standard_exponential(self, size):
+                return self._rng.standard_exponential(size) / 2
 
         cfg = sim(S.DYNAMIC, horizon=200.0)
         bound = simulate_mod.leftover_arrivals(cfg.leftover, 200.0, cfg.seed).count_bound

@@ -193,57 +193,95 @@ def unique_reference(model, horizon, seed):
 
 
 class ZeroingGenerator:
-    """A seeded generator whose exponential draws are zero at every
-    every-th position of its stream: a zero gap repeats an arrival instant.
-    As in a real generator, n draws at once and in blocks give the same
-    values."""
+    """A seeded generator whose exponential draws, standard or scaled, are
+    zero at every every-th position of its stream: a zero gap repeats an
+    arrival instant.  As in a real generator, n draws at once and in blocks
+    give the same values, and a scaled draw is scale times a standard one."""
 
     def __init__(self, seed, every):
         self._rng = _default_rng(seed)
         self._every = every
         self._drawn = 0
 
-    def exponential(self, scale, size):
-        out = self._rng.exponential(scale, size)
+    def _zeroed(self, out):
         out[-self._drawn % self._every :: self._every] = 0.0
-        self._drawn += size
+        self._drawn += len(out)
         return out
+
+    def standard_exponential(self, size):
+        return self._zeroed(self._rng.standard_exponential(size))
+
+    def exponential(self, scale, size):
+        return self._zeroed(self._rng.exponential(scale, size))
 
 
 class GivenGaps:
-    """A generator whose exponential draws are the given gaps in turn, then
-    gaps of 10 s."""
+    """A generator whose standard exponential draws, scaled by the mean gap
+    of a timeline at 4 packets/s, are the given gaps in turn, then gaps of
+    10 s.  The mean gap is 1/4, a power of two, so the scaling is exact."""
+
+    mean_gap = 0.25
 
     def __init__(self, gaps):
         self._gaps = list(gaps)
 
-    def exponential(self, scale, size):
+    def standard_exponential(self, size):
         out = np.full(size, 10.0)
         head, self._gaps = self._gaps[:size], self._gaps[size:]
         out[:len(head)] = head
-        return out
+        return out / self.mean_gap
 
 
 class Recording:
-    """A seeded generator that records the size of each exponential draw."""
+    """A seeded generator that records the size of each standard
+    exponential draw."""
 
     def __init__(self, seed):
         self._rng = _default_rng(seed)
         self.sizes = []
 
-    def exponential(self, scale, size):
+    def standard_exponential(self, size):
         self.sizes.append(size)
-        return self._rng.exponential(scale, size)
+        return self._rng.standard_exponential(size)
 
 
 class EvenGaps:
-    """A generator whose exponential draws are all their mean."""
+    """A generator whose exponential draws, standard or scaled, are all
+    their mean."""
 
     def __init__(self, seed):
         pass
 
+    def standard_exponential(self, size):
+        return np.ones(size)
+
     def exponential(self, scale, size):
         return np.full(size, scale)
+
+
+class TestScaledStandardDrawEqualsExponential:
+    """The timeline draws its gaps and sizes as standard exponentials scaled
+    in place; for the installed numpy these must be the bits of
+    exponential(scale, n), drawn whole or in blocks, and leave the stream
+    where that draw leaves it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.5, 300.0).map(lambda lam: 1.0 / lam) | st.floats(1.0, 1e5),
+        blocks=st.lists(st.integers(1, 5000), min_size=1, max_size=6),
+    )
+    @example(seed=1, scale=0.25, blocks=[_BLOCK, 1, 7])
+    def test_same_bytes(self, seed, scale, blocks):
+        whole, scaled = _default_rng(seed), _default_rng(seed)
+        want = whole.exponential(scale, sum(blocks))
+        got = []
+        for n in blocks:
+            draw = scaled.standard_exponential(n)
+            draw *= scale
+            got.append(draw)
+        assert np.concatenate(got).tobytes() == want.tobytes()
+        assert scaled.bit_generator.state == whole.bit_generator.state
 
 
 class TestLeftoverArrivalsEqualUniqueReference:
@@ -368,6 +406,7 @@ class TestTimelineContainer:
 
     @pytest.mark.parametrize("gaps, message", [
         ([0.1, 0.1, -0.05, 0.1], "arrival times must be strictly increasing"),  # the second block starts behind the first
+        ([0.1, -0.05], "arrival times must be strictly increasing"),  # out of order inside the first block
         ([-0.1, 0.2], "arrival times must lie within \\[0, horizon\\]"),
     ])
     def test_drawn_blocks_checked(self, gaps, message):
