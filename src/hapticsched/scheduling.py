@@ -211,16 +211,6 @@ class SlotEvents:
     busy_end: int                # first slot at which a new SR procedure could start
 
 
-def _in_burst(slots: np.ndarray, k_p: int, k_b: int) -> np.ndarray:
-    """slots % k_p < k_b, each slot less its whole periods: an int64
-    remainder pass costs more than a floor division, a product and a
-    difference, and the two agree on every slot, a nonnegative int64."""
-    within = slots // k_p
-    within *= k_p
-    np.subtract(slots, within, out=within)
-    return within < k_b
-
-
 def slotted_machine(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel,
                     sa: np.ndarray, n_slots: int, busy: int = 0) -> SlotEvents:
     """Run the scheme's grant machine over n_slots slots that start on a
@@ -235,8 +225,8 @@ def slotted_machine(scheme: SchedulingScheme, radio: RadioConfig, haptic: Haptic
     gate takes DS and FA arrivals and SRR sparse ones.  The two arrival sets
     never interact, so their events are concatenated: burst first for SRR;
     a rule runs only on a non-empty set.  An SRR arrival is in a burst when
-    its slot within its period, ceil(t_p / TTI) slots long, lies before the
-    burst end.
+    its slot modulo the period, ceil(t_p / TTI) slots, lies before the burst
+    end's slot.
     """
     tti = radio.tti_ns
     k_pg = radio.t_pg_ns // tti
@@ -244,7 +234,7 @@ def slotted_machine(scheme: SchedulingScheme, radio: RadioConfig, haptic: Haptic
     if scheme is SchedulingScheme.SEMI_PERSISTENT:
         granted, gated, last_grant = sa, sa[:0], n_slots
     elif scheme is SchedulingScheme.SOFT_RESERVATION:
-        in_burst = _in_burst(sa, ceil_div(haptic.t_p_ns, tti), haptic.t_b_ns // tti)
+        in_burst = sa % ceil_div(haptic.t_p_ns, tti) < haptic.t_b_ns // tti
         granted, gated = sa[in_burst], sa[~in_burst]
     # each rule's (data slots, sent arrivals, delays in slots, dropped
     # arrivals), from a non-empty set only: an empty one gives empty arrays
@@ -271,15 +261,15 @@ def reserved_slots(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticT
                    n_slots: int) -> np.ndarray:
     """The slots of n_slots, from a period start that is also a grant
     instant, that standing grants claim whether used or not: every grant
-    slot for SPS, those in a burst (as slotted_machine splits them) for SRR,
-    none for DS and FA.  They depend on the configuration alone, so the
-    simulator lays them out once per configuration, not per chunk."""
+    slot for SPS, for SRR those in a burst by slotted_machine's test of its
+    arrivals, none for DS and FA.  They depend on the configuration alone,
+    so the simulator lays them out once per configuration, not per chunk."""
     if scheme not in (SchedulingScheme.SEMI_PERSISTENT, SchedulingScheme.SOFT_RESERVATION):
         return np.empty(0, dtype=np.int64)
     tti = radio.tti_ns
     reserved = np.arange(0, n_slots, radio.t_pg_ns // tti, dtype=np.int64)
     if scheme is SchedulingScheme.SOFT_RESERVATION:
-        reserved = reserved[_in_burst(reserved, ceil_div(haptic.t_p_ns, tti), haptic.t_b_ns // tti)]
+        reserved = reserved[reserved % ceil_div(haptic.t_p_ns, tti) < haptic.t_b_ns // tti]
     return reserved
 
 

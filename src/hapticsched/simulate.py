@@ -238,16 +238,13 @@ class _CapacityProfile:
             self._next_S = np.append(self.ris_S[1:], np.nan)  # NaN: the walk stops at the last segment
             self._ris_t_float = self.ris_t.astype(float)
 
-    def _bucket(self, bits: np.ndarray, lo: float = math.nan, hi: float = math.nan) -> np.ndarray:
-        """Bucket of each bit target, nondecreasing in the target; NaN and
-        targets outside the profile go to the first or the last bucket.
-        Targets known to lie in [lo, hi] need no clamp when that range maps
-        inside the buckets: a rounded product by a positive factor keeps
-        the order of its operands."""
+    def _bucket(self, bits: np.ndarray) -> np.ndarray:
+        """Bucket of each bit target, nondecreasing in the target (a rounded
+        product by a positive factor keeps the order of its operands); NaN
+        and targets outside the profile go to the first or the last bucket."""
         b = np.multiply(bits, self._buckets_per_bit)
-        if not (lo >= 0 and hi * self._buckets_per_bit < self._buckets):
-            np.fmax(b, 0, out=b)
-            np.fmin(b, self._buckets - 1, out=b)
+        np.fmax(b, 0, out=b)
+        np.fmin(b, self._buckets - 1, out=b)
         return b.astype(np.intp)
 
     def supply_at(self, t_ns) -> np.ndarray:
@@ -296,7 +293,6 @@ class _CapacityProfile:
         if not bits.max() <= limit:  # folded, a target far past the horizon can overflow
             past = bits > limit
             bits = np.where(past, 0.0, bits)
-        lo = hi = math.nan  # bounds on res, where known
         if self.cycle_bits <= 0:  # nothing accrues after the prefix
             k, res = np.zeros(bits.shape), bits  # res may be the caller's: read only
         else:  # targets inside the prefix do not fold
@@ -306,20 +302,17 @@ class _CapacityProfile:
             np.maximum(k, 0, out=k)
             res = np.multiply(k, self.cycle_bits)
             np.subtract(bits, res, out=res)
-            lo, hi = res.min(), res.max()
-            if not lo >= self.prefix_bits:  # below it, a target of the prefix or one folded a cycle too far
+            if not res.min() >= self.prefix_bits:  # below it, a target of the prefix or one folded a cycle too far
                 low = res < self.prefix_bits
                 low &= k > 0
                 if low.any():
                     k[low] -= 1
                     res[low] += self.cycle_bits
-                    lo = hi = math.nan
-            if not hi < self.prefix_bits + self.cycle_bits:
+            if not res.max() < self.prefix_bits + self.cycle_bits:
                 high = res >= self.prefix_bits + self.cycle_bits
                 if high.any():
                     k[high] += 1
                     res[high] -= self.cycle_bits
-                    lo = hi = math.nan
         # the last rising segment that starts at or before res, or 0
         if self.bucket_seg is None:
             j = self.ris_S.searchsorted(res, side="right")
@@ -327,7 +320,7 @@ class _CapacityProfile:
             np.maximum(j, 0, out=j)  # searchsorted returns at most len(ris_S), so only 0 can be undershot
             starts = self.ris_t  # converted to float as the sum below converts it
         else:
-            j = self.bucket_seg.take(self._bucket(res, lo, hi))
+            j = self.bucket_seg.take(self._bucket(res))
             if self.one_step:  # the bucket's own segment start, if any, is the next one
                 j += self._next_S.take(j) <= res
             else:

@@ -206,7 +206,7 @@ def test_criterion_09_oracle_equivalence_grid():
     mismatched = []
     for cfg in cases:
         rep = run(cfg)
-        counts, delays, remainder = naive_outcome(cfg)
+        counts, delays, remainder, _ = naive_outcome(cfg)
         if not (np.array_equal(rep.haptic_period_counts, counts)
                 and np.array_equal(np.sort(np.repeat(rep.haptic_delays, rep.haptic_delay_counts)), delays)
                 and rep.remainder_bits_per_period == remainder):
