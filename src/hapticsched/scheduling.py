@@ -146,8 +146,8 @@ def period_charge(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTr
 
     Results are memoised, because the walk, the remainder and the envelope
     of one row each ask for the same count.  An entry keeps its models
-    alive, with the arrival offsets cached on them, so the cache holds two
-    grid points of four schemes, not a whole sweep.
+    alive, so the cache holds two grid points of four schemes, not a whole
+    sweep.
     """
     t_p, t_b = haptic.t_p_ns, haptic.t_b_ns
     if scheme is SchedulingScheme.SEMI_PERSISTENT:

@@ -16,17 +16,19 @@ arrivals.  Only the demand gate's busy slot crosses a chunk boundary,
 carried relative to the chunk start and clamped at 0; standing-grant data
 never does, because the grant at the boundary serves the freshest arrival
 before it.  A full chunk's events thus depend only on that entry state,
-so from the first entry state seen twice the chunks repeat: the horizon
-is a prefix of chunks and a cycle repeated to the end, and only the
-distinct chunks are walked.  On the grant grid, with no state crossing a
-period boundary, the chunk and the cycle are one period and the prefix is
-empty.  The partial final chunk is walked explicitly, since a grant past
-the horizon leaves its arrivals unresolved.  Of the latency-critical flow
-only the per-period counts span the horizon; each walked chunk's access
-delays are kept once, with the number of chunks that repeat them.  The
-walk depends on no seed and no background model, so the last one is
-memoised, keyed on (scheme, radio, haptic, n_periods), and every run
-gathers only its counts.
+so from the first entry state seen twice the chunks repeat: steady_cycle
+walks full chunks from an idle gate to there, a prefix and one cycle, and
+a run lays the prefix and then the cycle repeated to its horizon.  On the
+grant grid, with no state crossing a period boundary, the chunk and the
+cycle are one period and the prefix is empty.  The walk depends on no
+seed, background model or horizon, so the last one is memoised, keyed on
+(scheme, radio, haptic).  Each run walks its partial final chunk, since a
+grant past the horizon leaves its arrivals unresolved.  Of the
+latency-critical flow only the per-period counts span the horizon; each
+walked chunk's access delays are kept once, with the number of chunks
+that repeat them.  A horizon shorter than the prefix and one cycle still
+walks them whole: on chunks of thousands of periods a short run pays for
+the whole cycle's walk and profile.
 
 The background queue is walked in blocks of packets as the timeline of
 leftover_arrivals draws them on demand.  Each block draws its arrival
@@ -41,7 +43,6 @@ memoised.  A longer timeline streams and keeps nothing.
 
 from __future__ import annotations
 
-import copy
 import functools
 import logging
 import math
@@ -104,12 +105,17 @@ class SimConfig:
             problems.append(f"horizon: must be finite, got {self.horizon!r}")
         elif math.isinf(self.horizon * NS_PER_S):  # n_periods could not snap it
             problems.append(f"horizon: must be finite in nanoseconds, got {self.horizon!r}")
-        elif self.n_periods < 10:
+        elif (n_periods := self.n_periods) < 10:
             problems.append(
                 f"horizon: must cover at least 10 traffic periods, got {self.horizon!r} s "
                 f"with t_p={self.haptic.t_p!r} s"
             )
         else:
+            # arrays of eight-byte entries past sys.maxsize bytes, which numpy
+            # refuses by their size, not for want of memory
+            if n_periods * 2 * 8 > sys.maxsize:
+                problems.append(f"horizon: {n_periods:.3g} traffic periods over {self.horizon!r} s "
+                                f"have more per-period counts than an array holds")
             rate, lam, sigma = self.radio.total_rate, self.leftover.lambda_rate, self.leftover.sigma
             if rate * self.horizon * 1e9 > _SUM_LIMIT:
                 problems.append(f"radio.total_rate: {rate!r} b/s over a {self.horizon!r} s horizon "
@@ -117,6 +123,9 @@ class SimConfig:
             if lam * self.horizon * sigma > _SUM_LIMIT:
                 problems.append(f"leftover: {lam!r} packets/s of {sigma!r} bits over a {self.horizon!r} s "
                                 f"horizon overflow the simulator's queue sums")
+            elif ArrivalTimeline(self.leftover, self.horizon, self.seed).count_bound * 8 > sys.maxsize:
+                problems.append(f"leftover.lambda_rate: {lam!r} packets/s over a {self.horizon!r} s horizon "
+                                f"draws more arrival times than an array holds")
         if self.haptic.t_p_ns % self.radio.tti_ns:
             problems.append("haptic.t_p: must be a whole number of TTIs for simulation")
         problems.extend(slot_grid_problems(self.scheme, self.radio, self.haptic))
@@ -165,10 +174,11 @@ class _CapacityProfile:
     """Piecewise-linear cumulative background capacity over a prefix and one
     cycle repeated after it up to the horizon, evaluated and inverted
     exactly: a time or bit target past the prefix folds back into the
-    cycle, each completed cycle adding cycle_bits."""
+    cycle, each completed cycle adding cycle_bits.  total_bits, the capacity
+    up to the horizon, is None on a profile built with no horizon."""
 
     def __init__(self, occupied_slots: np.ndarray, prefix_slots: int, cycle_slots: int,
-                 horizon_slots: int, tti_ns: int, total_rate: float, reduced_rate: float):
+                 horizon_slots: int | None, tti_ns: int, total_rate: float, reduced_rate: float):
         self.prefix_ns, self.cycle_ns = prefix_slots * tti_ns, cycle_slots * tti_ns
         end = prefix_slots + cycle_slots
         occ = np.asarray(occupied_slots, dtype=np.int64)  # any order, repeats allowed
@@ -203,7 +213,7 @@ class _CapacityProfile:
                       self.ris_t, self.ris_S, self.ris_rate):
             array.flags.writeable = False  # a profile is shared by every run of its configuration
         self.slot_S = self.bucket_seg = None  # lookup tables, see build_lookup_tables
-        self.total_bits = float(self.supply_at(horizon_slots * tti_ns))
+        self.total_bits = None if horizon_slots is None else float(self.supply_at(horizon_slots * tti_ns))
 
     def build_lookup_tables(self) -> None:
         """Replace the binary searches of supply_at and time_of_supply by
@@ -342,140 +352,129 @@ class _CapacityProfile:
         return t_ns.reshape(shape)[()]
 
 
-def _chunk_order(n_chunks: int, start: int, cycle: int, partial_at: int | None) -> np.ndarray:
-    """order[c]: the index into the walked chunks of chunk c, the cycle
-    repeating from start on (the identity without a cycle, as start is then
-    the number of full chunks).  The partial chunk, chunk partial_at when
-    the horizon ends inside one, is walked last."""
+def _chunk_order(n_chunks: int, start: int, cycle: int) -> np.ndarray:
+    """order[c]: the index into the walked chunks of chunk c, the cycle of
+    walked[start:] repeating from chunk start on."""
     order = np.arange(n_chunks)
-    order[start:] = start + np.arange(n_chunks - start) % max(cycle, 1)
-    if partial_at is not None:
-        order[partial_at] = start + cycle
+    order[start:] = start + np.arange(n_chunks - start) % cycle
     return order
 
 
-class _WalkedHorizon(NamedTuple):
-    """The latency-critical layer of one configuration, less its one
-    horizon-long array, the per-period counts, which runs gather afresh
-    from the walked chunks' counts.  Its arrays are read-only."""
+def _count_periods(out: np.ndarray, events: SlotEvents, k_p: int) -> None:
+    """Fill out, (periods, 2), with a chunk's transmitted and dropped arrivals per period."""
+    out[:, 0] = np.bincount(events.tx_arrival_slots // k_p, minlength=len(out))
+    out[:, 1] = np.bincount(events.dropped_arrival_slots // k_p, minlength=len(out))
 
-    profile: _CapacityProfile
-    chunk_counts: np.ndarray   # (walked chunks, periods per chunk, 2): transmitted, dropped
-    order_args: tuple          # _chunk_order's arguments over the horizon
-    delays: np.ndarray         # each walked chunk's post-warm-up access delays once
-    delay_counts: np.ndarray   # chunks of the horizon that repeat each delay
-    occupancy: float           # mean occupied slots per period after warm-up
-    record: tuple              # the path record's arguments but the last, the replication blocker
-    first: SlotEvents          # chunk 0's events, which the blocker reads when the record is written
+
+class SteadyCycle(NamedTuple):
+    """The latency-critical flow of one configuration, with no horizon: the
+    full chunks from an idle gate to the end of their first cycle.  Its
+    arrays are read-only, and the walked chunks' events are only read."""
+
+    span: int                       # slots per chunk
+    arrivals: np.ndarray            # one chunk's arrival slots
+    walked: tuple[SlotEvents, ...]  # the prefix's chunks, then the cycle's
+    entries: tuple[int, ...]        # the busy gate each walked chunk is entered with
+    start: int                      # the cycle is walked[start:]
+    chunk_counts: np.ndarray        # (walked chunks, periods per chunk, 2): transmitted, dropped
+    profile: _CapacityProfile       # capacity over the prefix and one cycle, with no total
 
 
 @functools.lru_cache(maxsize=1)
-def _walk_horizon(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel,
-                  n_periods: int) -> _WalkedHorizon:
-    """Walk full chunks from an idle gate until their entry state repeats or
-    the horizon runs out (see the module docstring), then the partial final
-    chunk.  The delays' repeat counts and the capacity profile over the
-    prefix and one cycle (the horizon when no state repeats) read the chunk
-    order.
-
-    The walk is a pure function of its arguments, so it is memoised.  One
-    entry serves every caller that repeats a configuration: a seed list
-    runs all seeds of one (grid point, scheme) in a row, and
-    validate_against_walk and run read the same configuration.  Nothing
-    the entry holds grows with the horizon beyond the walked chunks.
-    """
+def steady_cycle(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel) -> SteadyCycle:
+    """Walk full chunks from an idle gate until their entry state repeats
+    (see the module docstring), and lay out the capacity profile over the
+    prefix and one cycle.  A pure function of its arguments, so memoised:
+    one entry serves every run of the configuration at any seed and any
+    horizon, as a seed list or validate_against_walk then run repeat it."""
     tti, k_p = radio.tti_ns, int(haptic.t_p_ns // radio.tti_ns)
-    n_slots = n_periods * k_p
     span = math.lcm(k_p, *(ns // tti for ns in slot_periods(scheme, radio).values()))
-    n_full, rest = divmod(n_slots, span)
-    period_sa = period_arrival_offsets_ns(haptic) // tti
-    chunk_sa = (np.arange(min(span, n_slots) // k_p, dtype=np.int64)[:, None] * k_p + period_sa).ravel()
+    chunk_sa = (np.arange(span // k_p, dtype=np.int64)[:, None] * k_p
+                + period_arrival_offsets_ns(haptic) // tti).ravel()
     chunk_reserved = reserved_slots(scheme, radio, haptic, span)  # the same in every full chunk
 
     walked, seen, busy = [], {}, 0  # seen: entry busy -> index into walked
-    while len(walked) < n_full and busy not in seen:
+    while busy not in seen:
         seen[busy] = len(walked)
         walked.append(slotted_machine(scheme, radio, haptic, chunk_sa, span, busy))
         busy = max(walked[-1].busy_end - span, 0)
-    start = seen.get(busy, len(walked))  # the cycle is walked[start:], empty if the horizon came first
+    start = seen[busy]
     cycle = len(walked) - start
 
-    prefix_slots, end = 0, n_slots  # the profile's prefix and end; without a cycle it spans the horizon
-    if cycle:
-        # transmissions can land in later chunks (the carried SR gate, the SPS
-        # boundary grant, the SRR flush grant); leaving out those on slots
-        # reserved there anyway, they reach at most `reach` chunks ahead, so
-        # from start + reach on only cycle chunks spill into a chunk
-        spill = np.concatenate([e.data_slots for e in walked])
-        spill = spill[spill >= span]
-        if len(spill):
-            is_reserved = np.zeros(span, dtype=bool)
-            is_reserved[chunk_reserved] = True
-            spill = spill[~is_reserved[spill % span]]
-        reach = int(spill.max()) // span if len(spill) else 0
-        prefix_slots, end = (start + reach) * span, (start + reach + cycle) * span
-    partial_at = None
-    if rest:  # entered as the chunk it replaces; the machine is causal, so the profile may read it there
-        entry = [*seen, busy][start + (n_full - start) % max(cycle, 1)]
-        walked.append(slotted_machine(scheme, radio, haptic, chunk_sa[chunk_sa < rest], rest, entry))
-        partial_at = n_full
-    n_chunks = n_full + bool(rest)
-    order = _chunk_order(max(n_full + 1, end // span), start, cycle, partial_at)
+    # transmissions can land in later chunks (the carried SR gate, the SPS
+    # boundary grant, the SRR flush grant); leaving out those on slots
+    # reserved there anyway, they reach at most `reach` chunks ahead, so
+    # from start + reach on only cycle chunks spill into a chunk
+    spill = np.concatenate([e.data_slots for e in walked])
+    spill = spill[spill >= span]
+    if len(spill):
+        is_reserved = np.zeros(span, dtype=bool)
+        is_reserved[chunk_reserved] = True
+        spill = spill[~is_reserved[spill % span]]
+    reach = int(spill.max()) // span if len(spill) else 0
+    laid = _chunk_order(start + reach + cycle, start, cycle).tolist()
 
-    # each chunk's counts span a full chunk's periods; runs gather them in the
-    # chunk order and cut them off at the horizon
-    counts = np.zeros((len(walked), span // k_p, 2), dtype=np.intp)
+    # the slots of the chunks the profile spans, repeats and all: the
+    # profile marks each once
+    end = len(laid) * span
+    reserved = (np.arange(len(laid), dtype=np.int64)[:, None] * span + chunk_reserved).ravel()
+    slots = np.concatenate([reserved, *[walked[i].data_slots + c * span for c, i in enumerate(laid)]])
+    profile = _CapacityProfile(slots[slots < end], end - cycle * span, cycle * span, None, tti,
+                               radio.total_rate, (radio.n_channels - haptic_blocks(radio)) * radio.channel_rate)
+    counts = np.empty((len(walked), span // k_p, 2), dtype=np.intp)
     for c, e in enumerate(walked):
-        counts[c, :, 0] = np.bincount(e.tx_arrival_slots // k_p, minlength=span // k_p)
-        counts[c, :, 1] = np.bincount(e.dropped_arrival_slots // k_p, minlength=span // k_p)
-    # chunk 0 on its own (its first period is warm-up), then each walked
-    # chunk that the chunks after it repeat, once with its repeat count
-    repeats = np.bincount(order[1:n_chunks], minlength=len(walked)).tolist()
-    parts, weights = zip(*[(walked[0].delays_s[walked[0].tx_arrival_slots >= k_p], 1)]
-                         + [(e.delays_s, n) for e, n in zip(walked, repeats) if n])
+        _count_periods(counts[c], e, k_p)
+    for array in (chunk_sa, counts):
+        array.flags.writeable = False  # shared by every run of the configuration
+    return SteadyCycle(span, chunk_sa, tuple(walked), tuple(seen), start, counts, profile)
+
+
+def _haptic_layer(config: SimConfig):
+    """Resolve the latency-critical flow over the whole horizon: lay the
+    configuration's steady_cycle over it, walk the partial final chunk, and
+    write the path record.  Returns (capacity profile, per-period counts,
+    each walked chunk's post-warm-up access delays once, how many chunks of
+    the horizon repeat each delay, mean occupied slots per period after
+    warm-up), all the run's own: the profile is a shallow copy of the
+    cycle's, with its total at the horizon, sharing its read-only arrays.
+    """
+    scheme, radio, haptic, k_p = config.scheme, config.radio, config.haptic, config.slots_per_period
+    steady, n_periods = steady_cycle(scheme, radio, haptic), config.n_periods
+    n_slots, per_chunk = n_periods * k_p, steady.span // k_p
+    n_full, rest = divmod(n_periods, per_chunk)  # rest: the partial final chunk's periods
+    chunks, start = [*steady.walked], steady.start
+    order = _chunk_order(n_full + bool(rest), start, len(chunks) - start)
+    counts = np.empty((n_periods, 2), dtype=np.intp)
+    counts[:n_full * per_chunk] = steady.chunk_counts[order[:n_full]].reshape(-1, 2)
+    if rest:  # walked last, entered as the chunk it replaces
+        chunks.append(slotted_machine(scheme, radio, haptic, steady.arrivals[steady.arrivals < rest * k_p],
+                                      rest * k_p, steady.entries[order[n_full]]))
+        _count_periods(counts[n_full * per_chunk:], chunks[-1], k_p)
+        order[n_full] = len(chunks) - 1
+    # chunk 0 on its own (its first period is warm-up), then each chunk
+    # that the chunks after it repeat, once with its repeat count
+    first, repeats = chunks[order[0]], np.bincount(order[1:], minlength=len(chunks)).tolist()
+    parts, weights = zip(*[(first.delays_s[first.tx_arrival_slots >= k_p], 1)]
+                         + [(e.delays_s, n) for e, n in zip(chunks, repeats) if n])
     delays = np.concatenate(parts)
     delay_counts = np.repeat(np.array(weights, dtype=np.int64), [len(p) for p in parts])
 
-    # the slots of the chunks the profile spans, repeats and all: the
-    # profile marks each once.  A partial chunk's reserved slots are a full
-    # one's cut at its end, as the horizon cuts them here
-    laid = order[:-(-end // span)].tolist()
-    reserved = (np.arange(len(laid), dtype=np.int64)[:, None] * span + chunk_reserved).ravel()
-    slots = np.concatenate([reserved,
-                            *[walked[i].data_slots + c * span for c, i in enumerate(laid)]])
-    cycle_slots = end - prefix_slots
-    profile = _CapacityProfile(slots[slots < min(end, n_slots)], prefix_slots, cycle_slots, n_slots, tti,
-                               radio.total_rate, (radio.n_channels - haptic_blocks(radio)) * radio.channel_rate)
+    # the run's own shallow copy, for its total and lookup tables; the machine
+    # is causal, so up to the horizon it has the partial chunk's slots too
+    profile = object.__new__(_CapacityProfile)
+    profile.__dict__.update(vars(steady.profile), total_bits=float(steady.profile.supply_at(n_slots * radio.tti_ns)))
     # occupied slots after period 0, the cycle's counted once per completed cycle
-    occ = profile.occupied
+    occ, prefix_slots = profile.occupied, profile.prefix_ns // radio.tti_ns
+    cycle_slots = profile.slots - prefix_slots
     q = max(n_slots - prefix_slots, 0) // cycle_slots
     occupied = q * np.count_nonzero(occ[prefix_slots:]) + np.count_nonzero(occ[:n_slots - q * cycle_slots])
     occupancy = int(occupied - np.count_nonzero(occ[:k_p])) / (n_periods - 1)
 
-    for array in (counts, delays, delay_counts):
-        array.flags.writeable = False  # shared by every run of the configuration
-    record = (scheme.value, span // k_p, prefix_slots // span if cycle else n_full, cycle, len(walked))
-    return _WalkedHorizon(profile, counts, (n_chunks, start, cycle, partial_at), delays, delay_counts, occupancy,
-                          record, walked[0])
-
-
-def _haptic_layer(config: SimConfig):
-    """Resolve the latency-critical flow over the whole horizon.  The walk
-    (_walk_horizon) is memoised per (scheme, radio, haptic, n_periods);
-    each call gathers the per-period counts from its chunks in the chunk
-    order and writes the path record.
-
-    Returns (capacity profile, per-period counts, each walked chunk's
-    post-warm-up access delays once, how many chunks of the horizon repeat
-    each delay, mean occupied slots per period after warm-up).  All but the
-    counts are shared by every call with the same key and are read-only.
-    """
-    walk = _walk_horizon(config.scheme, config.radio, config.haptic, config.n_periods)
-    counts = walk.chunk_counts[_chunk_order(*walk.order_args)].reshape(-1, 2)[:config.n_periods]
     if log.isEnabledFor(logging.DEBUG):
-        blocker = _replication_blocker(config.scheme, config.radio, config.slots_per_period, walk.first)
-        log.debug(_PATH_RECORD, *walk.record, blocker or "clean")
-    return walk.profile, counts, walk.delays, walk.delay_counts, walk.occupancy
+        blocker = _replication_blocker(scheme, radio, k_p, steady.walked[0])
+        log.debug(_PATH_RECORD, scheme.value, per_chunk, prefix_slots // steady.span,
+                  len(steady.walked) - start, len(chunks), blocker or "clean")
+    return profile, counts, delays, delay_counts, occupancy
 
 
 def _tables_pay(n_packets: float, profile_slots: int) -> bool:
@@ -562,8 +561,7 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: f
         rest = timeline.time_blocks(_BLOCK)
         blocks, source = _timeline_blocks(timeline, rest), "drawn"
     tables = _tables_pay(config.leftover.lambda_rate * horizon_s, profile.slots)
-    if tables:  # on a copy: the profile itself is shared by every run of its configuration
-        profile = copy.copy(profile)
+    if tables:  # on the run's own copy of the profile (_haptic_layer)
         profile.build_lookup_tables()
     t_mid = 0.5 * horizon_s
     delays = np.empty(timeline.count_bound)
@@ -616,11 +614,11 @@ def run(config: SimConfig) -> SimReport:
     first period is discarded as warm-up.
     """
     radio, haptic, scheme = config.radio, config.haptic, config.scheme
-    n_slots = config.n_periods * config.slots_per_period
+    profile, counts, haptic_delays, delay_counts, occupancy = _haptic_layer(config)
+    n_slots = len(counts) * config.slots_per_period  # the horizon the layer laid out
     horizon_s = n_slots * radio.tti_ns / 1e9
     warmup_s = haptic.t_p_ns / 1e9
 
-    profile, counts, haptic_delays, delay_counts, occupancy = _haptic_layer(config)
     leftover_delays = _background_layer(config, profile, horizon_s, warmup_s)
 
     tx_total, dr_total = (int(x) for x in counts[1:].sum(axis=0))

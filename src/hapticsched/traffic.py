@@ -66,24 +66,6 @@ class HapticTrafficModel:
     def __hash__(self) -> int:
         return self._hash
 
-    @cached_property
-    def _period_offsets_ns(self) -> np.ndarray:
-        n_b, n_s = self.arrival_counts
-        t_ib, t_b, t_nb = self.t_ib_ns, self.t_b_ns, self.t_nb_ns
-        try:
-            if (n_b + n_s) * 8 > sys.maxsize:
-                raise OverflowError
-            # stops that are whole multiples of the steps, so that numpy's
-            # length, a true division, is each count exactly
-            burst = np.arange(0, n_b * t_ib, t_ib, dtype=np.int64)
-            sparse = np.arange(t_b, t_b + n_s * t_nb, t_nb, dtype=np.int64)
-        except OverflowError:  # more entries than an array holds, or a start or step past int64
-            raise ConfigError(f"haptic.t_p: one period of {n_b + n_s:.3g} arrivals over {self.t_p!r} s "
-                              f"does not fit an array of int64 nanoseconds") from None
-        offsets = np.concatenate([burst, sparse])
-        offsets.flags.writeable = False  # shared by every caller of this model
-        return offsets
-
 
 class SizeDistribution(Enum):
     DETERMINISTIC = "deterministic"
@@ -237,11 +219,20 @@ def period_arrival_offsets_ns(model: HapticTrafficModel) -> np.ndarray:
     t_b (inclusive) to the period end with spacing t_nb: model.arrival_counts
     of each, counted exactly in integers.  A period whose arrivals no int64
     array can hold raises ConfigError naming haptic.t_p.
-
-    The array is built once per model and shared by every call on it, so
-    it is read-only: a caller that needs to write takes a copy.
     """
-    return model._period_offsets_ns
+    n_b, n_s = model.arrival_counts
+    t_ib, t_b, t_nb = model.t_ib_ns, model.t_b_ns, model.t_nb_ns
+    try:
+        if (n_b + n_s) * 8 > sys.maxsize:
+            raise OverflowError
+        # stops that are whole multiples of the steps, so that numpy's
+        # length, a true division, is each count exactly
+        burst = np.arange(0, n_b * t_ib, t_ib, dtype=np.int64)
+        sparse = np.arange(t_b, t_b + n_s * t_nb, t_nb, dtype=np.int64)
+    except OverflowError:  # more entries than an array holds, or a start or step past int64
+        raise ConfigError(f"haptic.t_p: one period of {n_b + n_s:.3g} arrivals over {model.t_p!r} s "
+                          f"does not fit an array of int64 nanoseconds") from None
+    return np.concatenate([burst, sparse])
 
 
 def leftover_arrivals(model: LeftoverTrafficModel, horizon: float, seed: int) -> ArrivalTimeline:

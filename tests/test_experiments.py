@@ -602,7 +602,7 @@ class TestCli:
         import hapticsched.experiments as exp
         import hapticsched.simulate as simulate_mod
 
-        simulate_mod._walk_horizon.cache_clear()
+        simulate_mod.steady_cycle.cache_clear()
         calls = []
         bound_fields = exp._bound_fields
         monkeypatch.setattr(exp, "_bound_fields", lambda *a: calls.append(a[1:]) or bound_fields(*a))
@@ -615,7 +615,7 @@ class TestCli:
                          for eps in (1e-5, 1e-1, 1e-2)]
         # the seeds of one grid point and scheme run in a row: the one-entry
         # memo walks each of the 4 configurations once and serves 2 seeds each
-        info = simulate_mod._walk_horizon.cache_info()
+        info = simulate_mod.steady_cycle.cache_info()
         assert (info.misses, info.hits, info.maxsize) == (4, 8, 1)
 
     def test_compare_draws_the_background_once_for_every_run(self, tmp_path, monkeypatch):
@@ -747,6 +747,28 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"configuration error: {field}: ") and "overflow" in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("horizon, ini, field", [
+        ("1e19s", None, "horizon"),
+        ("20s", "[leftover]\nlambda_rate = 1e17\n", "leftover.lambda_rate"),
+        ("20s", "[leftover]\nlambda_rate = 1e18\n", "leftover.lambda_rate"),
+    ], ids=["horizon-1e19", "lambda_rate-1e17", "lambda_rate-1e18"])
+    def test_sizes_past_any_array_refused_by_the_simulator(self, tmp_path, capsys, horizon, ini, field):
+        """The per-period counts over 1e19 periods, or the background gaps
+        of 2e18 and 2e19 arrivals over 20 s, take more than sys.maxsize
+        bytes: numpy refused each by its size in a ValueError traceback.
+        The configuration is refused before anything is walked or drawn."""
+        argv = ["simulate", "--horizon", horizon]
+        if ini is not None:
+            cfg = tmp_path / "huge.ini"
+            cfg.write_text(ini)
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: ") and f"{field}: " in captured.err
+        assert "than an array holds" in captured.err and "Traceback" not in captured.err
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, ini", [

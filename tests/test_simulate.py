@@ -602,7 +602,7 @@ class TestPrefixCycleLayoutEqualsFlatReference:
         # access delays alone took 232 MB; the per-period counts take 4 MB
         loaded = load_config()
         cfg = SimConfig(loaded.radio, loaded.haptic, loaded.leftover, S.DYNAMIC, 250_000.0, 1)
-        simulate_mod._walk_horizon.cache_clear()  # a memoised walk would measure only the gather
+        simulate_mod.steady_cycle.cache_clear()  # a memoised walk would measure only the gather
         tracemalloc.start()
         try:
             simulate_mod._haptic_layer(cfg)
@@ -626,7 +626,7 @@ class TestPrefixCycleLayoutEqualsFlatReference:
         (make_config(S.DYNAMIC, 1_000_000, 30, 10, 8, 12, 4, 1, 11, 5),
          ("DS", 2, 1, 1, 2, "t_p is not a multiple of t_sr")),
         (make_config(S.SOFT_RESERVATION, 1_000_000, 7, 3, 3, 5, 3, 16, 10, 0),
-         ("SRR", 48, 0, 0, 1, "t_p is not a multiple of t_sr")),
+         ("SRR", 48, 1, 1, 2, "t_p is not a multiple of t_sr")),
     ])
     def test_path_record(self, cfg, args, caplog):
         with caplog.at_level(logging.DEBUG, "hapticsched.simulate"):
@@ -928,7 +928,7 @@ class TestKeptDrawEqualsFreshDraw:
 
 
 def walk_entry(cfg):
-    return simulate_mod._walk_horizon(cfg.scheme, cfg.radio, cfg.haptic, cfg.n_periods)
+    return simulate_mod.steady_cycle(cfg.scheme, cfg.radio, cfg.haptic)
 
 
 def offgrid(scheme, seed=1, horizon=30.0):
@@ -941,58 +941,66 @@ class TestHapticLayerMemo:
     @pytest.mark.parametrize("make", [sim, offgrid], ids=["on-grid", "off-grid"])
     @pytest.mark.parametrize("scheme", list(S))
     def test_cold_and_warm_runs_identical(self, make, scheme):
-        simulate_mod._walk_horizon.cache_clear()
+        simulate_mod.steady_cycle.cache_clear()
         warm = [run(make(scheme, seed=seed)) for seed in (1, 2, 3)]
-        info = simulate_mod._walk_horizon.cache_info()
+        info = simulate_mod.steady_cycle.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         for seed, got in zip((1, 2, 3), warm):
-            simulate_mod._walk_horizon.cache_clear()
+            simulate_mod.steady_cycle.cache_clear()
             assert_reports_identical(got, run(make(scheme, seed=seed)))
         # an equal configuration built afresh finds the same entry
         again = make(scheme, seed=1)
         again = dataclasses.replace(again, radio=dataclasses.replace(again.radio),
                                     haptic=dataclasses.replace(again.haptic))
         assert_reports_identical(run(again), warm[0])
-        assert simulate_mod._walk_horizon.cache_info().hits == 1
+        assert simulate_mod.steady_cycle.cache_info().hits == 1
 
     @settings(max_examples=40, deadline=None)
     @given(cfg=loaded_configs(), tables=st.booleans())
     def test_cold_and_warm_runs_identical_on_random_configurations(self, cfg, tables):
-        simulate_mod._walk_horizon.cache_clear()
+        simulate_mod.steady_cycle.cache_clear()
         with lookup(tables):
             try:
                 cold = run(cfg)
             except InfeasibleError:
                 reject()
             warm = run(cfg)
-        assert simulate_mod._walk_horizon.cache_info().hits == 1
+        assert simulate_mod.steady_cycle.cache_info().hits == 1
         assert_reports_identical(warm, cold)
 
     def test_shared_arrays_are_read_only(self):
         cfg = offgrid(S.DYNAMIC)
         a, b = run(cfg), run(dataclasses.replace(cfg, seed=2))
-        profile = simulate_mod._haptic_layer(cfg)[0]
-        shared = [a.haptic_delays, a.haptic_delay_counts, walk_entry(cfg).chunk_counts,
+        profile, other = simulate_mod._haptic_layer(cfg)[0], simulate_mod._haptic_layer(cfg)[0]
+        entry = walk_entry(cfg)
+        shared = [entry.chunk_counts, entry.arrivals,
                   profile.seg_t, profile.seg_S, profile.seg_rate, profile.ris_t, profile.ris_S, profile.ris_rate]
         for array in shared:
             with pytest.raises(ValueError):
                 array[0] = 0
-        assert a.haptic_delays is b.haptic_delays and a.haptic_delay_counts is b.haptic_delay_counts
-        # the per-period counts span the horizon: each run gathers its own
-        assert a.haptic_period_counts is not b.haptic_period_counts
-        assert a.haptic_period_counts.flags.writeable
+        # each run's profile is its own copy of the entry's, sharing its arrays
+        assert profile is not other and profile is not entry.profile
+        assert profile.seg_S is other.seg_S is entry.profile.seg_S
+        # the per-period counts and the access delays depend on the horizon:
+        # each run lays out its own
+        for field in ("haptic_period_counts", "haptic_delays", "haptic_delay_counts"):
+            assert getattr(a, field) is not getattr(b, field)
+            assert getattr(a, field).flags.writeable
 
     def test_a_multi_chunk_walk_lays_out_the_reserved_slots_once(self):
         cfg = offgrid(S.SOFT_RESERVATION)
-        simulate_mod._walk_horizon.cache_clear()
+        simulate_mod.steady_cycle.cache_clear()
         with mock.patch.object(simulate_mod, "reserved_slots", wraps=reserved_slots) as laid:
-            walked_chunks = walk_entry(cfg).record[-1]
+            run(cfg)
+        entry = walk_entry(cfg)
+        # the entry's full chunks, and the partial final one the run walks
+        walked_chunks = len(entry.walked) + bool(cfg.n_periods * cfg.slots_per_period % entry.span)
         assert walked_chunks > 2
         assert laid.call_count == 1
 
     def test_every_run_writes_its_path_record(self, caplog):
         cfg = offgrid(S.SOFT_RESERVATION)
-        simulate_mod._walk_horizon.cache_clear()
+        simulate_mod.steady_cycle.cache_clear()
         with caplog.at_level(logging.DEBUG, "hapticsched.simulate"):
             run(cfg)
             run(cfg)
@@ -1003,36 +1011,78 @@ class TestHapticLayerMemo:
         # 2 Mb/s offered against less than 1 Mb/s: about 8,000 packets against
         # one 2,000-slot period, so each run has packets to look up
         cfg = sim(S.DYNAMIC, horizon=20.0, leftover=LeftoverTrafficModel(400.0, 5e3))
-        simulate_mod._walk_horizon.cache_clear()
-        simulate_mod._haptic_layer(cfg)  # the miss: the profile's own supply_at call is not a run's
+        simulate_mod.steady_cycle.cache_clear()
+        simulate_mod._haptic_layer(cfg)  # the miss, outside the spy
         original = simulate_mod._CapacityProfile.supply_at
-        searched = []
+        totals, searched = [], []
 
         def spy(profile, t_ns):
-            searched.append(profile.slot_S is None)
+            # a run reads its horizon's total once, a scalar, before any
+            # tables; the queue walk looks up arrays of arrival times
+            (totals if np.ndim(t_ns) == 0 else searched).append(profile.slot_S is None)
             return original(profile, t_ns)
 
         with mock.patch.object(simulate_mod._CapacityProfile, "supply_at", spy):
             with lookup(True):
                 tables = run(cfg)
+            assert totals == [True]
             assert searched and not any(searched)
+            totals.clear()
             searched.clear()
             with lookup(False):
                 search = run(cfg)
+            assert totals == [True]
             assert searched and all(searched)
         assert simulate_mod._haptic_layer(cfg)[0].slot_S is None
         assert_reports_identical(search, tables)
 
     def test_an_entry_does_not_grow_with_the_horizon(self):
         loaded = load_config()
+        steady_cycle, entries = simulate_mod.steady_cycle, []
 
-        def nbytes(horizon):
-            walk = walk_entry(SimConfig(loaded.radio, loaded.haptic, loaded.leftover, S.DYNAMIC, horizon, 1))
-            arrays = [walk.chunk_counts, walk.delays, walk.delay_counts]
-            arrays += [v for _, v in sorted(vars(walk.profile).items()) if isinstance(v, np.ndarray)]
-            return [a.nbytes for a in arrays]
+        def spy(*args):
+            entries.append(steady_cycle(*args))
+            return entries[-1]
 
-        assert nbytes(2_000.0) == nbytes(250_000.0)
+        def arrays(entry):
+            return [entry.chunk_counts, entry.arrivals, *[e.delays_s for e in entry.walked],
+                    *[v for _, v in sorted(vars(entry.profile).items()) if isinstance(v, np.ndarray)]]
+
+        steady_cycle.cache_clear()
+        with mock.patch.object(simulate_mod, "steady_cycle", spy):
+            for horizon in (2_000.0, 250_000.0):
+                simulate_mod._haptic_layer(SimConfig(loaded.radio, loaded.haptic, loaded.leftover, S.DYNAMIC,
+                                                     horizon, 1))
+        info = steady_cycle.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        short, long = map(arrays, entries)
+        assert len(short) == len(long) and all(x is y for x, y in zip(short, long))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=loaded_configs(), other=st.sampled_from(["shorter", "longer", "shorter than the cycle"]),
+           tables=st.booleans())
+    def test_a_run_after_another_horizon_equals_a_cold_run(self, cfg, other, tables):
+        with lookup(tables):
+            simulate_mod.steady_cycle.cache_clear()
+            try:
+                cold = run(cfg)
+            except InfeasibleError:
+                reject()
+            # the periods of the prefix and one cycle: a horizon ending before
+            # them lays out a partial chunk inside the cycle (at least 10
+            # periods, as SimConfig asks)
+            cycle_end = walk_entry(cfg).profile.slots // cfg.slots_per_period
+            periods = {"shorter": max(10, cfg.n_periods - 3), "longer": 3 * cfg.n_periods + 1,
+                       "shorter than the cycle": max(10, cycle_end - 1)}[other]
+            simulate_mod.steady_cycle.cache_clear()
+            try:
+                run(dataclasses.replace(cfg, horizon=(periods + 0.5) * cfg.haptic.t_p))
+            except InfeasibleError:
+                pass  # the walk is memoised before the background queue is drained
+            warm = run(cfg)
+        info = simulate_mod.steady_cycle.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert_reports_identical(warm, cold)
 
     def test_validation_drains_no_background_queue(self):
         # a background load that blows up: run raises, the validation, which
