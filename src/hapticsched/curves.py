@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from ._numpy import np
 from .errors import ConfigError, InfeasibleError
 from .radio import RadioConfig, SchedulingScheme
-from .scheduling import period_charge
+from .scheduling import period_counts
 from .traffic import HapticTrafficModel, LeftoverTrafficModel
 
 
@@ -59,14 +59,14 @@ class LeftoverServiceCurve:
 
     slots_per_period is the per-period slot consumption charged inside the
     window; slots_excess is the extra one-burst allowance charged once.
-    Both come from scheduling.period_charge.
+    Both come from scheduling.period_counts, its slots and its excess.
     """
 
     def __init__(self, scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel):
         self.scheme = scheme
         self.radio = radio
         self.haptic = haptic
-        self.slots_per_period, self.slots_excess = period_charge(scheme, radio, haptic)
+        _, _, self.slots_per_period, self.slots_excess = period_counts(scheme, radio, haptic)
         # bits lost per claimed slot, and the two fixed charges
         self.slot_bits = radio.slot_bits
         self.period_bits = self.slot_bits * self.slots_per_period

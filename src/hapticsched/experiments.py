@@ -23,7 +23,7 @@ from pathlib import Path
 from .curves import leftover_delay_bound_details
 from .errors import ConfigError, InfeasibleError
 from .radio import RadioConfig, SchedulingScheme
-from .scheduling import drop_counts, drop_walk, remainder_of_service
+from .scheduling import drop_walk, period_counts, remainder_of_service
 from .simulate import SimConfig, empirical_quantile, run as run_simulation
 from .traffic import HapticTrafficModel, LeftoverTrafficModel, SizeDistribution
 from .units import NS_PER_S
@@ -373,8 +373,8 @@ def _point_rows(point: LoadedConfig, mode: str) -> list[dict]:
             row.update(arrivals=walk.arrivals, transmitted=walk.transmitted, dropped=walk.dropped,
                        drop_rate=walk.drop_rate, max_access_delay_s=_largest(walk.per_packet_delays))
         elif mode in ("sweep", "compare"):
-            # the walk's counts without its delays; a period has at least one arrival
-            arrivals, transmitted = drop_counts(scheme, point.radio, point.haptic)
+            # the walk's counts, from the record the remainder and bound read too; arrivals >= 1
+            arrivals, transmitted, _, _ = period_counts(scheme, point.radio, point.haptic)
             row["drop_rate"] = (arrivals - transmitted) / arrivals
         if mode in ("remainder", "sweep", "compare"):
             row["remainder_bits"] = remainder_of_service(scheme, point.radio, point.haptic)

@@ -1,8 +1,8 @@
 """Per-scheme grant mechanics: the two grant rules as integer-tick
 kernels, the per-scheme machine that composes them on slots (the slotted
-drop walk and the simulator both run it), the exact one-period drop walk
-and its counts in closed form, the per-period slot charge and the
-remainder of service.
+drop walk and the simulator both run it), the unslotted period in closed
+form (its arrivals, sends and slot charge), the exact one-period drop walk
+and the remainder of service.
 
 Drop semantics follow the latest-data rule: at each transmission
 opportunity only the freshest pending packet is sent and every packet it
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._numpy import np
 from .errors import ConfigError
@@ -97,11 +98,20 @@ def demand_gate(slots: np.ndarray, k_sr: int | None, busy: int = 0):
     return acc, data, data - slots[acc] + 2, busy
 
 
-def _gated(gate_ns: int, window_ns: int, spacing_ns: int) -> int:
-    """Arrivals a demand gate of gate_ns accepts out of the ceil(window /
-    spacing) evenly spaced ones of a window: every k-th, the boundary
-    spacing == gate counting as free."""
-    return ceil_div(ceil_div(window_ns, spacing_ns), max(1, ceil_div(gate_ns, spacing_ns)))
+def _gated(gate_ns: int, n: int, spacing_ns: int) -> int:
+    """Arrivals a demand gate of gate_ns accepts out of n evenly spaced
+    ones: every k-th, the boundary spacing == gate counting as free."""
+    return ceil_div(n, max(1, ceil_div(gate_ns, spacing_ns)))
+
+
+def _windows(first: int, step: int, n: int, period: int) -> int:
+    """Distinct grant windows t // period among the n ticks first + i * step:
+    each tick its own when step >= period; otherwise consecutive ticks
+    differ by at most one window, so every window from the first tick's to
+    the last's."""
+    if step >= period or n < 2:
+        return n
+    return (first + (n - 1) * step) // period - first // period + 1
 
 
 def _sparse_send_at(t_ns: int, radio: RadioConfig, haptic: HapticTrafficModel) -> bool:
@@ -122,59 +132,71 @@ def _sparse_send_at(t_ns: int, radio: RadioConfig, haptic: HapticTrafficModel) -
     return send == t_ns
 
 
+class PeriodCounts(NamedTuple):
+    """One traffic period of the unslotted model: its arrivals, the packets
+    the uplink access transmits, the slots it claims and the share of those
+    slots one extra burst adds."""
+
+    arrivals: int
+    transmitted: int
+    slots: int
+    excess: int
+
+
 @functools.lru_cache(maxsize=8)
-def period_charge(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel) -> tuple[int, int]:
-    """Slots the latency-critical flow claims in one traffic period, and the
-    share of them one extra burst adds: (slots_per_period, slots_excess).
+def period_counts(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel) -> PeriodCounts:
+    """The unslotted period of a scheme in closed form, from integer
+    nanosecond arithmetic alone: no arrival is laid out and no walk runs.
+    The arrivals are those period_arrival_offsets_ns lays out,
+    haptic.arrival_counts of them: ceil(t_b / t_ib) in the burst and
+    ceil((t_p - t_b) / t_nb) after it.
 
-    This is the one per-period count behind the remainder of service, the
-    leftover envelope and the unslotted DS/FA walk.  It is a closed form
-    over the arrivals period_arrival_offsets_ns lays out, ceil(t_b / t_ib)
-    in the burst and ceil((t_p - t_b) / t_nb) after it, and runs no walk.
+    DS and FA send, and claim a slot for, each arrival their demand gate
+    accepts.  Each regime is gated against its own spacing, so the boundary
+    packet at the burst edge is not charged against the burst's worst-case
+    grant wait; the excess is the accepted burst share.
 
-    DS and FA claim one slot per accepted arrival.  Each regime is gated
-    against its own spacing, so the boundary packet at the burst edge is
-    not charged against the burst's worst-case grant wait; the excess is
-    the accepted burst share.  SPS claims every grant: t_p // t_pg, and
-    t_b // t_pg in a burst.  SRR claims every
-    grant inside the burst, the flush grant when the last burst arrival's
-    grant lands at or past the burst end (one at the period end is the
-    next period's first reserved grant, one on a sparse send's slot shares
-    that slot), and one slot per sparse arrival the DS gate accepts.  Its
-    excess is the reserved burst grants only: the envelope's two edge slots
-    cover the flush grant.
+    SPS claims every grant: t_p // t_pg, and t_b // t_pg in a burst.  A
+    standing grant sends one arrival per grant window holding any, and the
+    burst and the sparse stretch are each evenly spaced, so SPS sends the
+    burst's windows plus the sparse stretch's, less one when the last burst
+    arrival and t_b share a window.
 
-    Results are memoised, because the walk, the remainder and the envelope
-    of one row each ask for the same count.  An entry keeps its models
-    alive, so the cache holds two grid points of four schemes, not a whole
-    sweep.
+    SRR sends the burst's windows, its grant held through the flush, plus
+    the sparse arrivals the DS gate accepts.  It claims every grant inside
+    the burst, one slot per accepted sparse arrival, and the flush grant
+    when the last burst arrival's grant lands at or past the burst end: one
+    at the period end is the next period's first reserved grant, and one on
+    a sparse send's slot shares that slot.  Its excess is the reserved burst
+    grants only: the envelope's two edge slots cover the flush grant.
+
+    The drop rate, the remainder and the envelope of one row each read the
+    same record, and the bound's builds rotate over the four schemes, so
+    the memo holds two grid points of four schemes.  An entry keeps its
+    models alive, so it holds no more than that.  drop_walk and its
+    reference loops are what this is held to, count for count.
     """
-    t_p, t_b = haptic.t_p_ns, haptic.t_b_ns
+    n_b, n_s = haptic.arrival_counts
+    t_p, t_b, t_ib, t_nb, t_pg = haptic.t_p_ns, haptic.t_b_ns, haptic.t_ib_ns, haptic.t_nb_ns, radio.t_pg_ns
     if scheme is SchedulingScheme.SEMI_PERSISTENT:
-        t_pg = radio.t_pg_ns
-        return t_p // t_pg, t_b // t_pg
-    t_ib, t_nb = haptic.t_ib_ns, haptic.t_nb_ns
+        shared = int(n_s > 0 and (n_b - 1) * t_ib // t_pg == t_b // t_pg)
+        sent = _windows(0, t_ib, n_b, t_pg) + _windows(t_b, t_nb, n_s, t_pg) - shared
+        return PeriodCounts(n_b + n_s, sent, t_p // t_pg, t_b // t_pg)
     if scheme is SchedulingScheme.SOFT_RESERVATION:
-        t_pg = radio.t_pg_ns
         grants = ceil_div(t_b, t_pg)
-        flush_grant = ((ceil_div(t_b, t_ib) - 1) * t_ib // t_pg + 1) * t_pg
+        flush_grant = ((n_b - 1) * t_ib // t_pg + 1) * t_pg
         flush = int(t_b <= flush_grant < t_p and not _sparse_send_at(flush_grant, radio, haptic))
-        return grants + flush + _gated(to_ns(ds_grant_latency(radio)), t_p - t_b, t_nb), grants
+        sparse = _gated(to_ns(ds_grant_latency(radio)), n_s, t_nb)
+        return PeriodCounts(n_b + n_s, _windows(0, t_ib, n_b, t_pg) + sparse, grants + flush + sparse, grants)
     if scheme is SchedulingScheme.DYNAMIC:
         gate = to_ns(ds_grant_latency(radio))
     elif scheme is SchedulingScheme.FAST_UPLINK:
         gate = to_ns(fa_grant_latency(radio))
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
-    burst = _gated(gate, t_b, t_ib)
-    return burst + _gated(gate, t_p - t_b, t_nb), burst
-
-
-def _grant_delays(ticks: np.ndarray, radio: RadioConfig) -> np.ndarray:
-    """Access delays, s, of the arrivals at ticks (ns) that the standing
-    grants serve: the wait for the grant plus four TTIs."""
-    grant, served, _ = standing_grants(ticks, radio.t_pg_ns)
-    return (grant[served] - ticks[served] + 4 * radio.tti_ns) / 1e9
+    burst = _gated(gate, n_b, t_ib)
+    sent = burst + _gated(gate, n_s, t_nb)
+    return PeriodCounts(n_b + n_s, sent, sent, burst)
 
 
 def slot_periods(scheme: SchedulingScheme, radio: RadioConfig) -> dict[str, int]:
@@ -286,6 +308,13 @@ def drop_walk(
     rounded up to the next opportunity), the simulator's own machine.  Its
     span runs to the first grant at or past t_p, so every arrival of the
     period is resolved and whatever is not transmitted is dropped.
+
+    Unslotted, the standing grants serve SPS's every arrival and SRR's
+    burst, SRR's grant held through the first instant at or past the burst
+    end; the rest of period_counts' sends each wait out the scheme's access
+    delay.  Every arrival is still laid out, for DS and FA too, which read
+    only how many there are: a period no int64 array can hold is refused
+    here, as the slotted walk and the simulator refuse it.
     """
     offs = period_arrival_offsets_ns(haptic)
     arrivals = len(offs)
@@ -297,66 +326,23 @@ def drop_walk(
         span = ceil_div(haptic.t_p_ns, radio.t_pg_ns) * (radio.t_pg_ns // tti)
         return _make_report(scheme, arrivals, slotted_machine(scheme, radio, haptic, offs // tti, span).delays_s)
 
-    if scheme in (SchedulingScheme.DYNAMIC, SchedulingScheme.FAST_UPLINK):
-        delays = np.full(period_charge(scheme, radio, haptic)[0], haptic_access_delay(scheme, radio))
-    elif scheme is SchedulingScheme.SEMI_PERSISTENT:
-        delays = _grant_delays(offs, radio)
-    elif scheme is SchedulingScheme.SOFT_RESERVATION:
-        # The standing grant is held through the first instant at or past the
-        # burst end, so burst-tail data still rides the reserved grant and
-        # every burst arrival is resolved.
-        n_burst = int(np.searchsorted(offs, haptic.t_b_ns))
-        b_delays = _grant_delays(offs[:n_burst], radio)
-        sent = _gated(to_ns(ds_grant_latency(radio)), haptic.t_p_ns - haptic.t_b_ns, haptic.t_nb_ns)
-        delays = np.concatenate([b_delays, np.full(sent, haptic_access_delay(scheme, radio, in_burst=False))])
-    else:
-        raise ConfigError(f"unknown scheme {scheme!r}")
+    n_granted = {SchedulingScheme.SEMI_PERSISTENT: arrivals,
+                 SchedulingScheme.SOFT_RESERVATION: haptic.arrival_counts[0]}.get(scheme, 0)
+    granted = offs[:n_granted]
+    grant, served, _ = standing_grants(granted, radio.t_pg_ns)
+    granted_delays = (grant[served] - granted[served] + 4 * tti) / 1e9
+    sent = period_counts(scheme, radio, haptic).transmitted - len(granted_delays)
+    delays = np.concatenate([granted_delays, np.full(sent, haptic_access_delay(scheme, radio))])
     return _make_report(scheme, arrivals, delays)
-
-
-def _windows(first: int, step: int, n: int, period: int) -> int:
-    """Distinct grant windows t // period among the n ticks first + i * step:
-    each tick its own when step >= period; otherwise consecutive ticks
-    differ by at most one window, so every window from the first tick's to
-    the last's."""
-    if step >= period or n < 2:
-        return n
-    return (first + (n - 1) * step) // period - first // period + 1
-
-
-def drop_counts(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel) -> tuple[int, int]:
-    """(arrivals, transmitted) of the unslotted drop_walk, from integer
-    nanosecond arithmetic alone: no arrival is laid out.
-
-    DS and FA send period_charge's count.  A standing grant sends one
-    arrival per grant window holding any, and the burst and the sparse
-    stretch are each evenly spaced, so SPS sends the burst's windows plus
-    the sparse stretch's, less one when the last burst arrival and t_b
-    share a window.  SRR sends the burst's windows (its grant is held
-    through the flush) plus the sparse arrivals the DS gate accepts.
-    drop_walk is the reference this is held to, count for count.
-    """
-    n_b, n_s = haptic.arrival_counts
-    t_b = haptic.t_b_ns
-    if scheme in (SchedulingScheme.DYNAMIC, SchedulingScheme.FAST_UPLINK):
-        return n_b + n_s, period_charge(scheme, radio, haptic)[0]
-    t_pg, t_ib = radio.t_pg_ns, haptic.t_ib_ns
-    burst = _windows(0, t_ib, n_b, t_pg)
-    if scheme is SchedulingScheme.SEMI_PERSISTENT:
-        shared = int(n_s > 0 and (n_b - 1) * t_ib // t_pg == t_b // t_pg)
-        return n_b + n_s, burst + _windows(t_b, haptic.t_nb_ns, n_s, t_pg) - shared
-    if scheme is SchedulingScheme.SOFT_RESERVATION:
-        return n_b + n_s, burst + _gated(to_ns(ds_grant_latency(radio)), haptic.t_p_ns - t_b, haptic.t_nb_ns)
-    raise ConfigError(f"unknown scheme {scheme!r}")
 
 
 def remainder_of_service(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel) -> float:
     """Capacity left to background traffic in one traffic period, bits: the
-    full capacity less the slots period_charge counts.
+    full capacity less the slots period_counts claims.
 
     Demand-driven schemes consume one slot per transmitted packet.  A
     standing grant consumes every reserved slot whether used or not; soft
     reservation reserves only inside bursts and pays per transmission in
     the sparse stretch.
     """
-    return radio.total_rate * haptic.t_p - radio.slot_bits * period_charge(scheme, radio, haptic)[0]
+    return radio.total_rate * haptic.t_p - radio.slot_bits * period_counts(scheme, radio, haptic).slots

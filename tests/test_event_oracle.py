@@ -218,7 +218,7 @@ class TestAgainstNaiveOracle:
     @example(cfg=make_config(S.FAST_UPLINK, 1_000_000, 9, 4, 2, 3, 1, 1, 10, 0))
     # SRR's DS-gated sparse sends land in slots 1, 5 and 9, and slot 9 is the
     # next period's reserved slot 0: both sides charge 3 slots, 412.5 bits
-    # left, where remainder_of_service charges period_charge's 4 (400 bits)
+    # left, where remainder_of_service charges period_counts' 4 slots (400 bits)
     @example(cfg=make_config(S.SOFT_RESERVATION, 500_000, 9, 1, 1, 8, 1, 1, 10, 0))
     def test_simulator_matches_per_slot_oracle(self, cfg):
         report = run(cfg)

@@ -20,11 +20,11 @@ from hapticsched import (
     haptic_blocks,
     remainder_of_service,
 )
+from hapticsched.cli import main
 from hapticsched.scheduling import (
     SlotEvents,
     demand_gate,
-    drop_counts,
-    period_charge,
+    period_counts,
     reserved_slots,
     slot_grid_problems,
     slotted_machine,
@@ -157,15 +157,15 @@ class TestEffectiveBurstCount:
 
     def test_boundary_spacing_counts_as_schedulable(self):
         assert ds_gate(radio(0.5e-3)) == 2_000_000
-        assert period_charge(S.DYNAMIC, radio(0.5e-3), haptic(2e-3))[1] == 100
+        assert period_counts(S.DYNAMIC, radio(0.5e-3), haptic(2e-3)).excess == 100
 
     def test_every_second_packet_served(self):
         # 134 burst arrivals 1.5 ms apart behind a 2 ms gate
-        assert period_charge(S.DYNAMIC, radio(0.5e-3), haptic(1.5e-3))[1] == 67
+        assert period_counts(S.DYNAMIC, radio(0.5e-3), haptic(1.5e-3)).excess == 67
 
     def test_every_third_packet_served(self):
         # 223 burst arrivals 0.9 ms apart behind a 2 ms gate
-        assert period_charge(S.DYNAMIC, radio(0.5e-3), haptic(0.9e-3))[1] == 75
+        assert period_counts(S.DYNAMIC, radio(0.5e-3), haptic(0.9e-3)).excess == 75
 
     def test_equals_walk_burst_share(self):
         # against the plain-loop walk below, over the burst arrivals alone
@@ -175,7 +175,7 @@ class TestEffectiveBurstCount:
                 h = haptic(t_ib)
                 offs = period_arrival_offsets_ns(h)
                 sent, _ = ref_walk_demand(offs[offs < h.t_b_ns], gate, 0.0)
-                assert period_charge(scheme, cfg, h)[1] == len(sent), (scheme, t_ib)
+                assert period_counts(scheme, cfg, h).excess == len(sent), (scheme, t_ib)
 
 
 class TestRemainder:
@@ -411,7 +411,7 @@ class TestWalkEqualsReferenceLoops:
         assert remainder_of_service(scheme, radio_cfg, h) == expected
 
 
-class TestDropCountsEqualWalk:
+class TestPeriodCountsEqualWalk:
     @settings(max_examples=300, deadline=None)
     @given(inputs=walk_inputs(), scheme=st.sampled_from(list(S)))
     # the burst spacing equal to, twice and 1 ns short of the grant period
@@ -430,7 +430,7 @@ class TestDropCountsEqualWalk:
     @example(inputs=(radio(0.5e-3), haptic(2e-3, t_p=1e5)), scheme=S.DYNAMIC)
     def test_counts_and_drop_rate_are_the_walks(self, inputs, scheme):
         radio_cfg, h = inputs
-        arrivals, transmitted = drop_counts(scheme, radio_cfg, h)
+        arrivals, transmitted = period_counts(scheme, radio_cfg, h)[:2]
         for walk in (reference_walk(scheme, radio_cfg, h), drop_walk(scheme, radio_cfg, h)):
             assert (arrivals, transmitted) == (walk.arrivals, walk.transmitted)
             assert (arrivals - transmitted) / arrivals == walk.drop_rate
@@ -441,7 +441,7 @@ class TestDropCountsEqualWalk:
         last_burst = offs[offs < h.t_b_ns][-1]
         assert last_burst // cfg.t_pg_ns == h.t_b_ns // cfg.t_pg_ns
         # 200 burst arrivals in 67 windows, 16 sparse ones in windows of their own, one shared
-        assert drop_counts(S.SEMI_PERSISTENT, cfg, h) == (216, 67 + 16 - 1)
+        assert period_counts(S.SEMI_PERSISTENT, cfg, h)[:2] == (216, 67 + 16 - 1)
 
 
 class TestSlottedWalkAgainstPerSlotOracle:
@@ -465,16 +465,32 @@ class TestSlottedWalkAgainstPerSlotOracle:
         assert tuple(counts[0]) == (walk.transmitted - straddles, walk.dropped + straddles)
 
 
-class TestPeriodChargeCache:
+class TestPeriodCountsCache:
     @settings(max_examples=200, deadline=None)
     @given(inputs=walk_inputs(), scheme=st.sampled_from(list(S)))
     def test_cached_charge_equals_the_computed_one(self, inputs, scheme):
         """The cache lives across examples, so a hit on an equal key whose
         configuration counts differently would show here."""
         radio_cfg, h = inputs
-        expected = period_charge.__wrapped__(scheme, radio_cfg, h)
-        assert period_charge(scheme, radio_cfg, h) == expected
-        assert period_charge(scheme, replace(radio_cfg), replace(h)) == expected
+        expected = period_counts.__wrapped__(scheme, radio_cfg, h)
+        assert period_counts(scheme, radio_cfg, h) == expected
+        assert period_counts(scheme, replace(radio_cfg), replace(h)) == expected
+
+    def test_a_row_shares_one_entry_and_the_bound_rotates_in_eight(self):
+        """A sweep row's drop rate, remainder and envelope read one entry, and
+        a second bound over the four schemes hits on every one: with one
+        entry instead of eight it would miss four more times."""
+        period_counts.cache_clear()
+        assert main(["sweep", "--param", "t_ib", "--values", "1ms,2ms,3ms"]) == 0
+        info = period_counts.cache_info()
+        assert (info.misses, info.hits) == (3 * 4, 2 * 3 * 4)
+        period_counts.cache_clear()
+        assert main(["bound", "--scheme", "DS,SPS,SRR,FA"]) == 0
+        info = period_counts.cache_info()
+        assert (info.misses, info.hits) == (4, 0)
+        assert main(["bound", "--scheme", "DS,SPS,SRR,FA"]) == 0
+        info = period_counts.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (4, 4, 8)
 
 
 def machine_with_both_rules(scheme, radio, haptic, sa, n_slots, busy):
