@@ -170,8 +170,6 @@ def crossing_time(curve: LeftoverServiceCurve, bits: float) -> float:
 class DelayBoundResult:
     """Full bound computation for one scheme and outage target."""
 
-    scheme: SchedulingScheme
-    epsilon: float
     theta: float
     x_bits: float
     d0_s: float
@@ -197,7 +195,7 @@ def leftover_delay_bound_details(
     theta = max_stable_theta(leftover, rate)
     x = math.log(1.0 / epsilon) / theta
     d0 = crossing_time(curve, x)
-    return DelayBoundResult(scheme, epsilon, theta, x, d0, rate)
+    return DelayBoundResult(theta, x, d0, rate)
 
 
 def horizontal_distance(arrival: ArrivalCurve, x: float, curve: LeftoverServiceCurve, horizon: float) -> float:

@@ -24,7 +24,7 @@ from .curves import leftover_delay_bound_details
 from .errors import ConfigError, InfeasibleError
 from .radio import RadioConfig, SchedulingScheme
 from .scheduling import drop_walk, period_counts, remainder_of_service
-from .simulate import SimConfig, empirical_quantile, run as run_simulation
+from .simulate import SimConfig, SimReport, empirical_quantile, run as run_simulation
 from .traffic import HapticTrafficModel, LeftoverTrafficModel, SizeDistribution
 from .units import NS_PER_S
 
@@ -361,6 +361,35 @@ def _bound_fields(point: LoadedConfig, scheme: SchedulingScheme, epsilon: float)
         return ["", "", "", ""], "infeasible"
 
 
+@dataclass(frozen=True)
+class Check:
+    """One cross-check of a compare row: pass, fail, unchecked or infeasible."""
+
+    sim_column: str
+    limit_column: str
+    sim_value: float
+    limit: float | str
+    outcome: str
+
+
+def _compare_checks(sim: SimReport, walk_rate: float, eps_bounds: list) -> tuple[Check, ...]:
+    """The simulated drop rate against the slotted walk's, then each quantile
+    against its bound: unchecked if no background packet finished after warm-up."""
+    delays = sim.leftover_delays
+    checks = [Check("sim_drop_rate", "walk_drop_rate_slotted", sim.haptic_drop_rate, walk_rate,
+                    "pass" if sim.haptic_drop_rate == walk_rate else "fail")]
+    for (eps, q_column, d0_column), (bound, status) in zip(_COMPARE_CHECKS, eps_bounds):
+        q = _quantile(delays, 1 - eps)
+        outcome = status if status != "ok" else "unchecked" if not len(delays) else "pass" if q <= bound[2] else "fail"
+        checks.append(Check(q_column, d0_column, q, bound[2], outcome))
+    return tuple(checks)
+
+
+def _verdict(checks: tuple[Check, ...]) -> str:
+    """The first of infeasible, fail, unchecked and pass that any check has."""
+    return min((check.outcome for check in checks), key=("infeasible", "fail", "unchecked", "pass").index)
+
+
 def _point_rows(point: LoadedConfig, mode: str) -> list[dict]:
     """A verb's rows at one grid point, each a dict keyed by column.  Each
     verb computes only what its columns show."""
@@ -396,16 +425,9 @@ def _point_rows(point: LoadedConfig, mode: str) -> list[dict]:
                 sim_row.update(haptic_drop_rate=sim.haptic_drop_rate, haptic_delay_max_s=_largest(sim.haptic_delays),
                                leftover_p99_s=_quantile(delays, 0.99), remainder_bits=sim.remainder_bits_per_period)
             else:
-                sim_row.update(sim_drop_rate=sim.haptic_drop_rate, walk_drop_rate_slotted=walk_slotted.drop_rate)
-                checks, unchecked = [sim.haptic_drop_rate == walk_slotted.drop_rate], False
-                for (eps, q_column, d0_column), (bound, status) in zip(_COMPARE_CHECKS, eps_bounds):
-                    sim_row[q_column], sim_row[d0_column] = _quantile(delays, 1 - eps), bound[2]
-                    if status == "ok" and len(delays):
-                        checks.append(sim_row[q_column] <= bound[2])
-                    # no background packet finished after warm-up: the check cannot run
-                    unchecked |= status == "ok" and not len(delays)
-                verdict = "fail" if not all(checks) else "unchecked" if unchecked else "pass"
-                sim_row["verdict"] = "infeasible" if row["status"] == "infeasible" else verdict
+                checks = _compare_checks(sim, walk_slotted.drop_rate, eps_bounds)
+                sim_row.update({c.sim_column: c.sim_value for c in checks}, verdict=_verdict(checks))
+                sim_row.update({c.limit_column: c.limit for c in checks})
             rows.append(sim_row)
     return rows
 

@@ -34,7 +34,6 @@ class DropReport:
     """Outcome of one walk: counts and the access delay of each
     transmitted packet."""
 
-    scheme: SchedulingScheme
     arrivals: int
     transmitted: int
     dropped: int
@@ -42,11 +41,11 @@ class DropReport:
     per_packet_delays: np.ndarray
 
 
-def _make_report(scheme, arrivals: int, delays: np.ndarray) -> DropReport:
+def _make_report(arrivals: int, delays: np.ndarray) -> DropReport:
     transmitted = len(delays)
     dropped = arrivals - transmitted
     rate = dropped / arrivals if arrivals else 0.0
-    return DropReport(scheme, arrivals, transmitted, dropped, rate, delays)
+    return DropReport(arrivals, transmitted, dropped, rate, delays)
 
 
 def standing_grants(ticks: np.ndarray, period: int, last_grant: int | None = None):
@@ -324,7 +323,7 @@ def drop_walk(
         if problems := slot_grid_problems(scheme, radio, haptic):
             raise ConfigError(problems[0])
         span = ceil_div(haptic.t_p_ns, radio.t_pg_ns) * (radio.t_pg_ns // tti)
-        return _make_report(scheme, arrivals, slotted_machine(scheme, radio, haptic, offs // tti, span).delays_s)
+        return _make_report(arrivals, slotted_machine(scheme, radio, haptic, offs // tti, span).delays_s)
 
     n_granted = {SchedulingScheme.SEMI_PERSISTENT: arrivals,
                  SchedulingScheme.SOFT_RESERVATION: haptic.arrival_counts[0]}.get(scheme, 0)
@@ -333,7 +332,7 @@ def drop_walk(
     granted_delays = (grant[served] - granted[served] + 4 * tti) / 1e9
     sent = period_counts(scheme, radio, haptic).transmitted - len(granted_delays)
     delays = np.concatenate([granted_delays, np.full(sent, haptic_access_delay(scheme, radio))])
-    return _make_report(scheme, arrivals, delays)
+    return _make_report(arrivals, delays)
 
 
 def remainder_of_service(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel) -> float:

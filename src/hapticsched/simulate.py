@@ -66,7 +66,7 @@ from .units import NS_PER_S, to_ns
 
 log = logging.getLogger(__name__)
 
-_PATH_RECORD = "%s: chunks of %d periods, prefix %d + cycle %d chunks, %d chunks walked (%s)"
+_PATH_RECORD = "%s: chunks of %d periods, prefix %d + cycle %d chunks, %d chunks walked"
 _BACKGROUND_RECORD = ("%s: background %d packets arrived, %d finished, %d unfinished, "
                       "%d kept after warm-up, %d blocks walked, %s lookup (%d packets vs %d profile slots), "
                       "timeline %s")
@@ -143,31 +143,14 @@ class SimConfig:
 
 @dataclass
 class SimReport:
-    scheme: SchedulingScheme
     haptic_drop_rate: float
     haptic_delays: np.ndarray        # each walked chunk's post-warm-up access delays once
     haptic_delay_counts: np.ndarray  # chunks of the horizon that repeat each delay: np.repeat gives them all
     leftover_delays: np.ndarray
     remainder_bits_per_period: float
     slots_simulated: int
-    seed: int
     haptic_period_counts: np.ndarray  # (n_periods, 2): transmitted, dropped per arrival period
     horizon_s: float
-
-
-def _replication_blocker(scheme: SchedulingScheme, radio: RadioConfig, k_p: int, events: SlotEvents) -> str | None:
-    """For the path record: why one period's events do not repeat verbatim
-    (grant and SR phases must realign at the period end and no state may
-    cross it; an SPS grant on the boundary rides a reserved slot), or None."""
-    for name, ns in slot_periods(scheme, radio).items():
-        if k_p % (ns // radio.tti_ns):
-            return f"t_p is not a multiple of {name}"
-    if events.busy_end > k_p:
-        return "the SR pipeline is busy past the period end"
-    limit = k_p + 1 if scheme is SchedulingScheme.SEMI_PERSISTENT else k_p
-    if len(events.data_slots) and events.data_slots.max() >= limit:
-        return "a transmission lands past the period end"
-    return None
 
 
 class _CapacityProfile:
@@ -471,9 +454,8 @@ def _haptic_layer(config: SimConfig):
     occupancy = int(occupied - np.count_nonzero(occ[:k_p])) / (n_periods - 1)
 
     if log.isEnabledFor(logging.DEBUG):
-        blocker = _replication_blocker(scheme, radio, k_p, steady.walked[0])
         log.debug(_PATH_RECORD, scheme.value, per_chunk, prefix_slots // steady.span,
-                  len(steady.walked) - start, len(chunks), blocker or "clean")
+                  len(steady.walked) - start, len(chunks))
     return profile, counts, delays, delay_counts, occupancy
 
 
@@ -613,7 +595,7 @@ def run(config: SimConfig) -> SimReport:
     The horizon is snapped down to a whole number of traffic periods; the
     first period is discarded as warm-up.
     """
-    radio, haptic, scheme = config.radio, config.haptic, config.scheme
+    radio, haptic = config.radio, config.haptic
     profile, counts, haptic_delays, delay_counts, occupancy = _haptic_layer(config)
     n_slots = len(counts) * config.slots_per_period  # the horizon the layer laid out
     horizon_s = n_slots * radio.tti_ns / 1e9
@@ -626,14 +608,12 @@ def run(config: SimConfig) -> SimReport:
     remainder = radio.total_rate * haptic.t_p - radio.slot_bits * occupancy
 
     return SimReport(
-        scheme=scheme,
         haptic_drop_rate=drop_rate,
         haptic_delays=np.asarray(haptic_delays, dtype=float),
         haptic_delay_counts=delay_counts,
         leftover_delays=np.asarray(leftover_delays, dtype=float),
         remainder_bits_per_period=remainder,
         slots_simulated=n_slots,
-        seed=config.seed,
         haptic_period_counts=counts,
         horizon_s=horizon_s,
     )

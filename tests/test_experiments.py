@@ -5,6 +5,7 @@ import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,12 +21,15 @@ from hapticsched import (
     RadioConfig,
     SchedulingScheme,
     SizeDistribution,
+    drop_walk,
+    empirical_quantile,
     linear_grid,
     load_config,
+    run,
     run_experiment,
 )
 from hapticsched.cli import entry, main
-from hapticsched.experiments import KEYS, LoadedConfig, parse_time
+from hapticsched.experiments import KEYS, LoadedConfig, _bound_fields, _compare_checks, _verdict, parse_time
 from hapticsched.simulate import SimConfig
 
 S = SchedulingScheme
@@ -330,6 +334,75 @@ class TestCellsEqualFmt:
                            st.sampled_from(EDGE_FLOATS).map(np.float64), st.integers(), st.text()))
     def test_str_is_the_old_cell(self, value):
         assert str(value) == reference_cell(value)
+
+
+class TestCompareChecks:
+    """compare's cross-checks read from the check record directly."""
+
+    @pytest.mark.parametrize("scheme, outcomes", [
+        (S.DYNAMIC, ("fail", "pass", "pass")),  # only the drop rate: 0.4654 against the walk's 0.4608
+        (S.SEMI_PERSISTENT, ("fail", "fail", "fail")),
+        (S.FAST_UPLINK, ("pass", "pass", "pass")),
+    ])
+    def test_offgrid_golden_rows_at_1ms(self, tmp_path, scheme, outcomes):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(OFFGRID_INI)
+        point = load_config(cfg).at_point(t_ib=1e-3)
+        sim = run(SimConfig(point.radio, point.haptic, point.leftover, scheme, 50.0, 1))
+        walk_rate = drop_walk(scheme, point.radio, point.haptic, slotted=True).drop_rate
+        checks = _compare_checks(sim, walk_rate, [_bound_fields(point, scheme, eps) for eps in (1e-1, 1e-2)])
+        assert [(c.sim_column, c.limit_column) for c in checks] == [
+            ("sim_drop_rate", "walk_drop_rate_slotted"), ("sim_p90_s", "d0_eps0.1_s"), ("sim_p99_s", "d0_eps0.01_s")]
+        assert tuple(c.outcome for c in checks) == outcomes
+        header, *lines = (GOLDEN / "compare_offgrid_50s_seed1.csv").read_text().splitlines()
+        row = next(dict(zip(header.split(","), line.split(","))) for line in lines
+                   if line.startswith(f"{scheme.value},0.0005,0.001,"))
+        for check in checks:
+            assert (str(check.sim_value), str(check.limit)) == (row[check.sim_column], row[check.limit_column])
+        assert _verdict(checks) == row["verdict"]
+
+
+def inline_checks(sim, walk_rate, row_status, eps_bounds):
+    """compare's cells and verdict as _point_rows built them inline before
+    the check record: a list of bools, an unchecked flag and an override
+    by the row's own bound status."""
+    delays, sim_row = sim.leftover_delays, {}
+    sim_row.update(sim_drop_rate=sim.haptic_drop_rate, walk_drop_rate_slotted=walk_rate)
+    checks, unchecked = [sim.haptic_drop_rate == walk_rate], False
+    columns = ((1e-1, "sim_p90_s", "d0_eps0.1_s"), (1e-2, "sim_p99_s", "d0_eps0.01_s"))
+    for (eps, q_column, d0_column), (bound, status) in zip(columns, eps_bounds):
+        quantile = empirical_quantile(delays, 1 - eps) if len(delays) else float("nan")
+        sim_row[q_column], sim_row[d0_column] = quantile, bound[2]
+        if status == "ok" and len(delays):
+            checks.append(sim_row[q_column] <= bound[2])
+        unchecked |= status == "ok" and not len(delays)
+    verdict = "fail" if not all(checks) else "unchecked" if unchecked else "pass"
+    sim_row["verdict"] = "infeasible" if row_status == "infeasible" else verdict
+    return sim_row
+
+
+class TestVerdictEqualsInlineReference:
+    @settings(max_examples=300, deadline=None)
+    @given(walk_rate=st.floats(0, 1), equal=st.booleans(), other_rate=st.floats(0, 1),
+           delays=st.lists(st.floats(1e-6, 10.0), max_size=30), feasible=st.booleans(),
+           scales=st.tuples(*[st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0, 10)] * 2))
+    def test_cells_and_verdict_are_the_inline_ones(self, walk_rate, equal, other_rate, delays, feasible, scales):
+        sim = SimpleNamespace(haptic_drop_rate=walk_rate if equal else other_rate,
+                              leftover_delays=np.asarray(delays, dtype=float))
+        # infeasibility does not depend on epsilon: the row's bound and both
+        # checks' bounds share one status
+        status = "ok" if feasible else "infeasible"
+        eps_bounds = []
+        for eps, scale in zip((1e-1, 1e-2), scales):
+            # the bound below, at or above the quantile it is checked against
+            d0 = scale * empirical_quantile(sim.leftover_delays, 1 - eps) if delays else scale
+            eps_bounds.append(([1.0, 2.0, d0, 3.0] if feasible else ["", "", "", ""], status))
+        checks = _compare_checks(sim, walk_rate, eps_bounds)
+        cells = {column: str(value) for c in checks for column, value in
+                 ((c.sim_column, c.sim_value), (c.limit_column, c.limit))}
+        expected = inline_checks(sim, walk_rate, status, eps_bounds)
+        assert cells == {column: str(value) for column, value in expected.items() if column != "verdict"}
+        assert _verdict(checks) == expected["verdict"]
 
 
 class TestRunExperiment:

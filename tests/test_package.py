@@ -87,3 +87,12 @@ def test_simulate_loads_numpy_on_first_use():
     done = fresh_python("from hapticsched.cli import entry; entry()", "simulate", "--horizon", "30s", "--seed", "3")
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == (ROOT / "tests" / "golden" / "simulate_30s_seed3.csv").read_text()
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.stem)
+def test_demo_stdout_is_pinned(demo):
+    """Each demo's stdout, byte for byte, as tests/golden/demos holds it."""
+    done = subprocess.run([sys.executable, str(demo)], capture_output=True, timeout=120, cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=False)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (ROOT / "tests" / "golden" / "demos" / f"{demo.stem}.txt").read_bytes()

@@ -351,7 +351,7 @@ def reference_walk(scheme, radio, haptic, slotted=False):
             s_delays, s_dropped = ref_walk_demand(sparse, gate, haptic_access_delay(scheme, radio, in_burst=False))
         delays, dropped = b_delays + s_delays, b_dropped + s_dropped
     arrivals = len(offs)
-    return DropReport(scheme, arrivals, len(delays), dropped, dropped / arrivals, np.asarray(delays, dtype=float))
+    return DropReport(arrivals, len(delays), dropped, dropped / arrivals, np.asarray(delays, dtype=float))
 
 
 @st.composite
