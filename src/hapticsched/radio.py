@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from .errors import ConfigError
 from .units import NS_PER_S, ceil_div, positive_ns, to_ns, to_s
@@ -45,8 +44,11 @@ class RadioConfig:
     haptic_demand_norm:  per-packet resource demand divided by total rate,
                          seconds; zero means no latency-critical load
 
-    The hash is that of the field tuple, computed once: every row of a
-    sweep looks the model up in several caches.
+    tti_ns, t_sr_ns and t_pg_ns (the periods in whole nanoseconds),
+    channel_rate and slot_bits (the background bits lost in each slot that
+    carries or reserves a latency-critical transmission) are set once the
+    checks pass, with the hash of the field tuple: every row of a sweep
+    looks the model up in several caches.
     """
 
     n_channels: int
@@ -74,34 +76,18 @@ class RadioConfig:
             problems.append(f"radio.haptic_demand_norm: must be >= 0, got {self.haptic_demand_norm!r}")
         if problems:
             raise ConfigError(problems)
-        haptic_blocks(self)  # raises when one packet needs more blocks than there are channels
+        # plain attributes, as HapticTrafficModel's: a tti sweep builds a model per grid point
+        object.__setattr__(self, "tti_ns", to_ns(self.tti))
+        object.__setattr__(self, "t_sr_ns", to_ns(self.t_sr))
+        object.__setattr__(self, "t_pg_ns", to_ns(self.t_pg))
+        object.__setattr__(self, "channel_rate", self.total_rate / self.n_channels)
+        # haptic_blocks raises when one packet needs more blocks than there are channels
+        object.__setattr__(self, "slot_bits", haptic_blocks(self) * self.channel_rate * self.tti)
         object.__setattr__(self, "_hash", hash((self.n_channels, self.total_rate, self.tti, self.t_sr,
                                                  self.t_pg, self.haptic_demand_norm)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    @cached_property
-    def tti_ns(self) -> int:
-        return to_ns(self.tti)
-
-    @cached_property
-    def t_sr_ns(self) -> int:
-        return to_ns(self.t_sr)
-
-    @cached_property
-    def t_pg_ns(self) -> int:
-        return to_ns(self.t_pg)
-
-    @cached_property
-    def channel_rate(self) -> float:
-        return self.total_rate / self.n_channels
-
-    @cached_property
-    def slot_bits(self) -> float:
-        """Background bits lost in each slot that carries or reserves a
-        latency-critical transmission."""
-        return haptic_blocks(self) * self.channel_rate * self.tti
 
 
 def haptic_blocks(config: RadioConfig) -> int:

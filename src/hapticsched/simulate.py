@@ -157,11 +157,11 @@ class _CapacityProfile:
     """Piecewise-linear cumulative background capacity over a prefix and one
     cycle repeated after it up to the horizon, evaluated and inverted
     exactly: a time or bit target past the prefix folds back into the
-    cycle, each completed cycle adding cycle_bits.  total_bits, the capacity
-    up to the horizon, is None on a profile built with no horizon."""
+    cycle, each completed cycle adding cycle_bits.  It depends on no
+    horizon: time_of_supply takes the capacity up to the caller's."""
 
     def __init__(self, occupied_slots: np.ndarray, prefix_slots: int, cycle_slots: int,
-                 horizon_slots: int | None, tti_ns: int, total_rate: float, reduced_rate: float):
+                 tti_ns: int, total_rate: float, reduced_rate: float):
         self.prefix_ns, self.cycle_ns = prefix_slots * tti_ns, cycle_slots * tti_ns
         end = prefix_slots + cycle_slots
         occ = np.asarray(occupied_slots, dtype=np.int64)  # any order, repeats allowed
@@ -196,7 +196,6 @@ class _CapacityProfile:
                       self.ris_t, self.ris_S, self.ris_rate):
             array.flags.writeable = False  # a profile is shared by every run of its configuration
         self.slot_S = self.bucket_seg = None  # lookup tables, see build_lookup_tables
-        self.total_bits = None if horizon_slots is None else float(self.supply_at(horizon_slots * tti_ns))
 
     def build_lookup_tables(self) -> None:
         """Replace the binary searches of supply_at and time_of_supply by
@@ -230,6 +229,9 @@ class _CapacityProfile:
                                         np.diff(own, prepend=-1, append=self._buckets - 1))
             self._next_S = np.append(self.ris_S[1:], np.nan)  # NaN: the walk stops at the last segment
             self._ris_t_float = self.ris_t.astype(float)
+        for array in vars(self).values():  # the tables are shared as the rest of the profile is
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
 
     def _bucket(self, bits: np.ndarray) -> np.ndarray:
         """Bucket of each bit target, nondecreasing in the target (a rounded
@@ -263,12 +265,12 @@ class _CapacityProfile:
         out += dbits
         return out
 
-    def time_of_supply(self, bits) -> np.ndarray:
+    def time_of_supply(self, bits, total_bits: float) -> np.ndarray:
         """Earliest time (seconds) at which cumulative capacity reaches each
-        target; inf when the target lies past the horizon, with no
-        arithmetic on it.  Targets that fall on a zero-rate plateau resolve
-        at the next rising segment.  A 0-d target gives a scalar, as in
-        supply_at.  The targets are only read.
+        target; inf when the target lies past total_bits, the capacity up to
+        the caller's horizon, with no arithmetic on it.  Targets that fall on
+        a zero-rate plateau resolve at the next rising segment.  A 0-d target
+        gives a scalar, as in supply_at.  The targets are only read.
 
         Without lookup tables the segment is a binary search.  With them
         (build_lookup_tables) it is a bucket lookup and one step, or a
@@ -282,7 +284,7 @@ class _CapacityProfile:
             return np.full(shape, np.inf)[()]
         # a maximum or minimum over the targets decides whether a mask is
         # needed at all; a NaN among them makes it NaN, and the mask decides
-        limit, past = self.total_bits * (1 + 1e-12), None
+        limit, past = total_bits * (1 + 1e-12), None
         if not bits.max() <= limit:  # folded, a target far past the horizon can overflow
             past = bits > limit
             bits = np.where(past, 0.0, bits)
@@ -360,7 +362,7 @@ class SteadyCycle(NamedTuple):
     entries: tuple[int, ...]        # the busy gate each walked chunk is entered with
     start: int                      # the cycle is walked[start:]
     chunk_counts: np.ndarray        # (walked chunks, periods per chunk, 2): transmitted, dropped
-    profile: _CapacityProfile       # capacity over the prefix and one cycle, with no total
+    profile: _CapacityProfile       # capacity over the prefix and one cycle
 
 
 @functools.lru_cache(maxsize=1)
@@ -402,7 +404,7 @@ def steady_cycle(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTra
     end = len(laid) * span
     reserved = (np.arange(len(laid), dtype=np.int64)[:, None] * span + chunk_reserved).ravel()
     slots = np.concatenate([reserved, *[walked[i].data_slots + c * span for c, i in enumerate(laid)]])
-    profile = _CapacityProfile(slots[slots < end], end - cycle * span, cycle * span, None, tti,
+    profile = _CapacityProfile(slots[slots < end], end - cycle * span, cycle * span, tti,
                                radio.total_rate, (radio.n_channels - haptic_blocks(radio)) * radio.channel_rate)
     counts = np.empty((len(walked), span // k_p, 2), dtype=np.intp)
     for c, e in enumerate(walked):
@@ -418,8 +420,9 @@ def _haptic_layer(config: SimConfig):
     write the path record.  Returns (capacity profile, per-period counts,
     each walked chunk's post-warm-up access delays once, how many chunks of
     the horizon repeat each delay, mean occupied slots per period after
-    warm-up), all the run's own: the profile is a shallow copy of the
-    cycle's, with its total at the horizon, sharing its read-only arrays.
+    warm-up).  The profile is the entry's, shared by every run of the
+    configuration; the rest is the run's own.  The machine is causal, so up
+    to the horizon the profile has the partial chunk's slots too.
     """
     scheme, radio, haptic, k_p = config.scheme, config.radio, config.haptic, config.slots_per_period
     steady, n_periods = steady_cycle(scheme, radio, haptic), config.n_periods
@@ -442,11 +445,8 @@ def _haptic_layer(config: SimConfig):
     delays = np.concatenate(parts)
     delay_counts = np.repeat(np.array(weights, dtype=np.int64), [len(p) for p in parts])
 
-    # the run's own shallow copy, for its total and lookup tables; the machine
-    # is causal, so up to the horizon it has the partial chunk's slots too
-    profile = object.__new__(_CapacityProfile)
-    profile.__dict__.update(vars(steady.profile), total_bits=float(steady.profile.supply_at(n_slots * radio.tti_ns)))
     # occupied slots after period 0, the cycle's counted once per completed cycle
+    profile = steady.profile
     occ, prefix_slots = profile.occupied, profile.prefix_ns // radio.tti_ns
     cycle_slots = profile.slots - prefix_slots
     q = max(n_slots - prefix_slots, 0) // cycle_slots
@@ -507,11 +507,11 @@ def _kept_blocks(timeline: ArrivalTimeline) -> tuple[_Block, ...]:
     return blocks
 
 
-def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: float,
+def _background_layer(config: SimConfig, profile: _CapacityProfile, total_bits: float, horizon_s: float,
                       warmup_s: float) -> np.ndarray:
-    """Drain the background FIFO queue through the leftover capacity and
-    return the completion delays of the finished packets that arrived after
-    warm-up.
+    """Drain the background FIFO queue through the leftover capacity, of
+    total_bits up to the horizon, and return the completion delays of the
+    finished packets that arrived after warm-up.
 
     Packet i finishes when cumulative capacity reaches
     max_{j <= i}(supply(a_j) - cum_{j-1}) + cum_i.  The packets are walked
@@ -527,9 +527,10 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: f
     Completion times are nondecreasing and a target past the horizon is
     unreachable, so the unfinished packets are a suffix: a binary search
     for inf finds the first of them, the walk stops at the block that holds
-    it, and the arrival times after it are only counted.  When the expected
-    packet count is at least the profile's slots, the profile's lookup
-    tables are built first.
+    it, and the arrival times after it are only counted.  The profile is
+    shared by every run of the configuration: the first run whose expected
+    packet count is at least its slots builds its lookup tables, and every
+    later run reads them, whatever its own count.
 
     Raises InfeasibleError when the queue grows superlinearly.
     """
@@ -542,8 +543,7 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: f
     else:
         rest = timeline.time_blocks(_BLOCK)
         blocks, source = _timeline_blocks(timeline, rest), "drawn"
-    tables = _tables_pay(config.leftover.lambda_rate * horizon_s, profile.slots)
-    if tables:  # on the run's own copy of the profile (_haptic_layer)
+    if profile.slot_S is None and _tables_pay(config.leftover.lambda_rate * horizon_s, profile.slots):
         profile.build_lookup_tables()
     t_mid = 0.5 * horizon_s
     delays = np.empty(timeline.count_bound)
@@ -560,7 +560,7 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: f
         np.maximum.accumulate(level, out=level)
         peak = level[-1]
         level += block.cum
-        completion = profile.time_of_supply(level)
+        completion = profile.time_of_supply(level, total_bits)
         done = int(completion.searchsorted(np.inf))
         finished += done
         finished_mid += int(completion.searchsorted(t_mid, side="right"))
@@ -576,7 +576,7 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, horizon_s: f
         n += len(a)
         arrived_mid += int(a.searchsorted(t_mid, side="right"))
     log.debug(_BACKGROUND_RECORD, config.scheme.value, n, finished, n - finished, kept, walked,
-              "table" if tables else "search", n, profile.slots, source)
+              "search" if profile.slot_S is None else "table", n, profile.slots, source)
 
     q_mid = arrived_mid - finished_mid
     q_end = n - finished
@@ -600,8 +600,9 @@ def run(config: SimConfig) -> SimReport:
     n_slots = len(counts) * config.slots_per_period  # the horizon the layer laid out
     horizon_s = n_slots * radio.tti_ns / 1e9
     warmup_s = haptic.t_p_ns / 1e9
+    total_bits = float(profile.supply_at(n_slots * radio.tti_ns))
 
-    leftover_delays = _background_layer(config, profile, horizon_s, warmup_s)
+    leftover_delays = _background_layer(config, profile, total_bits, horizon_s, warmup_s)
 
     tx_total, dr_total = (int(x) for x in counts[1:].sum(axis=0))
     drop_rate = dr_total / (tx_total + dr_total) if (tx_total + dr_total) else 0.0

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import logging
 import math
@@ -81,9 +82,13 @@ class TestHapticSide:
         report = run(sim(S.SEMI_PERSISTENT, horizon=100.0))
         assert report.haptic_delays.max() <= 14 * 0.5e-3
 
-    @pytest.mark.parametrize("scheme", list(S))
-    def test_at_most_one_transmission_per_slot(self, scheme):
-        cfg = sim(scheme, tti=0.125e-3, t_ib=1.3e-3)
+    @pytest.mark.parametrize("cfg", [
+        *[pytest.param(sim(scheme, tti=0.125e-3, t_ib=1.3e-3), id=str(scheme)) for scheme in S],
+        # SRR's data_slots are [8 16 24 24 34]: two sends count as transmitted, the charge counts one slot
+        pytest.param(make_config(S.SOFT_RESERVATION, 500_000, 40, 20, 4, 40, 1, 8, 10, 0), id="SRR-two-sends",
+                     marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2: SRR sends twice in one slot")),
+    ])
+    def test_at_most_one_transmission_per_slot(self, cfg):
         sa = simulate_mod.period_arrival_offsets_ns(cfg.haptic) // cfg.radio.tti_ns
         events = slotted_machine(cfg.scheme, cfg.radio, cfg.haptic, sa, cfg.slots_per_period, 0)
         assert len(np.unique(events.data_slots)) == len(events.data_slots)
@@ -212,6 +217,14 @@ class TestLeftoverSide:
         cfg = make_config(S.SOFT_RESERVATION, 500_000, 20, 18, 4, 8, 1, 5, 10, 0)
         assert run(cfg).remainder_bits_per_period == remainder_of_service(cfg.scheme, cfg.radio, cfg.haptic)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: period_counts charges SRR's sparse send on the next "
+                                           "period's reserved grant as a slot of its own (400.0 against 412.5 bits)")
+    def test_sparse_send_on_the_next_reserved_grant_is_not_charged_twice(self):
+        # the DS-gated sparse sends land in slots 1, 5 and 9, and slot 9 is
+        # the next period's reserved slot 0: the simulator charges 3 slots
+        cfg = make_config(S.SOFT_RESERVATION, 500_000, 9, 1, 1, 8, 1, 1, 10, 0)
+        assert remainder_of_service(cfg.scheme, cfg.radio, cfg.haptic) == run(cfg).remainder_bits_per_period
+
     def test_work_conservation(self):
         report = run(sim(S.SEMI_PERSISTENT, horizon=50.0, seed=5))
         served_bits = 12000.0 * len(report.leftover_delays)
@@ -245,6 +258,13 @@ class TestLeftoverSide:
         assert not simulate_mod.queue_blowup(50, 900)
 
 
+def profile_and_total(occupied, prefix, cycle, horizon, tti, total_rate, reduced_rate):
+    """A capacity profile, and its capacity up to a horizon in slots, as a
+    run passes it to time_of_supply."""
+    profile = simulate_mod._CapacityProfile(occupied, prefix, cycle, tti, total_rate, reduced_rate)
+    return profile, float(profile.supply_at(horizon * tti))
+
+
 class TestCapacityProfile:
     @staticmethod
     def check_supply_against_per_slot_integration(prefix):
@@ -252,10 +272,7 @@ class TestCapacityProfile:
         # slots after the prefix repeating the 40-slot cycle
         rng = np.random.default_rng(0)
         occupied = np.sort(rng.choice(prefix + 40, size=9 + prefix // 2, replace=False))
-        profile = simulate_mod._CapacityProfile(
-            occupied, prefix_slots=prefix, cycle_slots=40, horizon_slots=prefix + 120, tti_ns=1_000_000,
-            total_rate=1e6, reduced_rate=0.2e6
-        )
+        profile, total_bits = profile_and_total(occupied, prefix, 40, prefix + 120, 1_000_000, 1e6, 0.2e6)
         occ = set(occupied.tolist())
         checks = {0, 1, 499, 500, 1000, 12999, 13000, 13001, 39999, 40000, 40001, 52999, 53000, 95000, 119999}
         for t_us in sorted(checks | {(prefix + 120) * 1000 - 1, (prefix + 120) * 1000}):
@@ -266,7 +283,7 @@ class TestCapacityProfile:
                     slot = prefix + (slot - prefix) % 40
                 total += (0.2e6 if slot in occ else 1e6) * 1e-6
             assert profile.supply_at(np.array([t_us * 1000]))[0] == pytest.approx(total, rel=1e-9, abs=1e-6)
-        assert profile.total_bits == pytest.approx(total, rel=1e-9, abs=1e-6)
+        assert total_bits == pytest.approx(total, rel=1e-9, abs=1e-6)
 
     def test_supply_matches_per_slot_integration(self):
         self.check_supply_against_per_slot_integration(0)
@@ -297,7 +314,7 @@ class TestCapacityProfile:
             if s in (0, prefix) or s in occ or s - 1 in occ:
                 seg_t.append(s * tti)
                 seg_rate.append(reduced if s in occ else full)
-        profile = simulate_mod._CapacityProfile(occupied, prefix, period, end + 2 * period, tti, full, reduced)
+        profile = simulate_mod._CapacityProfile(occupied, prefix, period, tti, full, reduced)
         assert np.array_equal(profile.seg_t, np.array(seg_t, dtype=np.int64))
         assert np.array_equal(profile.seg_rate, np.array(seg_rate))
         assert np.array_equal(profile.occupied, np.isin(np.arange(end), occupied))
@@ -305,48 +322,33 @@ class TestCapacityProfile:
     def test_inversion_round_trip(self):
         rng = np.random.default_rng(1)
         occupied = np.sort(rng.choice(40, size=9, replace=False))
-        profile = simulate_mod._CapacityProfile(
-            occupied, prefix_slots=0, cycle_slots=40, horizon_slots=200, tti_ns=1_000_000,
-            total_rate=1e6, reduced_rate=0.2e6
-        )
+        profile, total_bits = profile_and_total(occupied, 0, 40, 200, 1_000_000, 1e6, 0.2e6)
         times_ns = rng.integers(0, 5 * 40 * 1_000_000, size=200)
         supply = profile.supply_at(times_ns)
-        back = profile.time_of_supply(supply)
+        back = profile.time_of_supply(supply, total_bits)
         assert np.allclose(back, times_ns / 1e9, atol=2e-9)
 
     def test_zero_rate_plateaus_resolve_at_next_rising_segment(self):
-        profile = simulate_mod._CapacityProfile(
-            np.array([1]), prefix_slots=0, cycle_slots=4, horizon_slots=8, tti_ns=1_000_000,
-            total_rate=1e6, reduced_rate=0.0
-        )
+        profile, total_bits = profile_and_total(np.array([1]), 0, 4, 8, 1_000_000, 1e6, 0.0)
         # one full slot of capacity accrues by t=1ms and stalls until t=2ms
-        t = profile.time_of_supply(np.array([1000.0 + 1e-9]))[0]
+        t = profile.time_of_supply(np.array([1000.0 + 1e-9]), total_bits)[0]
         assert t == pytest.approx(2e-3, abs=1e-9)
 
     def test_targets_past_horizon_are_unreachable(self):
-        profile = simulate_mod._CapacityProfile(
-            np.array([], dtype=np.int64), prefix_slots=0, cycle_slots=4, horizon_slots=8, tti_ns=1_000_000,
-            total_rate=1e6, reduced_rate=1e6
-        )
-        assert np.isinf(profile.time_of_supply(np.array([profile.total_bits * 1.001]))[0])
+        profile, total_bits = profile_and_total(np.array([], dtype=np.int64), 0, 4, 8, 1_000_000, 1e6, 1e6)
+        assert np.isinf(profile.time_of_supply(np.array([total_bits * 1.001]), total_bits)[0])
 
     def test_a_cycle_without_capacity_leaves_the_prefix_reachable(self):
         # every cycle slot occupied at zero reduced rate: only the prefix's
         # two free slots supply bits, and nothing past them is reachable
-        profile = simulate_mod._CapacityProfile(
-            np.arange(2, 7), prefix_slots=3, cycle_slots=4, horizon_slots=15, tti_ns=1_000_000,
-            total_rate=1e6, reduced_rate=0.0
-        )
-        assert profile.total_bits == 2000.0
-        assert np.allclose(profile.time_of_supply(np.array([500.0, 1500.0])), [0.5e-3, 1.5e-3])
-        assert np.isinf(profile.time_of_supply(np.array([2000.5]))[0])
+        profile, total_bits = profile_and_total(np.arange(2, 7), 3, 4, 15, 1_000_000, 1e6, 0.0)
+        assert total_bits == 2000.0
+        assert np.allclose(profile.time_of_supply(np.array([500.0, 1500.0]), total_bits), [0.5e-3, 1.5e-3])
+        assert np.isinf(profile.time_of_supply(np.array([2000.5]), total_bits)[0])
 
     @pytest.mark.parametrize("reduced", [0.2e6, 0.0])
     def test_rising_segments_are_the_segments_unless_a_plateau_exists(self, reduced):
-        profile = simulate_mod._CapacityProfile(
-            np.array([1, 5, 6]), prefix_slots=2, cycle_slots=8, horizon_slots=30, tti_ns=1_000_000,
-            total_rate=1e6, reduced_rate=reduced
-        )
+        profile = simulate_mod._CapacityProfile(np.array([1, 5, 6]), 2, 8, 1_000_000, 1e6, reduced)
         rising = profile.seg_rate > 0
         for ris, seg in [(profile.ris_t, profile.seg_t), (profile.ris_S, profile.seg_S),
                          (profile.ris_rate, profile.seg_rate)]:
@@ -360,23 +362,20 @@ class TestCapacityProfile:
         # at 1e-300 b/s a target of a few bits lies about 1e305 cycles out,
         # whose time in ns overflows: it is past the horizon, so it is inf
         # with no overflow on the way
-        profile = simulate_mod._CapacityProfile(
-            np.array([1]), prefix_slots=0, cycle_slots=4, horizon_slots=60_000, tti_ns=500_000,
-            total_rate=1e-300, reduced_rate=0.0
-        )
+        profile, total_bits = profile_and_total(np.array([1]), 0, 4, 60_000, 500_000, 1e-300, 0.0)
         if tables:
             profile.build_lookup_tables()
-        targets = np.array([0.0, profile.total_bits, 1200.0, 1e300, np.inf])
+        targets = np.array([0.0, total_bits, 1200.0, 1e300, np.inf])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = profile.time_of_supply(targets)
-            scalar = profile.time_of_supply(1200.0)
+            got = profile.time_of_supply(targets, total_bits)
+            scalar = profile.time_of_supply(1200.0, total_bits)
         assert np.array_equal(got, [0.0, 30.0, np.inf, np.inf, np.inf]) and scalar == np.inf
 
 
 @st.composite
 def profile_lookups(draw):
-    """A capacity profile's arguments, with or without a prefix, with
+    """profile_and_total's arguments, with or without a prefix, with
     zero-rate plateaus and with the horizon ending mid-cycle after a few or
     after thousands of cycles; times in ns, every slot bound of the first
     and the last profile span, random slot bounds and random instants; and
@@ -422,7 +421,7 @@ class TestLookupTablesEqualSearch:
                    np.arange(0, (3 + 40 * 50 + 9) * 500_000, 312_501), 13), seed=5)
     def test_identical_arrays(self, case, seed):
         args, times, scalar = case
-        search, tables = simulate_mod._CapacityProfile(*args), simulate_mod._CapacityProfile(*args)
+        (search, total), (tables, _) = profile_and_total(*args), profile_and_total(*args)
         tables.build_lookup_tables()
         assert search.slot_S is None and tables.slot_S is not None
         times_before = times.copy()
@@ -433,7 +432,6 @@ class TestLookupTablesEqualSearch:
         assert np.array_equal(times, times_before)  # the lookups only read their input
         rng = np.random.default_rng(seed)
         supply = search.supply_at(times)
-        total = search.total_bits
         starts = np.concatenate([search.ris_S, search.ris_S + search.cycle_bits])
         targets = np.concatenate([
             supply, np.nextafter(supply, -np.inf), np.nextafter(supply, np.inf), starts,
@@ -441,15 +439,15 @@ class TestLookupTablesEqualSearch:
             [0.0, -1.0, total, total * (1 + 1e-12), total * 1.001, 1e300, np.inf, -np.inf, np.nan]])
         targets_before = targets.copy()
         with np.errstate(invalid="ignore"):
-            got, want = tables.time_of_supply(targets), search.time_of_supply(targets)
+            got, want = tables.time_of_supply(targets, total), search.time_of_supply(targets, total)
         assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(targets, targets_before, equal_nan=True)
         # a 0-d or scalar target gives the scalar a 1-d call gives for it
         for target in (search.supply_at(np.int64(scalar)), total * 1.001, -1.0):
             for bits in (target, np.array(target)):
-                got, want = tables.time_of_supply(bits), search.time_of_supply(bits)
+                got, want = tables.time_of_supply(bits, total), search.time_of_supply(bits, total)
                 assert type(got) is type(want) is np.float64
-                assert got == want == search.time_of_supply(np.array([target]))[0]
+                assert got == want == search.time_of_supply(np.array([target]), total)[0]
 
     @pytest.mark.parametrize("reduced, buckets, one_step", [
         (0.8e6, 46, True),   # 18,000 bits, the narrowest segment 400 of them: 45 buckets wide enough, one more
@@ -459,14 +457,14 @@ class TestLookupTablesEqualSearch:
         # 40 slots, every other one occupied; segment starts ±1 ulp, 0, NaN
         # and targets past the horizon resolve as the binary search does
         args = (np.arange(0, 40, 2), 0, 40, 40 * 50, 500_000, 1e6, reduced)
-        search, tables = simulate_mod._CapacityProfile(*args), simulate_mod._CapacityProfile(*args)
+        (search, total), (tables, _) = profile_and_total(*args), profile_and_total(*args)
         tables.build_lookup_tables()
         assert (tables._buckets, tables.one_step) == (buckets, one_step)
         starts = search.ris_S + 7 * search.cycle_bits
         targets = np.concatenate([starts, np.nextafter(starts, -np.inf), np.nextafter(starts, np.inf),
-                                  [0.0, np.nan, search.total_bits * 1.001, np.inf]])
+                                  [0.0, np.nan, total * 1.001, np.inf]])
         with np.errstate(invalid="ignore"):
-            got, want = tables.time_of_supply(targets), search.time_of_supply(targets)
+            got, want = tables.time_of_supply(targets, total), search.time_of_supply(targets, total)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(got[:len(starts)], (search.ris_t + 7 * search.cycle_ns) / 1e9)  # a start is its own segment's
         assert got[-4] == 0.0 and np.isnan(got[-3]) and got[-2] == got[-1] == np.inf
@@ -482,7 +480,7 @@ def tile_gather(parts: list[np.ndarray], order: list[int], span: int) -> np.ndar
 
 class FlatProfile:
     """The cumulative background capacity as one segment table and one
-    cumulative sum over the whole horizon."""
+    cumulative sum over the whole horizon, of total_bits."""
 
     def __init__(self, occupied_slots, n_slots, tti_ns, total_rate, reduced_rate):
         self.period_ns = n_slots * tti_ns
@@ -511,7 +509,7 @@ class FlatProfile:
         j = np.searchsorted(self.seg_t, r, side="right") - 1
         return k * self.total_bits + self.seg_S[j] + self.seg_rate[j] * (r - self.seg_t[j]) / 1e9
 
-    def time_of_supply(self, bits):
+    def time_of_supply(self, bits, total_bits):
         bits = np.asarray(bits, dtype=float)
         if self.total_bits <= 0 or len(self.ris_S) == 0:
             return np.full(bits.shape, np.inf)
@@ -526,7 +524,7 @@ class FlatProfile:
         j = np.maximum(np.searchsorted(self.ris_S, res, side="right") - 1, 0)
         t_ns = k * float(self.period_ns) + self.ris_t[j] + (res - self.ris_S[j]) / self.ris_rate[j] * 1e9
         out = t_ns / 1e9
-        out[bits > self.total_bits * (1 + 1e-12)] = np.inf
+        out[bits > total_bits * (1 + 1e-12)] = np.inf
         return out
 
 
@@ -599,9 +597,11 @@ class TestPrefixCycleLayoutEqualsFlatReference:
         rng = np.random.default_rng(seed)
         times = np.concatenate([np.arange(n_slots + 1) * tti, rng.integers(0, n_slots * tti + 1, 300)])
         assert np.allclose(profile.supply_at(times), ref.supply_at(times), rtol=0, atol=bits_tol)
-        assert profile.total_bits == pytest.approx(ref.total_bits, rel=0, abs=bits_tol)
+        total_bits = float(profile.supply_at(n_slots * tti))
+        assert total_bits == pytest.approx(ref.total_bits, rel=0, abs=bits_tol)
         targets = rng.uniform(0, ref.total_bits, 300)
-        assert np.allclose(profile.time_of_supply(targets), ref.time_of_supply(targets), rtol=0, atol=time_tol)
+        assert np.allclose(profile.time_of_supply(targets, total_bits), ref.time_of_supply(targets, ref.total_bits),
+                           rtol=0, atol=time_tol)
 
     @settings(max_examples=80, deadline=None)
     @given(cfg=configs())
@@ -655,13 +655,17 @@ def whole_array_run(config, haptic_layer=None):
     """The simulator with its background queue drained in one whole-array
     pass, as it was computed before the block walk: every packet's supply at
     arrival, one running maximum and one inversion over the full timeline.
-    haptic_layer defaults to the simulator's own."""
+    haptic_layer defaults to the simulator's own, walked afresh, so that its
+    profile has no lookup tables and the pass searches."""
     radio, haptic = config.radio, config.haptic
     n_periods = config.n_periods
     n_slots = n_periods * config.slots_per_period
     horizon_s = n_slots * radio.tti_ns / 1e9
     warmup_s = haptic.t_p_ns / 1e9
+    if haptic_layer is None:
+        simulate_mod.steady_cycle.cache_clear()
     profile, counts, haptic_delays, delay_counts, occupancy = (haptic_layer or simulate_mod._haptic_layer)(config)
+    total_bits = float(profile.supply_at(n_slots * radio.tti_ns))
     arrivals = simulate_mod.leftover_arrivals(config.leftover, horizon_s, config.seed).times_s
     sigma = float(config.leftover.sigma)
     if config.leftover.size_distribution is SizeDistribution.EXPONENTIAL_MEAN:  # drawn whole from their own stream
@@ -674,7 +678,7 @@ def whole_array_run(config, haptic_layer=None):
         supply_at_arrival = profile.supply_at(np.round(arrivals * 1e9).astype(np.int64))
         cum = np.cumsum(sizes)
         backlog = np.maximum.accumulate(supply_at_arrival - (cum - sizes))
-        completion = profile.time_of_supply(backlog + cum)
+        completion = profile.time_of_supply(backlog + cum, total_bits)
         finished = np.isfinite(completion)
         fin_times = completion[finished]
         t_mid = 0.5 * horizon_s
@@ -761,10 +765,15 @@ def fresh_draws():
     simulate_mod._kept_blocks.cache_clear()
 
 
+@contextlib.contextmanager
 def lookup(tables: bool):
     """Force the background layer's choice between lookup tables and binary
-    search; the whole-array pass always searches."""
-    return mock.patch.object(simulate_mod, "_tables_pay", lambda n_packets, profile_slots: tables)
+    search, on profiles walked afresh: a run reads the tables an earlier run
+    built on its configuration's profile, whatever the choice.  The
+    whole-array pass always searches."""
+    simulate_mod.steady_cycle.cache_clear()
+    with mock.patch.object(simulate_mod, "_tables_pay", lambda n_packets, profile_slots: tables):
+        yield
 
 
 class TestBlockWalkEqualsWholeArrayPass:
@@ -832,13 +841,14 @@ class TestBlockWalkEqualsWholeArrayPass:
         cfg = SimConfig(loaded.radio, loaded.haptic, leftover, S.SEMI_PERSISTENT, 700.0, 1)
         horizon_s, warmup_s = cfg.n_periods * cfg.haptic.t_p_ns / 1e9, cfg.haptic.t_p_ns / 1e9
         profile = simulate_mod._haptic_layer(cfg)[0]
+        total_bits = float(profile.supply_at(cfg.n_periods * cfg.slots_per_period * cfg.radio.tti_ns))
         timeline = simulate_mod.leftover_arrivals(leftover, horizon_s, cfg.seed)
         n, bound = len(timeline), timeline.count_bound
         block = 1024  # small blocks, so that their temporaries do not hide a whole-timeline array
         with mock.patch.object(simulate_mod, "_BLOCK", block):
             tracemalloc.start()
             try:
-                simulate_mod._background_layer(cfg, profile, horizon_s, warmup_s)
+                simulate_mod._background_layer(cfg, profile, total_bits, horizon_s, warmup_s)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -846,7 +856,9 @@ class TestBlockWalkEqualsWholeArrayPass:
 
     def test_run_record_counts_background_packets(self, caplog):
         # 2 Mb/s offered against less than 1 Mb/s, as about 80 or 8,000 packets
-        # against a profile of one 2,000-slot period
+        # against a profile of one 2,000-slot period, walked afresh: the first
+        # run searches, and the second builds the tables
+        simulate_mod.steady_cycle.cache_clear()
         for leftover, path in [(LeftoverTrafficModel(4.0, 5e5), "search"), (LeftoverTrafficModel(400.0, 5e3), "table")]:
             cfg = sim(S.DYNAMIC, horizon=20.0, leftover=leftover)
             caplog.clear()
@@ -986,17 +998,18 @@ class TestHapticLayerMemo:
 
     def test_shared_arrays_are_read_only(self):
         cfg = offgrid(S.DYNAMIC)
-        a, b = run(cfg), run(dataclasses.replace(cfg, seed=2))
-        profile, other = simulate_mod._haptic_layer(cfg)[0], simulate_mod._haptic_layer(cfg)[0]
+        with lookup(True):  # the first run builds the lookup tables on the entry's profile
+            a, b = run(cfg), run(dataclasses.replace(cfg, seed=2))
         entry = walk_entry(cfg)
-        shared = [entry.chunk_counts, entry.arrivals,
-                  profile.seg_t, profile.seg_S, profile.seg_rate, profile.ris_t, profile.ris_S, profile.ris_rate]
-        for array in shared:
+        profile = entry.profile
+        # every run of the configuration reads the entry's profile, at any horizon
+        for horizon in (cfg.horizon, 3 * cfg.horizon):
+            assert simulate_mod._haptic_layer(dataclasses.replace(cfg, horizon=horizon))[0] is profile
+        assert profile.slot_S is not None and profile.bucket_seg is not None
+        arrays = [v for v in vars(profile).values() if isinstance(v, np.ndarray)]  # the tables too
+        for array in [entry.chunk_counts, entry.arrivals, *arrays]:
             with pytest.raises(ValueError):
                 array[0] = 0
-        # each run's profile is its own copy of the entry's, sharing its arrays
-        assert profile is not other and profile is not entry.profile
-        assert profile.seg_S is other.seg_S is entry.profile.seg_S
         # the per-period counts and the access delays depend on the horizon:
         # each run lays out its own
         for field in ("haptic_period_counts", "haptic_delays", "haptic_delay_counts"):
@@ -1023,34 +1036,47 @@ class TestHapticLayerMemo:
         records = [r.args for r in caplog.records if r.msg is simulate_mod._PATH_RECORD]
         assert len(records) == 2 and records[0] == records[1]
 
-    def test_search_after_tables_still_searches(self):
+    def test_a_later_run_reads_the_tables_an_earlier_one_built(self, caplog):
         # 2 Mb/s offered against less than 1 Mb/s: about 8,000 packets against
-        # one 2,000-slot period, so each run has packets to look up
+        # one 2,000-slot period build the tables; 80 would not, yet the run
+        # after reads them, as does another seed
         cfg = sim(S.DYNAMIC, horizon=20.0, leftover=LeftoverTrafficModel(400.0, 5e3))
+        later = [dataclasses.replace(cfg, seed=2), dataclasses.replace(cfg, leftover=LeftoverTrafficModel(4.0, 5e5))]
+        build, builds = simulate_mod._CapacityProfile.build_lookup_tables, []
+
+        def spy(profile):
+            builds.append(profile)
+            build(profile)
+
         simulate_mod.steady_cycle.cache_clear()
-        simulate_mod._haptic_layer(cfg)  # the miss, outside the spy
-        original = simulate_mod._CapacityProfile.supply_at
-        totals, searched = [], []
+        with mock.patch.object(simulate_mod._CapacityProfile, "build_lookup_tables", spy), \
+                caplog.at_level(logging.DEBUG, "hapticsched.simulate"):
+            run(cfg)
+            warm = [run(c) for c in later]
+            profile, cold = walk_entry(cfg).profile, []
+            for c in later:
+                with lookup(False):  # cold: walked afresh, and searched
+                    cold.append(run(c))
+        assert builds == [profile]
+        assert [r.args[6] for r in caplog.records if r.msg is simulate_mod._BACKGROUND_RECORD] == \
+            ["table", "table", "table", "search", "search"]
+        for got, want in zip(warm, cold):
+            assert_reports_identical(got, want)
 
-        def spy(profile, t_ns):
-            # a run reads its horizon's total once, a scalar, before any
-            # tables; the queue walk looks up arrays of arrival times
-            (totals if np.ndim(t_ns) == 0 else searched).append(profile.slot_S is None)
-            return original(profile, t_ns)
-
-        with mock.patch.object(simulate_mod._CapacityProfile, "supply_at", spy):
-            with lookup(True):
-                tables = run(cfg)
-            assert totals == [True]
-            assert searched and not any(searched)
-            totals.clear()
-            searched.clear()
-            with lookup(False):
-                search = run(cfg)
-            assert totals == [True]
-            assert searched and all(searched)
-        assert simulate_mod._haptic_layer(cfg)[0].slot_S is None
-        assert_reports_identical(search, tables)
+    def test_the_memoised_profile_inverts_its_supply_at_any_horizon(self):
+        # one profile serves every horizon of its configuration, each run
+        # passing its own horizon's capacity to time_of_supply
+        short, long = offgrid(S.SOFT_RESERVATION), offgrid(S.SOFT_RESERVATION, horizon=300.0)
+        profile = walk_entry(short).profile
+        assert walk_entry(long).profile is profile
+        tti = short.radio.tti_ns
+        for cfg in (short, long):
+            n_slots = cfg.n_periods * cfg.slots_per_period
+            t_ns = np.linspace(0, n_slots * tti, 4001).round().astype(np.int64)  # the horizon last
+            total_bits = float(profile.supply_at(n_slots * tti))
+            back = profile.time_of_supply(profile.supply_at(t_ns), total_bits)
+            assert np.allclose(back, t_ns / 1e9, rtol=0, atol=2e-9)
+            assert profile.time_of_supply(total_bits * 1.001, total_bits) == np.inf
 
     def test_an_entry_does_not_grow_with_the_horizon(self):
         loaded = load_config()
