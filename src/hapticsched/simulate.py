@@ -35,10 +35,11 @@ leftover_arrivals draws them on demand.  Each block draws its arrival
 times and its sizes, each from a stream of its own, and sums its sizes on
 from the block before, so of the background flow only the kept completion
 delays span the horizon.  Every scheme and grid point of a seed reads the
-same timeline, so one whose draw bound fits one block is drawn once and
-kept, with the per-block arrays that depend on it alone, and every later
-run of the same (model, horizon, seed) reads it; the last such draw is
-memoised.  A longer timeline streams and keeps nothing.
+same timeline, so one whose draw bound fits one block is kept, with the
+per-block arrays that depend on it alone, for the next run that reads
+it: only the last such draw is memoised, so the runs of one seed in a row
+share it, and a seed list, which runs its seeds innermost, draws every
+run afresh.  A longer timeline streams and keeps nothing.
 """
 
 from __future__ import annotations
@@ -155,10 +156,10 @@ class SimReport:
 
 class _CapacityProfile:
     """Piecewise-linear cumulative background capacity over a prefix and one
-    cycle repeated after it up to the horizon, evaluated and inverted
-    exactly: a time or bit target past the prefix folds back into the
-    cycle, each completed cycle adding cycle_bits.  It depends on no
-    horizon: time_of_supply takes the capacity up to the caller's."""
+    cycle repeated after it without end, evaluated and inverted exactly: a
+    time or bit target past the prefix folds back into the cycle, each
+    completed cycle adding cycle_bits.  It depends on no horizon: a run
+    cuts its bit targets at its own horizon's capacity."""
 
     def __init__(self, occupied_slots: np.ndarray, prefix_slots: int, cycle_slots: int,
                  tti_ns: int, total_rate: float, reduced_rate: float):
@@ -265,12 +266,13 @@ class _CapacityProfile:
         out += dbits
         return out
 
-    def time_of_supply(self, bits, total_bits: float) -> np.ndarray:
+    def time_of_supply(self, bits: np.ndarray) -> np.ndarray:
         """Earliest time (seconds) at which cumulative capacity reaches each
-        target; inf when the target lies past total_bits, the capacity up to
-        the caller's horizon, with no arithmetic on it.  Targets that fall on
-        a zero-rate plateau resolve at the next rising segment.  A 0-d target
-        gives a scalar, as in supply_at.  The targets are only read.
+        target of a 1-d float array, over all time: a caller with a horizon
+        cuts its targets at that horizon's capacity first.  Targets that
+        fall on a zero-rate plateau resolve at the next rising segment; past
+        the prefix of a cycle that supplies nothing, a target extends the
+        last rising segment.  The targets are only read.
 
         Without lookup tables the segment is a binary search.  With them
         (build_lookup_tables) it is a bucket lookup and one step, or a
@@ -278,16 +280,8 @@ class _CapacityProfile:
         fold into the cycle and the evaluation are the same either way and
         run in place on the call's own temporaries, so both give the same
         bits."""
-        bits = np.asarray(bits, dtype=float)
-        shape, bits = bits.shape, bits.ravel()  # 0-d too: the fold and the walk below assign into arrays
         if len(self.ris_S) == 0 or len(bits) == 0:
-            return np.full(shape, np.inf)[()]
-        # a maximum or minimum over the targets decides whether a mask is
-        # needed at all; a NaN among them makes it NaN, and the mask decides
-        limit, past = total_bits * (1 + 1e-12), None
-        if not bits.max() <= limit:  # folded, a target far past the horizon can overflow
-            past = bits > limit
-            bits = np.where(past, 0.0, bits)
+            return np.full(len(bits), np.inf)
         if self.cycle_bits <= 0:  # nothing accrues after the prefix
             k, res = np.zeros(bits.shape), bits  # res may be the caller's: read only
         else:  # targets inside the prefix do not fold
@@ -332,9 +326,7 @@ class _CapacityProfile:
         t_ns += starts.take(j)
         t_ns += dt_ns
         t_ns /= 1e9
-        if past is not None:
-            t_ns[past] = np.inf
-        return t_ns.reshape(shape)[()]
+        return t_ns
 
 
 def _chunk_order(n_chunks: int, start: int, cycle: int) -> np.ndarray:
@@ -496,10 +488,11 @@ def _timeline_blocks(timeline: ArrivalTimeline, times: Iterator[np.ndarray]) -> 
 
 @functools.lru_cache(maxsize=1)
 def _kept_blocks(timeline: ArrivalTimeline) -> tuple[_Block, ...]:
-    """The blocks of a timeline whose draw bound fits one block, drawn once
-    and kept read-only.  Every scheme and grid point of a seed reads the
-    same timeline, and an invocation runs them in a row, so one entry,
-    keyed on the timeline's (model, horizon, seed), serves them all."""
+    """The blocks of a timeline whose draw bound fits one block, kept
+    read-only.  One entry, keyed on the timeline's (model, horizon, seed),
+    serves the runs that read the timeline in a row: every scheme and grid
+    point of a one-seed invocation.  A seed list runs its seeds innermost,
+    so the seed changes from run to run and each run draws afresh."""
     blocks = tuple(_timeline_blocks(timeline, timeline.time_blocks(_BLOCK)))
     for block in blocks:
         for array in block[:4]:
@@ -507,33 +500,39 @@ def _kept_blocks(timeline: ArrivalTimeline) -> tuple[_Block, ...]:
     return blocks
 
 
-def _background_layer(config: SimConfig, profile: _CapacityProfile, total_bits: float, horizon_s: float,
-                      warmup_s: float) -> np.ndarray:
-    """Drain the background FIFO queue through the leftover capacity, of
-    total_bits up to the horizon, and return the completion delays of the
-    finished packets that arrived after warm-up.
+def _background_layer(config: SimConfig, profile: _CapacityProfile) -> np.ndarray:
+    """Drain the background FIFO queue through the leftover capacity up to
+    the horizon, snapped down to whole traffic periods, and return the
+    completion delays of the finished packets that arrived after the
+    first period's warm-up.
 
-    Packet i finishes when cumulative capacity reaches
+    Packet i finishes when cumulative capacity reaches its target,
     max_{j <= i}(supply(a_j) - cum_{j-1}) + cum_i.  The packets are walked
     in blocks of _BLOCK (_timeline_blocks), with the running maximum
     carried from block to block, so the bytes are those of one draw and one
     sum over the timeline.  A timeline whose draw bound fits one block is
-    drawn once and kept (_kept_blocks), and every later run of the same
-    (model, horizon, seed) reads it; a longer one streams, and nothing spans
-    it but the kept delays, in a buffer of the time draw's bound that grows
-    only when the draw runs past it.  Every run calls leftover_arrivals for
-    its timeline, kept or not.
+    kept (_kept_blocks), and the next run of the same (model, horizon,
+    seed) reads it; a longer one streams, and nothing spans it but the kept
+    delays, in a buffer of the time draw's bound that grows only when the
+    draw runs past it.  Every run calls leftover_arrivals for its timeline,
+    kept or not.
 
-    Completion times are nondecreasing and a target past the horizon is
-    unreachable, so the unfinished packets are a suffix: a binary search
-    for inf finds the first of them, the walk stops at the block that holds
-    it, and the arrival times after it are only counted.  The profile is
-    shared by every run of the configuration: the first run whose expected
-    packet count is at least its slots builds its lookup tables, and every
-    later run reads them, whatever its own count.
+    The finished packets are those whose target is at most the horizon's
+    capacity, with a relative slack of 1e-12 for the rounding of the sums.
+    The targets are nondecreasing, a running maximum plus a size sum, so
+    the unfinished packets are a suffix: a binary search of each block's
+    targets against that capacity finds the finished prefix, only that
+    prefix is inverted, the walk stops at the block that holds the first
+    unfinished packet, and the arrival times after it are only counted.
+    The profile is shared by every run of the configuration: the first run
+    whose expected packet count is at least its slots builds its lookup
+    tables, and every later run reads them, whatever its own count.
 
     Raises InfeasibleError when the queue grows superlinearly.
     """
+    horizon_ns = config.n_periods * config.haptic.t_p_ns
+    horizon_s, warmup_s = horizon_ns / 1e9, config.haptic.t_p_ns / 1e9
+    capacity = float(profile.supply_at(horizon_ns)) * (1 + 1e-12)  # the horizon's, with slack for rounding
     timeline = leftover_arrivals(config.leftover, horizon_s, config.seed)
     if timeline.count_bound <= _BLOCK:
         hits = _kept_blocks.cache_info().hits
@@ -560,8 +559,8 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile, total_bits: 
         np.maximum.accumulate(level, out=level)
         peak = level[-1]
         level += block.cum
-        completion = profile.time_of_supply(level, total_bits)
-        done = int(completion.searchsorted(np.inf))
+        done = int(level.searchsorted(capacity, side="right"))
+        completion = profile.time_of_supply(level[:done])
         finished += done
         finished_mid += int(completion.searchsorted(t_mid, side="right"))
         start = min(int(a.searchsorted(warmup_s)), done)
@@ -597,12 +596,7 @@ def run(config: SimConfig) -> SimReport:
     """
     radio, haptic = config.radio, config.haptic
     profile, counts, haptic_delays, delay_counts, occupancy = _haptic_layer(config)
-    n_slots = len(counts) * config.slots_per_period  # the horizon the layer laid out
-    horizon_s = n_slots * radio.tti_ns / 1e9
-    warmup_s = haptic.t_p_ns / 1e9
-    total_bits = float(profile.supply_at(n_slots * radio.tti_ns))
-
-    leftover_delays = _background_layer(config, profile, total_bits, horizon_s, warmup_s)
+    leftover_delays = _background_layer(config, profile)
 
     tx_total, dr_total = (int(x) for x in counts[1:].sum(axis=0))
     drop_rate = dr_total / (tx_total + dr_total) if (tx_total + dr_total) else 0.0
@@ -610,13 +604,13 @@ def run(config: SimConfig) -> SimReport:
 
     return SimReport(
         haptic_drop_rate=drop_rate,
-        haptic_delays=np.asarray(haptic_delays, dtype=float),
+        haptic_delays=haptic_delays,
         haptic_delay_counts=delay_counts,
-        leftover_delays=np.asarray(leftover_delays, dtype=float),
+        leftover_delays=leftover_delays,
         remainder_bits_per_period=remainder,
-        slots_simulated=n_slots,
+        slots_simulated=config.n_periods * config.slots_per_period,
         haptic_period_counts=counts,
-        horizon_s=horizon_s,
+        horizon_s=config.n_periods * haptic.t_p_ns / 1e9,
     )
 
 

@@ -1,9 +1,11 @@
 """Checks on the package as a whole: its documented entry point runs, it
-needs nothing beyond numpy and the standard library, and it loads numpy on
-first array use only.  The suite imports numpy itself, so the loading is
-checked in fresh interpreters."""
+needs nothing beyond numpy and the standard library, it loads numpy on
+first array use only, and README's "Fast paths" table names each of its
+memos.  The suite imports numpy itself, so the loading is checked in fresh
+interpreters."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -110,3 +112,24 @@ def test_workflow_property_names_name_tests():
              for test in re.findall(r"^\s*(?:class|def) (Test\w*|test_\w*)", (ROOT / path).read_text(), re.M)]
     assert files and names
     assert [name for name in names if not any(name in test for test in tests)] == []
+
+
+def test_every_memo_has_a_fast_paths_row():
+    """Each function of the package that keeps a functools cache is named
+    as module.name in the Where cell of a "Fast paths" row, and a row that
+    states lru_cache(maxsize=N) states the cache's own size."""
+    section = (ROOT / "README.md").read_text().split("## Fast paths", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| ")]
+    memos = {}
+    for path in sorted((ROOT / "src" / "hapticsched").glob("*.py")):
+        module = importlib.import_module(f"hapticsched.{path.stem}")
+        memos.update({f"{path.stem}.{name}": value.cache_parameters()["maxsize"]
+                      for name, value in vars(module).items()
+                      if hasattr(value, "cache_parameters") and value.__module__ == module.__name__})
+    assert memos
+    for name, maxsize in memos.items():
+        named = [row for row in rows if f"`{name}`" in row[1]]
+        assert named, f"{name} has no Fast paths row"
+        for row in named:
+            for stated in re.findall(r"lru_cache\(maxsize=(\d+)\)", "|".join(row)):
+                assert int(stated) == maxsize, name

@@ -259,8 +259,8 @@ class TestLeftoverSide:
 
 
 def profile_and_total(occupied, prefix, cycle, horizon, tti, total_rate, reduced_rate):
-    """A capacity profile, and its capacity up to a horizon in slots, as a
-    run passes it to time_of_supply."""
+    """A capacity profile, and its capacity up to a horizon in slots, at
+    which a run cuts its bit targets."""
     profile = simulate_mod._CapacityProfile(occupied, prefix, cycle, tti, total_rate, reduced_rate)
     return profile, float(profile.supply_at(horizon * tti))
 
@@ -325,26 +325,30 @@ class TestCapacityProfile:
         profile, total_bits = profile_and_total(occupied, 0, 40, 200, 1_000_000, 1e6, 0.2e6)
         times_ns = rng.integers(0, 5 * 40 * 1_000_000, size=200)
         supply = profile.supply_at(times_ns)
-        back = profile.time_of_supply(supply, total_bits)
+        back = profile.time_of_supply(supply)
         assert np.allclose(back, times_ns / 1e9, atol=2e-9)
 
     def test_zero_rate_plateaus_resolve_at_next_rising_segment(self):
-        profile, total_bits = profile_and_total(np.array([1]), 0, 4, 8, 1_000_000, 1e6, 0.0)
+        profile = simulate_mod._CapacityProfile(np.array([1]), 0, 4, 1_000_000, 1e6, 0.0)
         # one full slot of capacity accrues by t=1ms and stalls until t=2ms
-        t = profile.time_of_supply(np.array([1000.0 + 1e-9]), total_bits)[0]
+        t = profile.time_of_supply(np.array([1000.0 + 1e-9]))[0]
         assert t == pytest.approx(2e-3, abs=1e-9)
 
-    def test_targets_past_horizon_are_unreachable(self):
+    def test_targets_past_the_horizon_resolve_past_it(self):
+        # the profile inverts over all time: a target a tenth of a percent
+        # past an 8 ms horizon's capacity at a flat 1 Mb/s is reached then
         profile, total_bits = profile_and_total(np.array([], dtype=np.int64), 0, 4, 8, 1_000_000, 1e6, 1e6)
-        assert np.isinf(profile.time_of_supply(np.array([total_bits * 1.001]), total_bits)[0])
+        assert total_bits == 8000.0
+        assert profile.time_of_supply(np.array([total_bits * 1.001]))[0] == pytest.approx(8.008e-3, rel=1e-12)
 
     def test_a_cycle_without_capacity_leaves_the_prefix_reachable(self):
         # every cycle slot occupied at zero reduced rate: only the prefix's
-        # two free slots supply bits, and nothing past them is reachable
+        # two free slots supply bits, and nothing past them is reachable, so
+        # a run's cut at its horizon's capacity leaves it uninverted
         profile, total_bits = profile_and_total(np.arange(2, 7), 3, 4, 15, 1_000_000, 1e6, 0.0)
         assert total_bits == 2000.0
-        assert np.allclose(profile.time_of_supply(np.array([500.0, 1500.0]), total_bits), [0.5e-3, 1.5e-3])
-        assert np.isinf(profile.time_of_supply(np.array([2000.5]), total_bits)[0])
+        assert np.allclose(profile.time_of_supply(np.array([500.0, 1500.0])), [0.5e-3, 1.5e-3])
+        assert np.array_equal(profile.supply_at(np.array([15, 4_000, 10**9]) * 1_000_000), [2000.0] * 3)
 
     @pytest.mark.parametrize("reduced", [0.2e6, 0.0])
     def test_rising_segments_are_the_segments_unless_a_plateau_exists(self, reduced):
@@ -358,19 +362,17 @@ class TestCapacityProfile:
                 ris[0] = 0
 
     @pytest.mark.parametrize("tables", [False, True])
-    def test_targets_past_the_horizon_take_no_arithmetic(self, tables):
-        # at 1e-300 b/s a target of a few bits lies about 1e305 cycles out,
-        # whose time in ns overflows: it is past the horizon, so it is inf
-        # with no overflow on the way
-        profile, total_bits = profile_and_total(np.array([1]), 0, 4, 60_000, 500_000, 1e-300, 0.0)
-        if tables:
-            profile.build_lookup_tables()
-        targets = np.array([0.0, total_bits, 1200.0, 1e300, np.inf])
-        with warnings.catch_warnings():
+    def test_targets_past_the_horizon_take_no_arithmetic(self, tables, caplog):
+        # at 1e-300 b/s a packet of 12,000 bits lies about 1e305 cycles out,
+        # whose time in ns overflows: the walk cuts it at the horizon's
+        # capacity, so no packet finishes and none is inverted
+        with lookup(tables), warnings.catch_warnings(), caplog.at_level(logging.DEBUG, "hapticsched.simulate"):
             warnings.simplefilter("error")
-            got = profile.time_of_supply(targets, total_bits)
-            scalar = profile.time_of_supply(1200.0, total_bits)
-        assert np.array_equal(got, [0.0, 30.0, np.inf, np.inf, np.inf]) and scalar == np.inf
+            report = run(sim(S.DYNAMIC, rate=1e-300))
+        records = [r.args for r in caplog.records if r.msg is simulate_mod._BACKGROUND_RECORD]
+        (_, arrived, finished, unfinished, kept, _, path, *_), = records
+        assert (arrived > 0, finished, unfinished, kept) == (True, 0, arrived, 0)
+        assert path == ("table" if tables else "search") and len(report.leftover_delays) == 0
 
 
 @st.composite
@@ -438,16 +440,16 @@ class TestLookupTablesEqualSearch:
             np.nextafter(starts, -np.inf), np.nextafter(starts, np.inf), rng.uniform(-0.1, 1.5, 200) * total,
             [0.0, -1.0, total, total * (1 + 1e-12), total * 1.001, 1e300, np.inf, -np.inf, np.nan]])
         targets_before = targets.copy()
-        with np.errstate(invalid="ignore"):
-            got, want = tables.time_of_supply(targets, total), search.time_of_supply(targets, total)
+        # the targets past the horizon fold as far as they lie, and the
+        # infinite and NaN ones take invalid arithmetic: both paths alike
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = tables.time_of_supply(targets), search.time_of_supply(targets)
         assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(targets, targets_before, equal_nan=True)
-        # a 0-d or scalar target gives the scalar a 1-d call gives for it
+        # a lone target gives the time it gets among the others
         for target in (search.supply_at(np.int64(scalar)), total * 1.001, -1.0):
-            for bits in (target, np.array(target)):
-                got, want = tables.time_of_supply(bits, total), search.time_of_supply(bits, total)
-                assert type(got) is type(want) is np.float64
-                assert got == want == search.time_of_supply(np.array([target]), total)[0]
+            alone = [profile.time_of_supply(np.array([target]))[0] for profile in (tables, search)]
+            assert alone == [search.time_of_supply(np.array([target, 0.0, total]))[0]] * 2
 
     @pytest.mark.parametrize("reduced, buckets, one_step", [
         (0.8e6, 46, True),   # 18,000 bits, the narrowest segment 400 of them: 45 buckets wide enough, one more
@@ -455,7 +457,7 @@ class TestLookupTablesEqualSearch:
     ])
     def test_the_path_a_profile_takes(self, reduced, buckets, one_step):
         # 40 slots, every other one occupied; segment starts ±1 ulp, 0, NaN
-        # and targets past the horizon resolve as the binary search does
+        # and targets past the 1 s horizon resolve as the binary search does
         args = (np.arange(0, 40, 2), 0, 40, 40 * 50, 500_000, 1e6, reduced)
         (search, total), (tables, _) = profile_and_total(*args), profile_and_total(*args)
         tables.build_lookup_tables()
@@ -464,10 +466,10 @@ class TestLookupTablesEqualSearch:
         targets = np.concatenate([starts, np.nextafter(starts, -np.inf), np.nextafter(starts, np.inf),
                                   [0.0, np.nan, total * 1.001, np.inf]])
         with np.errstate(invalid="ignore"):
-            got, want = tables.time_of_supply(targets, total), search.time_of_supply(targets, total)
+            got, want = tables.time_of_supply(targets), search.time_of_supply(targets)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(got[:len(starts)], (search.ris_t + 7 * search.cycle_ns) / 1e9)  # a start is its own segment's
-        assert got[-4] == 0.0 and np.isnan(got[-3]) and got[-2] == got[-1] == np.inf
+        assert got[-4] == 0.0 and np.isnan(got[-3]) and 1.0 < got[-2] < 1.002 and not np.isfinite(got[-1])
 
 
 def tile_gather(parts: list[np.ndarray], order: list[int], span: int) -> np.ndarray:
@@ -509,7 +511,7 @@ class FlatProfile:
         j = np.searchsorted(self.seg_t, r, side="right") - 1
         return k * self.total_bits + self.seg_S[j] + self.seg_rate[j] * (r - self.seg_t[j]) / 1e9
 
-    def time_of_supply(self, bits, total_bits):
+    def time_of_supply(self, bits):
         bits = np.asarray(bits, dtype=float)
         if self.total_bits <= 0 or len(self.ris_S) == 0:
             return np.full(bits.shape, np.inf)
@@ -523,9 +525,7 @@ class FlatProfile:
         res[high] -= self.total_bits
         j = np.maximum(np.searchsorted(self.ris_S, res, side="right") - 1, 0)
         t_ns = k * float(self.period_ns) + self.ris_t[j] + (res - self.ris_S[j]) / self.ris_rate[j] * 1e9
-        out = t_ns / 1e9
-        out[bits > total_bits * (1 + 1e-12)] = np.inf
-        return out
+        return t_ns / 1e9
 
 
 def reference_haptic_layer(config):
@@ -600,8 +600,7 @@ class TestPrefixCycleLayoutEqualsFlatReference:
         total_bits = float(profile.supply_at(n_slots * tti))
         assert total_bits == pytest.approx(ref.total_bits, rel=0, abs=bits_tol)
         targets = rng.uniform(0, ref.total_bits, 300)
-        assert np.allclose(profile.time_of_supply(targets, total_bits), ref.time_of_supply(targets, ref.total_bits),
-                           rtol=0, atol=time_tol)
+        assert np.allclose(profile.time_of_supply(targets), ref.time_of_supply(targets), rtol=0, atol=time_tol)
 
     @settings(max_examples=80, deadline=None)
     @given(cfg=configs())
@@ -654,7 +653,8 @@ class TestPrefixCycleLayoutEqualsFlatReference:
 def whole_array_run(config, haptic_layer=None):
     """The simulator with its background queue drained in one whole-array
     pass, as it was computed before the block walk: every packet's supply at
-    arrival, one running maximum and one inversion over the full timeline.
+    arrival, one running maximum over the full timeline, and one inversion
+    of the packets it finishes within the horizon's capacity.
     haptic_layer defaults to the simulator's own, walked afresh, so that its
     profile has no lookup tables and the pass searches."""
     radio, haptic = config.radio, config.haptic
@@ -677,10 +677,9 @@ def whole_array_run(config, haptic_layer=None):
     if len(arrivals):
         supply_at_arrival = profile.supply_at(np.round(arrivals * 1e9).astype(np.int64))
         cum = np.cumsum(sizes)
-        backlog = np.maximum.accumulate(supply_at_arrival - (cum - sizes))
-        completion = profile.time_of_supply(backlog + cum, total_bits)
-        finished = np.isfinite(completion)
-        fin_times = completion[finished]
+        level = np.maximum.accumulate(supply_at_arrival - (cum - sizes)) + cum
+        finished = level <= total_bits * (1 + 1e-12)  # within the horizon's capacity, to rounding
+        fin_times = profile.time_of_supply(level[finished])
         t_mid = 0.5 * horizon_s
         q_mid = int(np.searchsorted(arrivals, t_mid, side="right") - np.searchsorted(fin_times, t_mid, side="right"))
         q_end = int(len(arrivals) - len(fin_times))
@@ -689,7 +688,8 @@ def whole_array_run(config, haptic_layer=None):
                 f"leftover queue grew superlinearly ({q_mid} packets at mid-horizon, "
                 f"{q_end} at the end): configuration is unstable"
             )
-        leftover_delays = (completion - arrivals)[(arrivals >= warmup_s) & finished]
+        fin_arrivals = arrivals[finished]
+        leftover_delays = (fin_times - fin_arrivals)[fin_arrivals >= warmup_s]
     post = counts[1:]
     tx_total, dr_total = int(post[:, 0].sum()), int(post[:, 1].sum())
     drop_rate = dr_total / (tx_total + dr_total) if (tx_total + dr_total) else 0.0
@@ -839,16 +839,14 @@ class TestBlockWalkEqualsWholeArrayPass:
         loaded = load_config()
         leftover = LeftoverTrafficModel(300.0, 1200.0, SizeDistribution.EXPONENTIAL_MEAN)
         cfg = SimConfig(loaded.radio, loaded.haptic, leftover, S.SEMI_PERSISTENT, 700.0, 1)
-        horizon_s, warmup_s = cfg.n_periods * cfg.haptic.t_p_ns / 1e9, cfg.haptic.t_p_ns / 1e9
         profile = simulate_mod._haptic_layer(cfg)[0]
-        total_bits = float(profile.supply_at(cfg.n_periods * cfg.slots_per_period * cfg.radio.tti_ns))
-        timeline = simulate_mod.leftover_arrivals(leftover, horizon_s, cfg.seed)
+        timeline = simulate_mod.leftover_arrivals(leftover, cfg.n_periods * cfg.haptic.t_p_ns / 1e9, cfg.seed)
         n, bound = len(timeline), timeline.count_bound
         block = 1024  # small blocks, so that their temporaries do not hide a whole-timeline array
         with mock.patch.object(simulate_mod, "_BLOCK", block):
             tracemalloc.start()
             try:
-                simulate_mod._background_layer(cfg, profile, total_bits, horizon_s, warmup_s)
+                simulate_mod._background_layer(cfg, profile)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -874,6 +872,23 @@ class TestBlockWalkEqualsWholeArrayPass:
             assert blocks == finished // 16 + 1  # the walk stops at the first unfinished packet
             assert lookup_path == path and packets == arrived and slots == cfg.slots_per_period
             assert source == "drawn"  # a draw bound past 16-packet blocks streams
+
+    def test_the_walk_inverts_no_target_past_the_horizon(self):
+        # 2 Mb/s offered against less than 1 Mb/s: about half the packets
+        # are left unfinished, and the walk inverts only the finished ones
+        cfg = sim(S.DYNAMIC, horizon=20.0, leftover=LeftoverTrafficModel(4.0, 5e5))
+        invert, largest = simulate_mod._CapacityProfile.time_of_supply, []
+
+        def spy(profile, bits, *args):
+            largest.append(bits.max(initial=-np.inf))
+            return invert(profile, bits, *args)
+
+        with mock.patch.object(simulate_mod._CapacityProfile, "time_of_supply", spy):
+            report = run(cfg)
+        capacity = walk_entry(cfg).profile.supply_at(cfg.n_periods * cfg.haptic.t_p_ns)
+        arrived = len(simulate_mod.leftover_arrivals(cfg.leftover, report.horizon_s, cfg.seed))
+        assert largest and 0 < len(report.leftover_delays) < arrived - 20
+        assert max(largest) <= capacity * (1 + 1e-12)
 
 
 def rate_for_bound(bound, horizon):
@@ -1065,7 +1080,7 @@ class TestHapticLayerMemo:
 
     def test_the_memoised_profile_inverts_its_supply_at_any_horizon(self):
         # one profile serves every horizon of its configuration, each run
-        # passing its own horizon's capacity to time_of_supply
+        # cutting its targets at its own horizon's capacity
         short, long = offgrid(S.SOFT_RESERVATION), offgrid(S.SOFT_RESERVATION, horizon=300.0)
         profile = walk_entry(short).profile
         assert walk_entry(long).profile is profile
@@ -1074,9 +1089,9 @@ class TestHapticLayerMemo:
             n_slots = cfg.n_periods * cfg.slots_per_period
             t_ns = np.linspace(0, n_slots * tti, 4001).round().astype(np.int64)  # the horizon last
             total_bits = float(profile.supply_at(n_slots * tti))
-            back = profile.time_of_supply(profile.supply_at(t_ns), total_bits)
+            back = profile.time_of_supply(profile.supply_at(t_ns))
             assert np.allclose(back, t_ns / 1e9, rtol=0, atol=2e-9)
-            assert profile.time_of_supply(total_bits * 1.001, total_bits) == np.inf
+            assert profile.time_of_supply(np.array([total_bits * 1.001]))[0] > n_slots * tti / 1e9
 
     def test_an_entry_does_not_grow_with_the_horizon(self):
         loaded = load_config()
