@@ -65,12 +65,11 @@ class LeftoverServiceCurve:
     def __init__(self, scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTrafficModel):
         self.scheme = scheme
         self.radio = radio
-        self.haptic = haptic
         _, _, self.slots_per_period, self.slots_excess = period_counts(scheme, radio, haptic)
         # bits lost per claimed slot, and the two fixed charges
-        self.slot_bits = radio.slot_bits
-        self.period_bits = self.slot_bits * self.slots_per_period
-        self.offset_bits = self.slot_bits * (self.slots_excess + 2)
+        slot_bits = radio.slot_bits
+        self.period_bits = slot_bits * self.slots_per_period
+        self.offset_bits = slot_bits * (self.slots_excess + 2)
         self.t_p = haptic.t_p
 
     def value(self, u):

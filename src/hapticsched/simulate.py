@@ -104,9 +104,9 @@ class SimConfig:
             problems.append(f"seed: must be an integer >= 0, got {self.seed!r}")
         if not math.isfinite(self.horizon):
             problems.append(f"horizon: must be finite, got {self.horizon!r}")
-        elif math.isinf(self.horizon * NS_PER_S):  # n_periods could not snap it
+        elif math.isinf(self.horizon * NS_PER_S):  # to_ns could not snap it
             problems.append(f"horizon: must be finite in nanoseconds, got {self.horizon!r}")
-        elif (n_periods := self.n_periods) < 10:
+        elif (n_periods := to_ns(self.horizon) // self.haptic.t_p_ns) < 10:
             problems.append(
                 f"horizon: must cover at least 10 traffic periods, got {self.horizon!r} s "
                 f"with t_p={self.haptic.t_p!r} s"
@@ -132,14 +132,13 @@ class SimConfig:
         problems.extend(slot_grid_problems(self.scheme, self.radio, self.haptic))
         if problems:
             raise ConfigError(problems)
-
-    @property
-    def n_periods(self) -> int:
-        return int(to_ns(self.horizon) // self.haptic.t_p_ns)
-
-    @property
-    def slots_per_period(self) -> int:
-        return int(self.haptic.t_p_ns // self.radio.tti_ns)
+        # the horizon snapped down to whole traffic periods, set once as plain
+        # attributes, as RadioConfig's lattice values are
+        k_p = self.haptic.t_p_ns // self.radio.tti_ns
+        object.__setattr__(self, "n_periods", n_periods)
+        object.__setattr__(self, "slots_per_period", k_p)
+        object.__setattr__(self, "n_slots", n_periods * k_p)
+        object.__setattr__(self, "horizon_ns", n_periods * self.haptic.t_p_ns)
 
 
 @dataclass
@@ -151,7 +150,6 @@ class SimReport:
     remainder_bits_per_period: float
     slots_simulated: int
     haptic_period_counts: np.ndarray  # (n_periods, 2): transmitted, dropped per arrival period
-    horizon_s: float
 
 
 class _CapacityProfile:
@@ -417,8 +415,8 @@ def _haptic_layer(config: SimConfig):
     to the horizon the profile has the partial chunk's slots too.
     """
     scheme, radio, haptic, k_p = config.scheme, config.radio, config.haptic, config.slots_per_period
-    steady, n_periods = steady_cycle(scheme, radio, haptic), config.n_periods
-    n_slots, per_chunk = n_periods * k_p, steady.span // k_p
+    steady, n_periods, n_slots = steady_cycle(scheme, radio, haptic), config.n_periods, config.n_slots
+    per_chunk = steady.span // k_p
     n_full, rest = divmod(n_periods, per_chunk)  # rest: the partial final chunk's periods
     chunks, start = [*steady.walked], steady.start
     order = _chunk_order(n_full + bool(rest), start, len(chunks) - start)
@@ -530,9 +528,8 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile) -> np.ndarra
 
     Raises InfeasibleError when the queue grows superlinearly.
     """
-    horizon_ns = config.n_periods * config.haptic.t_p_ns
-    horizon_s, warmup_s = horizon_ns / 1e9, config.haptic.t_p_ns / 1e9
-    capacity = float(profile.supply_at(horizon_ns)) * (1 + 1e-12)  # the horizon's, with slack for rounding
+    horizon_s, warmup_s = config.horizon_ns / 1e9, config.haptic.t_p_ns / 1e9
+    capacity = float(profile.supply_at(config.horizon_ns)) * (1 + 1e-12)  # the horizon's, with slack for rounding
     timeline = leftover_arrivals(config.leftover, horizon_s, config.seed)
     if timeline.count_bound <= _BLOCK:
         hits = _kept_blocks.cache_info().hits
@@ -591,8 +588,8 @@ def run(config: SimConfig) -> SimReport:
     """Replay the configuration and measure drop rates, access delays,
     background completion delays and the spare per-period capacity.
 
-    The horizon is snapped down to a whole number of traffic periods; the
-    first period is discarded as warm-up.
+    The run covers config.n_periods whole traffic periods, config.horizon_ns,
+    and discards the first as warm-up; slots_simulated is config.n_slots.
     """
     radio, haptic = config.radio, config.haptic
     profile, counts, haptic_delays, delay_counts, occupancy = _haptic_layer(config)
@@ -608,9 +605,8 @@ def run(config: SimConfig) -> SimReport:
         haptic_delay_counts=delay_counts,
         leftover_delays=leftover_delays,
         remainder_bits_per_period=remainder,
-        slots_simulated=config.n_periods * config.slots_per_period,
+        slots_simulated=config.n_slots,
         haptic_period_counts=counts,
-        horizon_s=config.n_periods * haptic.t_p_ns / 1e9,
     )
 
 
@@ -664,19 +660,15 @@ def validate_against_walk(config: SimConfig) -> bool:
     scheduling.slotted_machine, so this checks the simulator's chunking and
     per-period bookkeeping, not the grant machine.
 
-    The counts come from the latency-critical layer alone: no background
-    queue is drawn or drained, so an unstable background load does not
-    raise here, as it does in run."""
-    counts = _haptic_layer(config)[1]
+    The periods are compared in one array comparison, and each mismatched
+    one logs a WARNING record, in period order.  The counts come from the
+    latency-critical layer alone: no background queue is drawn or drained,
+    so an unstable background load does not raise here, as it does in run."""
+    counts = _haptic_layer(config)[1][1:-1]
     walk = drop_walk(config.scheme, config.radio, config.haptic, slotted=True)
     expected = (walk.transmitted, walk.dropped)
-    ok = True
-    for period in range(1, len(counts) - 1):
-        got = (int(counts[period, 0]), int(counts[period, 1]))
-        if got != expected:
-            log.warning(
-                "%s: period %d simulated (tx=%d, dropped=%d) != walk (tx=%d, dropped=%d)",
-                config.scheme.value, period, got[0], got[1], expected[0], expected[1],
-            )
-            ok = False
-    return ok
+    mismatched = np.flatnonzero((counts != expected).any(axis=1)).tolist()
+    for period in mismatched:
+        log.warning("%s: period %d simulated (tx=%d, dropped=%d) != walk (tx=%d, dropped=%d)",
+                    config.scheme.value, period + 1, *counts[period].tolist(), *expected)
+    return not mismatched

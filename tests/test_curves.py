@@ -88,7 +88,7 @@ class TestCurveShape:
         inside = LeftoverServiceCurve(S.SOFT_RESERVATION, radio(), haptic(97e-3))
         assert flushed.slots_per_period - inside.slots_per_period == 1
         assert flushed.slots_excess == inside.slots_excess
-        assert flushed.period_bits - inside.period_bits == inside.slot_bits
+        assert flushed.period_bits - inside.period_bits == radio().slot_bits
 
 
 class TestLongRunRate:

@@ -245,6 +245,7 @@ class TestConfigHash:
         assert loaded.config_hash() == reference_hash(loaded, None, None)
 
 
+@pytest.mark.exact
 class TestModelHashEqualsFieldTuple:
     """Each frozen model computes its hash once; it must be the hash that
     dataclass's own __hash__ gave, that of the field tuple."""
@@ -281,6 +282,7 @@ def point_or_problems(build):
         return exc.problems
 
 
+@pytest.mark.exact
 class TestAtPointEqualsReplace:
     @settings(max_examples=200, deadline=None)
     @given(loaded=loaded_configs(), tracks=st.tuples(st.booleans(), st.booleans()),
@@ -296,6 +298,7 @@ class TestAtPointEqualsReplace:
             assert (point.t_sr_tracks_tti, point.t_pg_tracks_tti) == tracks
 
 
+@pytest.mark.exact
 class TestHashTextEqualsSortedDumps:
     """The hash text is joined from each section's JSON, and a grid point
     serialises only the section it changed, reusing its base's text for the
@@ -328,6 +331,7 @@ EDGE_FLOATS = [1e16, 1e16 - 2, 1e-4, 1e-5, 5e-324, 2.2250738585072014e-308, 1.79
                0.0, -0.0, math.inf, -math.inf, math.nan, 0.1, 1 / 3]
 
 
+@pytest.mark.exact
 class TestCellsEqualFmt:
     @settings(max_examples=1000, deadline=None)
     @given(value=st.one_of(st.floats(), st.floats().map(np.float64), st.sampled_from(EDGE_FLOATS),
@@ -381,6 +385,7 @@ def inline_checks(sim, walk_rate, row_status, eps_bounds):
     return sim_row
 
 
+@pytest.mark.exact
 class TestVerdictEqualsInlineReference:
     @settings(max_examples=300, deadline=None)
     @given(walk_rate=st.floats(0, 1), equal=st.booleans(), other_rate=st.floats(0, 1),

@@ -100,20 +100,6 @@ def test_demo_stdout_is_pinned(demo):
     assert done.stdout == (ROOT / "tests" / "golden" / "demos" / f"{demo.stem}.txt").read_bytes()
 
 
-def test_workflow_property_names_name_tests():
-    """Each name of the workflow's exact-equality step occurs in a test
-    class or function of the files it runs, so a renamed class fails here
-    as well as in the step's collection check."""
-    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
-    step = workflow.split("- name: Exact-equality properties", 1)[1].split("- name:", 1)[0]
-    files = re.search(r'files="([^"]*)"', step).group(1).split()
-    names = re.search(r'names="([^"]*)"', step).group(1).split()
-    tests = [test for path in files
-             for test in re.findall(r"^\s*(?:class|def) (Test\w*|test_\w*)", (ROOT / path).read_text(), re.M)]
-    assert files and names
-    assert [name for name in names if not any(name in test for test in tests)] == []
-
-
 def test_every_memo_has_a_fast_paths_row():
     """Each function of the package that keeps a functools cache is named
     as module.name in the Where cell of a "Fast paths" row, and a row that

@@ -378,6 +378,7 @@ def walk_inputs(draw, slotted_srr=False):
         reject()
 
 
+@pytest.mark.exact
 class TestWalkEqualsReferenceLoops:
     @settings(max_examples=300, deadline=None)
     @given(inputs=walk_inputs(), scheme=st.sampled_from(list(S)), slotted=st.booleans())
@@ -411,6 +412,7 @@ class TestWalkEqualsReferenceLoops:
         assert remainder_of_service(scheme, radio_cfg, h) == expected
 
 
+@pytest.mark.exact
 class TestPeriodCountsEqualWalk:
     @settings(max_examples=300, deadline=None)
     @given(inputs=walk_inputs(), scheme=st.sampled_from(list(S)))
@@ -539,6 +541,7 @@ def assert_machine_equals_both_rules(scheme, radio_cfg, h, sa, n_slots, busy):
     assert type(got.busy_end) is type(expected.busy_end)
 
 
+@pytest.mark.exact
 class TestSlottedMachineSkipsEmptySets:
     @settings(max_examples=200, deadline=None)
     @given(cfg=configs(), data=st.data())
@@ -555,6 +558,7 @@ class TestSlottedMachineSkipsEmptySets:
         assert_machine_equals_both_rules(cfg.scheme, cfg.radio, cfg.haptic, sa, k_p, busy)
 
 
+@pytest.mark.exact
 class TestSlottedBurstSplitEqualsRemainder:
     """SRR's machine, which splits its arrivals and its grants into burst and
     sparse by each slot modulo the period, equals both rules called on the

@@ -4,6 +4,7 @@ import logging
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -34,7 +35,9 @@ from hapticsched import (
 from hapticsched import simulate as simulate_mod
 from hapticsched.experiments import load_config
 from hapticsched.scheduling import reserved_slots, slot_periods, slotted_machine
+from hapticsched.units import to_ns
 
+ROOT = Path(__file__).resolve().parents[1]
 S = SchedulingScheme
 LEFTOVER = LeftoverTrafficModel(4.0, 12000.0)
 
@@ -226,9 +229,10 @@ class TestLeftoverSide:
         assert remainder_of_service(cfg.scheme, cfg.radio, cfg.haptic) == run(cfg).remainder_bits_per_period
 
     def test_work_conservation(self):
-        report = run(sim(S.SEMI_PERSISTENT, horizon=50.0, seed=5))
+        cfg = sim(S.SEMI_PERSISTENT, horizon=50.0, seed=5)
+        report = run(cfg)
         served_bits = 12000.0 * len(report.leftover_delays)
-        capacity = 1e6 * report.horizon_s  # upper bound on total supply
+        capacity = 1e6 * cfg.horizon_ns / 1e9  # upper bound on total supply
         assert served_bits <= capacity
 
     def test_single_packet_service_time(self):
@@ -398,6 +402,7 @@ def profile_lookups(draw):
     return args, times, draw(st.integers(0, horizon * tti))
 
 
+@pytest.mark.exact
 class TestLookupTablesEqualSearch:
     @settings(max_examples=200, deadline=None)
     @given(case=profile_lookups(), seed=st.integers(0, 2**32 - 1))
@@ -572,6 +577,7 @@ def reference_haptic_layer(config):
     return profile, counts, delays, np.ones(len(delays), dtype=np.int64), occupancy
 
 
+@pytest.mark.exact
 class TestPrefixCycleLayoutEqualsFlatReference:
     @settings(max_examples=80, deadline=None)
     @given(cfg=configs(), seed=st.integers(0, 2**32 - 1))
@@ -591,7 +597,7 @@ class TestPrefixCycleLayoutEqualsFlatReference:
         assert occupancy == ref_occupancy
         # the flat profile sums every segment of the horizon in one cumsum,
         # the periodic one adds whole cycles: they agree to float rounding
-        tti, n_slots = cfg.radio.tti_ns, cfg.n_periods * cfg.slots_per_period
+        tti, n_slots = cfg.radio.tti_ns, cfg.n_slots
         bits_tol = 1e-12 * ref.total_bits
         time_tol = bits_tol / ref.ris_rate.min()
         rng = np.random.default_rng(seed)
@@ -658,8 +664,8 @@ def whole_array_run(config, haptic_layer=None):
     haptic_layer defaults to the simulator's own, walked afresh, so that its
     profile has no lookup tables and the pass searches."""
     radio, haptic = config.radio, config.haptic
-    n_periods = config.n_periods
-    n_slots = n_periods * config.slots_per_period
+    n_periods = to_ns(config.horizon) // haptic.t_p_ns  # the horizon snapped down, derived afresh
+    n_slots = n_periods * (haptic.t_p_ns // radio.tti_ns)
     horizon_s = n_slots * radio.tti_ns / 1e9
     warmup_s = haptic.t_p_ns / 1e9
     if haptic_layer is None:
@@ -696,7 +702,7 @@ def whole_array_run(config, haptic_layer=None):
     slot_bits = haptic_blocks(radio) * radio.channel_rate * radio.tti
     return SimReport(
         drop_rate, np.asarray(haptic_delays, dtype=float), delay_counts, leftover_delays,
-        radio.total_rate * haptic.t_p - slot_bits * occupancy, n_slots, counts, horizon_s,
+        radio.total_rate * haptic.t_p - slot_bits * occupancy, n_slots, counts,
     )
 
 
@@ -776,6 +782,7 @@ def lookup(tables: bool):
         yield
 
 
+@pytest.mark.exact
 class TestBlockWalkEqualsWholeArrayPass:
     @settings(max_examples=80, deadline=None)
     @given(cfg=loaded_configs(), block=st.sampled_from([1, 2, 7, simulate_mod._BLOCK]), reference=st.booleans(),
@@ -788,7 +795,7 @@ class TestBlockWalkEqualsWholeArrayPass:
             # bits error of 1e-12 of the horizon supply moves a completion by less than
             # 2e-12 of the horizon
             want = whole_array_run(cfg, reference_haptic_layer)
-            assert_reports_identical(got, want, leftover_atol=2e-12 * want.horizon_s, delays_as_multiset=True)
+            assert_reports_identical(got, want, leftover_atol=2e-12 * cfg.horizon_ns / 1e9, delays_as_multiset=True)
         else:
             assert_reports_identical(got, whole_array_run(cfg))
 
@@ -840,7 +847,7 @@ class TestBlockWalkEqualsWholeArrayPass:
         leftover = LeftoverTrafficModel(300.0, 1200.0, SizeDistribution.EXPONENTIAL_MEAN)
         cfg = SimConfig(loaded.radio, loaded.haptic, leftover, S.SEMI_PERSISTENT, 700.0, 1)
         profile = simulate_mod._haptic_layer(cfg)[0]
-        timeline = simulate_mod.leftover_arrivals(leftover, cfg.n_periods * cfg.haptic.t_p_ns / 1e9, cfg.seed)
+        timeline = simulate_mod.leftover_arrivals(leftover, cfg.horizon_ns / 1e9, cfg.seed)
         n, bound = len(timeline), timeline.count_bound
         block = 1024  # small blocks, so that their temporaries do not hide a whole-timeline array
         with mock.patch.object(simulate_mod, "_BLOCK", block):
@@ -865,7 +872,7 @@ class TestBlockWalkEqualsWholeArrayPass:
             records = [r for r in caplog.records if r.msg is simulate_mod._BACKGROUND_RECORD]
             assert len(records) == 1
             _, arrived, finished, unfinished, kept, blocks, lookup_path, packets, slots, source = records[0].args
-            timeline = simulate_mod.leftover_arrivals(cfg.leftover, report.horizon_s, cfg.seed)
+            timeline = simulate_mod.leftover_arrivals(cfg.leftover, cfg.horizon_ns / 1e9, cfg.seed)
             assert arrived == len(timeline) and finished + unfinished == arrived
             assert unfinished > 0
             assert kept == len(report.leftover_delays)
@@ -885,8 +892,8 @@ class TestBlockWalkEqualsWholeArrayPass:
 
         with mock.patch.object(simulate_mod._CapacityProfile, "time_of_supply", spy):
             report = run(cfg)
-        capacity = walk_entry(cfg).profile.supply_at(cfg.n_periods * cfg.haptic.t_p_ns)
-        arrived = len(simulate_mod.leftover_arrivals(cfg.leftover, report.horizon_s, cfg.seed))
+        capacity = walk_entry(cfg).profile.supply_at(cfg.horizon_ns)
+        arrived = len(simulate_mod.leftover_arrivals(cfg.leftover, cfg.horizon_ns / 1e9, cfg.seed))
         assert largest and 0 < len(report.leftover_delays) < arrived - 20
         assert max(largest) <= capacity * (1 + 1e-12)
 
@@ -905,6 +912,7 @@ def background_sources(caplog):
     return [r.args[-1] for r in caplog.records if r.msg is simulate_mod._BACKGROUND_RECORD]
 
 
+@pytest.mark.exact
 class TestKeptDrawEqualsFreshDraw:
     @settings(max_examples=60, deadline=None)
     @given(cfg=loaded_configs(), other=st.sampled_from(list(S)), tables=st.booleans())
@@ -940,7 +948,7 @@ class TestKeptDrawEqualsFreshDraw:
             kept = run(cfg)
         assert background_sources(caplog) == ["drawn and kept", "kept", "kept"]
         assert_reports_identical(kept, fresh)
-        blocks = simulate_mod._kept_blocks(simulate_mod.leftover_arrivals(cfg.leftover, fresh.horizon_s, cfg.seed))
+        blocks = simulate_mod._kept_blocks(simulate_mod.leftover_arrivals(cfg.leftover, cfg.horizon_ns / 1e9, cfg.seed))
         if not bound:
             assert blocks == () and len(fresh.leftover_delays) == 0
         else:
@@ -980,6 +988,88 @@ def offgrid(scheme, seed=1, horizon=30.0):
     return SimConfig(radio(), HapticTrafficModel(1.0005, 0.2, 2e-3, 50e-3), LEFTOVER, scheme, horizon, seed)
 
 
+def snapped_horizon(cfg):
+    """The horizon snapped down to whole traffic periods, as SimConfig's
+    attributes name it."""
+    n_periods = int(to_ns(cfg.horizon) // cfg.haptic.t_p_ns)
+    k_p = cfg.haptic.t_p_ns // cfg.radio.tti_ns
+    return {"n_periods": n_periods, "slots_per_period": k_p, "n_slots": n_periods * k_p,
+            "horizon_ns": n_periods * cfg.haptic.t_p_ns}
+
+
+class TestHorizonSetOnce:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=configs())
+    @example(cfg=sim(S.DYNAMIC))
+    @example(cfg=sim(S.SEMI_PERSISTENT, tti=0.25e-3, horizon=12.3456))
+    @example(cfg=offgrid(S.SOFT_RESERVATION))
+    @example(cfg=offgrid(S.FAST_UPLINK, horizon=12.0007))
+    def test_attributes_equal_the_snapped_horizon(self, cfg):
+        want = snapped_horizon(cfg)
+        assert {name: getattr(cfg, name) for name in want} == want
+        for name in want:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, 0)
+        # replace builds afresh, so a new horizon or period sets them again
+        for other in (dataclasses.replace(cfg, horizon=3 * cfg.horizon + cfg.haptic.t_p / 2),
+                      dataclasses.replace(cfg, haptic=dataclasses.replace(cfg.haptic, t_p=2 * cfg.haptic.t_p),
+                                          horizon=20 * cfg.haptic.t_p)):
+            want = snapped_horizon(other)
+            assert {name: getattr(other, name) for name in want} == want
+
+    def test_the_report_repeats_the_slots_only(self):
+        cfg = offgrid(S.DYNAMIC)
+        report = run(cfg)
+        assert report.slots_simulated == cfg.n_slots and len(report.haptic_period_counts) == cfg.n_periods
+        assert "horizon_s" not in {field.name for field in dataclasses.fields(SimReport)}
+
+
+def period_loop_validation(config):
+    """validate_against_walk as a Python loop over the periods, logging each
+    mismatch as the loop meets it."""
+    counts = simulate_mod._haptic_layer(config)[1]
+    walk = drop_walk(config.scheme, config.radio, config.haptic, slotted=True)
+    expected = (walk.transmitted, walk.dropped)
+    ok = True
+    for period in range(1, len(counts) - 1):
+        got = (int(counts[period, 0]), int(counts[period, 1]))
+        if got != expected:
+            simulate_mod.log.warning(
+                "%s: period %d simulated (tx=%d, dropped=%d) != walk (tx=%d, dropped=%d)",
+                config.scheme.value, period, got[0], got[1], expected[0], expected[1],
+            )
+            ok = False
+    return ok
+
+
+class TestValidationRecordsEqualPeriodLoop:
+    @staticmethod
+    def validate(check, loaded, haptic, horizon, caplog):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, "hapticsched.simulate"):
+            results = {scheme.value: check(SimConfig(loaded.radio, haptic, loaded.leftover, scheme, horizon, 1))
+                       for scheme in S}
+        return results, [(r.name, r.levelno, r.msg, r.args, r.getMessage()) for r in caplog.records]
+
+    def test_off_the_grant_grid(self, caplog):
+        # t_ib = 1 ms at bench/configs/compare_offgrid.ini's 2001-slot period:
+        # the SR gate carries state across period ends, so the walk's single
+        # period disagrees with many of the simulator's
+        loaded = load_config(ROOT / "bench" / "configs" / "compare_offgrid.ini")
+        haptic = dataclasses.replace(loaded.haptic, t_ib=1e-3)
+        got = self.validate(validate_against_walk, loaded, haptic, 50.0, caplog)
+        want = self.validate(period_loop_validation, loaded, haptic, 50.0, caplog)
+        assert got == want
+        assert got[0] == {"DS": False, "SPS": False, "SRR": False, "FA": True} and len(got[1]) == 128
+
+    def test_at_the_defaults(self, caplog):
+        loaded = load_config()
+        got = self.validate(validate_against_walk, loaded, loaded.haptic, loaded.horizon, caplog)
+        assert got == self.validate(period_loop_validation, loaded, loaded.haptic, loaded.horizon, caplog)
+        assert got == ({scheme.value: True for scheme in S}, [])
+
+
+@pytest.mark.exact
 class TestHapticLayerMemo:
     @pytest.mark.parametrize("make", [sim, offgrid], ids=["on-grid", "off-grid"])
     @pytest.mark.parametrize("scheme", list(S))
@@ -1038,7 +1128,7 @@ class TestHapticLayerMemo:
             run(cfg)
         entry = walk_entry(cfg)
         # the entry's full chunks, and the partial final one the run walks
-        walked_chunks = len(entry.walked) + bool(cfg.n_periods * cfg.slots_per_period % entry.span)
+        walked_chunks = len(entry.walked) + bool(cfg.n_slots % entry.span)
         assert walked_chunks > 2
         assert laid.call_count == 1
 
@@ -1086,7 +1176,7 @@ class TestHapticLayerMemo:
         assert walk_entry(long).profile is profile
         tti = short.radio.tti_ns
         for cfg in (short, long):
-            n_slots = cfg.n_periods * cfg.slots_per_period
+            n_slots = cfg.n_slots
             t_ns = np.linspace(0, n_slots * tti, 4001).round().astype(np.int64)  # the horizon last
             total_bits = float(profile.supply_at(n_slots * tti))
             back = profile.time_of_supply(profile.supply_at(t_ns))

@@ -253,6 +253,7 @@ class EvenGaps:
         return np.full(size, scale)
 
 
+@pytest.mark.exact
 class TestScaledStandardDrawEqualsExponential:
     """The timeline draws its gaps and sizes as standard exponentials scaled
     in place; for the installed numpy these must be the bits of
@@ -278,6 +279,7 @@ class TestScaledStandardDrawEqualsExponential:
         assert scaled.bit_generator.state == whole.bit_generator.state
 
 
+@pytest.mark.exact
 class TestLeftoverArrivalsEqualUniqueReference:
     @settings(max_examples=60, deadline=None)
     @given(
