@@ -18,15 +18,9 @@ from typing import NamedTuple
 
 from ._numpy import np
 from .errors import ConfigError
-from .radio import (
-    RadioConfig,
-    SchedulingScheme,
-    ds_grant_latency,
-    fa_grant_latency,
-    haptic_access_delay,
-)
+from .radio import RadioConfig, SchedulingScheme, haptic_access_delay
 from .traffic import HapticTrafficModel, period_arrival_offsets_ns
-from .units import ceil_div, to_ns
+from .units import ceil_div
 
 
 @dataclass
@@ -185,12 +179,12 @@ def period_counts(scheme: SchedulingScheme, radio: RadioConfig, haptic: HapticTr
         grants = ceil_div(t_b, t_pg)
         flush_grant = ((n_b - 1) * t_ib // t_pg + 1) * t_pg
         flush = int(t_b <= flush_grant < t_p and not _sparse_send_at(flush_grant, radio, haptic))
-        sparse = _gated(to_ns(ds_grant_latency(radio)), n_s, t_nb)
+        sparse = _gated(radio.t_sr_ns + 3 * radio.tti_ns, n_s, t_nb)
         return PeriodCounts(n_b + n_s, _windows(0, t_ib, n_b, t_pg) + sparse, grants + flush + sparse, grants)
     if scheme is SchedulingScheme.DYNAMIC:
-        gate = to_ns(ds_grant_latency(radio))
+        gate = radio.t_sr_ns + 3 * radio.tti_ns
     elif scheme is SchedulingScheme.FAST_UPLINK:
-        gate = to_ns(fa_grant_latency(radio))
+        gate = radio.tti_ns
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
     burst = _gated(gate, n_b, t_ib)

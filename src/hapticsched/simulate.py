@@ -31,10 +31,13 @@ walks them whole: on chunks of thousands of periods a short run pays for
 the whole cycle's walk and profile.
 
 The background queue is walked in blocks of packets as the timeline of
-leftover_arrivals draws them on demand.  Each block draws its arrival
+leftover_arrivals draws them on demand, in one loop to the end of the
+timeline that also counts the arrivals.  Each block draws its arrival
 times and its sizes, each from a stream of its own, and sums its sizes on
 from the block before, so of the background flow only the kept completion
-delays span the horizon.  Every scheme and grid point of a seed reads the
+delays span the horizon.  Past the first packet left unfinished at the
+horizon no block finishes a packet, but an overloaded run still draws and
+walks every block.  Every scheme and grid point of a seed reads the
 same timeline, so one whose draw bound fits one block is kept, with the
 per-block arrays that depend on it alone, for the next run that reads
 it: only the last such draw is memoised, so the runs of one seed in a row
@@ -157,15 +160,16 @@ class _CapacityProfile:
     cycle repeated after it without end, evaluated and inverted exactly: a
     time or bit target past the prefix folds back into the cycle, each
     completed cycle adding cycle_bits.  It depends on no horizon: a run
-    cuts its bit targets at its own horizon's capacity."""
+    cuts its bit targets at its own horizon's capacity.  The occupied slots
+    come in any order, repeats allowed, and each must lie in
+    [0, prefix_slots + cycle_slots), as steady_cycle filters them; they are
+    not checked here."""
 
     def __init__(self, occupied_slots: np.ndarray, prefix_slots: int, cycle_slots: int,
                  tti_ns: int, total_rate: float, reduced_rate: float):
         self.prefix_ns, self.cycle_ns = prefix_slots * tti_ns, cycle_slots * tti_ns
         end = prefix_slots + cycle_slots
-        occ = np.asarray(occupied_slots, dtype=np.int64)  # any order, repeats allowed
-        if len(occ) and (occ.min() < 0 or occ.max() >= end):
-            raise ValueError("occupied slots outside the profile")
+        occ = np.asarray(occupied_slots, dtype=np.int64)
         # one mark per slot bound, in one pass and no sort: a reduced-rate
         # segment per occupied slot, a full-rate one per gap between them,
         # and the cycle starting a segment of its own
@@ -463,37 +467,36 @@ class _Block(NamedTuple):
     ns: np.ndarray       # the times rounded to whole nanoseconds
     cum: np.ndarray      # the running size sum through each packet, on from the blocks before
     before: np.ndarray   # the running size sum before each packet
-    arrived_mid: int     # arrivals up to mid-horizon
 
 
-def _timeline_blocks(timeline: ArrivalTimeline, times: Iterator[np.ndarray]) -> Iterator[_Block]:
-    """The blocks of times, the timeline's time blocks, as they are drawn:
+def _timeline_blocks(timeline: ArrivalTimeline) -> Iterator[_Block]:
+    """The timeline's blocks of _BLOCK arrival times, as they are drawn:
     each block's sizes from the size draw, summed on from the last block's
     total in the order of one pass over the timeline."""
-    t_mid = 0.5 * timeline.horizon_s
     next_sizes = timeline.size_draw()
     carry = 0.0
-    for a in times:
+    for a in timeline.time_blocks(_BLOCK):
         sizes = next_sizes(len(a))
         cum = sizes.copy()
         cum[0] += carry
         np.cumsum(cum, out=cum)
         carry = cum[-1]
         before = np.subtract(cum, sizes, out=sizes)
-        yield _Block(a, np.round(a * 1e9).astype(np.int64), cum, before, int(a.searchsorted(t_mid, side="right")))
+        yield _Block(a, np.round(a * 1e9).astype(np.int64), cum, before)
         del a, sizes, cum, before  # released before the next block is drawn
 
 
 @functools.lru_cache(maxsize=1)
 def _kept_blocks(timeline: ArrivalTimeline) -> tuple[_Block, ...]:
-    """The blocks of a timeline whose draw bound fits one block, kept
-    read-only.  One entry, keyed on the timeline's (model, horizon, seed),
-    serves the runs that read the timeline in a row: every scheme and grid
-    point of a one-seed invocation.  A seed list runs its seeds innermost,
-    so the seed changes from run to run and each run draws afresh."""
-    blocks = tuple(_timeline_blocks(timeline, timeline.time_blocks(_BLOCK)))
+    """The blocks of a timeline whose draw bound fits one block, every array
+    of them kept read-only.  One entry, keyed on the timeline's (model,
+    horizon, seed), serves the runs that read the timeline in a row: every
+    scheme and grid point of a one-seed invocation.  A seed list runs its
+    seeds innermost, so the seed changes from run to run and each run draws
+    afresh."""
+    blocks = tuple(_timeline_blocks(timeline))
     for block in blocks:
-        for array in block[:4]:
+        for array in block:
             array.flags.writeable = False
     return blocks
 
@@ -519,9 +522,11 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile) -> np.ndarra
     capacity, with a relative slack of 1e-12 for the rounding of the sums.
     The targets are nondecreasing, a running maximum plus a size sum, so
     the unfinished packets are a suffix: a binary search of each block's
-    targets against that capacity finds the finished prefix, only that
-    prefix is inverted, the walk stops at the block that holds the first
-    unfinished packet, and the arrival times after it are only counted.
+    targets against that capacity finds the finished prefix, and only that
+    prefix is inverted.  The walk runs to the end of the timeline: every
+    block after the first unfinished packet finishes none of its packets,
+    and is walked all the same, so one loop counts every arrival, the
+    mid-horizon ones too.
     The profile is shared by every run of the configuration: the first run
     whose expected packet count is at least its slots builds its lookup
     tables, and every later run reads them, whatever its own count.
@@ -533,12 +538,10 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile) -> np.ndarra
     timeline = leftover_arrivals(config.leftover, horizon_s, config.seed)
     if timeline.count_bound <= _BLOCK:
         hits = _kept_blocks.cache_info().hits
-        blocks = iter(_kept_blocks(timeline))
-        rest = (block.times for block in blocks)  # the same iterator: what the walk leaves
+        blocks = _kept_blocks(timeline)
         source = "kept" if _kept_blocks.cache_info().hits > hits else "drawn and kept"
     else:
-        rest = timeline.time_blocks(_BLOCK)
-        blocks, source = _timeline_blocks(timeline, rest), "drawn"
+        blocks, source = _timeline_blocks(timeline), "drawn"
     if profile.slot_S is None and _tables_pay(config.leftover.lambda_rate * horizon_s, profile.slots):
         profile.build_lookup_tables()
     t_mid = 0.5 * horizon_s
@@ -548,7 +551,7 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile) -> np.ndarra
     for block in blocks:
         a = block.times
         n += len(a)
-        arrived_mid += block.arrived_mid
+        arrived_mid += int(a.searchsorted(t_mid, side="right"))
         walked += 1
         level = profile.supply_at(block.ns)
         level -= block.before
@@ -565,12 +568,7 @@ def _background_layer(config: SimConfig, profile: _CapacityProfile) -> np.ndarra
             delays = np.concatenate([delays[:kept], np.empty(len(delays) + len(a))])
         np.subtract(completion[start:done], a[start:done], out=delays[kept:kept + done - start])
         kept += done - start
-        if done < len(a):
-            break
         del block, a, level, completion  # released before the next block is drawn
-    for a in rest:  # past the first unfinished packet: counted, with no sizes drawn
-        n += len(a)
-        arrived_mid += int(a.searchsorted(t_mid, side="right"))
     log.debug(_BACKGROUND_RECORD, config.scheme.value, n, finished, n - finished, kept, walked,
               "search" if profile.slot_S is None else "table", n, profile.slots, source)
 

@@ -186,7 +186,9 @@ class ArrivalTimeline:
         own, SeedSequence(seed).spawn(1)[0], which uses up its values one
         by one, so one draw and a draw in pieces give the same sizes; they
         are standard exponentials scaled in place by sigma, the bits of
-        exponential(sigma), as in time_blocks."""
+        exponential(sigma), as in time_blocks, clamped below at
+        np.finfo(float).tiny.  Every size is thus positive, fixed ones
+        because the model checks sigma: nothing checks them again."""
         sigma, rng = float(self.model.sigma), None
         if self.model.size_distribution is SizeDistribution.EXPONENTIAL_MEAN:
             rng = np.random.default_rng(np.random.SeedSequence(self.seed).spawn(1)[0])
@@ -198,8 +200,6 @@ class ArrivalTimeline:
                 sizes = rng.standard_exponential(n)
                 sizes *= sigma
                 np.maximum(sizes, np.finfo(float).tiny, out=sizes)
-            if (sizes <= 0).any():
-                raise ValueError("sizes must be positive")
             return sizes
 
         return draw

@@ -373,6 +373,20 @@ class TestStreamedTimelineEqualsWholeDraw:
         with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("built")):
             assert tl.size_draw()(3).tolist() == [12000.0] * 3
 
+    def test_zero_sizes_are_clamped_to_the_smallest_normal(self):
+        # the clamp is all that keeps a drawn size positive: nothing checks
+        # the sizes after it
+        tl = leftover_arrivals(LeftoverTrafficModel(4.0, 12000.0, SizeDistribution.EXPONENTIAL_MEAN), 20.0, 1)
+
+        class EveryOtherZero:
+            def standard_exponential(self, n):
+                return np.arange(n) % 2 * 1.0
+
+        with mock.patch.object(np.random, "default_rng", lambda seed: EveryOtherZero()):
+            sizes = tl.size_draw()(5)
+        tiny = np.finfo(float).tiny
+        assert sizes.tolist() == [tiny, 12000.0, tiny, 12000.0, tiny]
+
     def test_a_repeated_instant_across_two_blocks_is_dropped(self):
         # every other gap zero from the first: blocks of two gaps each start
         # on a zero gap, which repeats the last instant of the block before
